@@ -8,7 +8,7 @@ Workloads (workloads.py says why each one exists):
 
   cli-cold       one ``python -m fracpois.cli`` child per op (import + cli)
   grid-table     one 50 x 26 pmf_table per op (repeated per-value series work)
-  lattice-sweep  one fresh parameter point per op (set-up, accuracy boundary)
+  lattice-sweep  one fresh parameter point per op (per-point set-up)
   mc-gof         empirical_pmf at 2e5 samples + chi_square_gof per op (simulate)
 
 ``--trace 0`` measures the end-to-end metrics:
@@ -27,22 +27,32 @@ Workloads (workloads.py says why each one exists):
 and reports, without a gate: op_s.p90 (with at least 100 ops),
 samples_per_s (mc-gof) and ops_failed_ratio.
 
-``--trace 1`` runs the workload for half the time untraced and half with
-every fracpois layer wrapped (tracer.py), then a fixed layer probe: the
-ROADMAP's 50 x 26 sstfpp table (whose ln C_k and log_abs_gamma call counts
-are also reported on their own) and an in-process ``pgf``, ``verify`` and
-small ``simulate``, so that every layer is timed in every traced run.  It prints the per-layer metrics; no end-to-end number comes
-from a traced run.
+``--trace 1`` runs the workload untraced for half the time (and at least
+one pass over its ops), then exactly one pass over its ops with every
+fracpois layer wrapped (tracer.py), then a fixed layer probe: the ROADMAP's
+50 x 26 sstfpp table (whose ln C_k and log_abs_gamma call counts are also
+reported on their own) and an in-process ``pgf``, ``verify`` and small
+``simulate``, so that every layer is timed in every traced run.  The traced
+work is fixed by the seed, not by the clock, so a faster layer shows as a
+smaller time and a call count as work done.  It prints the per-layer
+metrics; no end-to-end number comes from a traced run.
+
+After measuring, every run checks the ROADMAP's 100 accuracy-sweep points
+(workloads.LATTICE) once, outside every timed interval, and prints how many
+fail; the traced run reports the count as accuracy.roadmap_failed.  They
+are not ops of the run: the timed decks hold only points where double
+precision can deliver the answer, so a correct program fails no op.
 
 The last line of stdout is one JSON object with the keys correct,
 attempted, failed and metrics; the lines before it name every metric with
 its unit and sample count, and a full record (environment, op counts,
-failures) is written to bench/out/.  ``failed`` counts every op that failed
-a check (workloads.py lists them).  ``correct`` is false when a failure is
-not the known cancellation defect -- that is, unless the op failed a check
-of its values or raised ConvergenceError at a point where
-oracle.rounding_bound exceeds the check tolerance -- or when the canary (a
-copy of a passing op's output with one value corrupted) is not flagged.
+failures) is written to bench/out/.  ``failed`` counts every timed op that
+failed a check (workloads.py lists them).  ``correct`` is false when a
+failure, of a timed op or of a ROADMAP point, is not the known cancellation
+defect -- that is, unless the op failed a check of its values or raised
+ConvergenceError at a point where oracle.rounding_bound exceeds the check
+tolerance -- or when the canary (a copy of a passing op's output with one
+value corrupted) is not flagged.
 """
 
 from __future__ import annotations
@@ -61,7 +71,8 @@ from pathlib import Path
 from time import perf_counter
 
 from workloads import (
-    N_STATES, OUT, ROOT, SRC, THREAD_VARS, TOL, WORKLOADS, CliCold, child_env,
+    LATTICE, N_STATES, OUT, ROOT, SRC, THREAD_VARS, TOL, WORKLOADS, CliCold, LatticeSweep,
+    child_env,
 )
 
 SETUP_REPEATS = 3
@@ -121,37 +132,56 @@ class Checker:
         self.wl = wl
         self.bounds: dict[tuple, float] = {}
         self.failures: list[tuple[int, str]] = []
-        self.unexplained: list[tuple[int, str]] = []
+        self.unexplained: list[tuple] = []
         self.max_norm_residual = 0.0
         self.canary: str | None = None
 
-    def _ill_conditioned(self, op) -> bool:
+    def _ill_conditioned(self, wl, op) -> bool:
         from oracle import rounding_bound
 
-        for point in self.wl.points(op):
+        for point in wl.points(op):
             if point not in self.bounds:
                 self.bounds[point] = rounding_bound(point, N_STATES)
             if self.bounds[point] > TOL:
                 return True
         return False
 
-    def __call__(self, k: int, out, err) -> bool:
-        op = self.wl.ops[k]
+    def verdict(self, wl, op, out, err) -> tuple[str | None, bool]:
+        """(reason the op failed or None, whether the failure is the known defect)."""
         if err is not None:
-            reason = f"raised {type(err).__name__}: {err}"
-            known = type(err).__name__ == "ConvergenceError" and self._ill_conditioned(op)
-        else:
-            reason, residual = self.wl.check(op, out)
-            if reason is None:
-                self.max_norm_residual = max(self.max_norm_residual, residual)
-                if self.canary is None:
-                    self.canary = self.wl.check(op, self.wl.corrupt(out))[0] or ""
-                return True
-            known = self._ill_conditioned(op)
+            known = type(err).__name__ == "ConvergenceError" and self._ill_conditioned(wl, op)
+            return f"raised {type(err).__name__}: {err}", known
+        reason, residual = wl.check(op, out)
+        if reason is None:
+            self.max_norm_residual = max(self.max_norm_residual, residual)
+            if self.canary is None:
+                self.canary = wl.check(op, wl.corrupt(out))[0] or ""
+            return None, True
+        return reason, self._ill_conditioned(wl, op)
+
+    def __call__(self, k: int, out, err) -> bool:
+        reason, known = self.verdict(self.wl, self.wl.ops[k], out, err)
+        if reason is None:
+            return True
         self.failures.append((k, reason))
         if not known:
             self.unexplained.append((k, reason))
         return False
+
+    def audit(self, wl, ops) -> list[tuple[int, str]]:
+        """Run and check each of `ops` once, untimed; return the (index, reason) failures."""
+        failures = []
+        for i, op in enumerate(ops):
+            try:
+                out, err = wl.run(op), None
+            except Exception as exc:
+                out, err = None, exc
+            reason, known = self.verdict(wl, op, out, err)
+            if reason is not None:
+                failures.append((i, reason))
+                if not known:
+                    self.unexplained.append((f"{wl.name} audit point {i}", reason))
+        return failures
 
     def correct(self) -> bool:
         return not self.unexplained and bool(self.canary)
@@ -164,7 +194,6 @@ class Checker:
         return [
             f"ops_failed_ratio = {len(self.failures) / attempted:.6g} ({len(self.failures)} of "
             f"{attempted} ops; {len(failed_ops)} of {len(self.wl.ops)} distinct ops)",
-            *self.wl.summary(failed_ops),
             f"failures not explained by the known cancellation defect: {len(self.unexplained)}",
             "canary (one value of a passing op corrupted, re-checked): "
             + (f"flagged: {self.canary}" if self.canary else "NOT flagged"),
@@ -172,8 +201,8 @@ class Checker:
         ]
 
 
-def timed_loop(wl, seconds: float, checker: Checker, pauses=()) -> list[tuple]:
-    """Run ops back to back for `seconds` of loop time.
+def timed_loop(wl, seconds: float, checker: Checker, pauses=(), min_ops: int = 0) -> list[tuple]:
+    """Run ops back to back for `seconds` of loop time and at least `min_ops` ops.
 
     Returns one (op index, seconds, returned, passed) per op: whether it
     returned without raising and whether it passed every check.
@@ -202,7 +231,7 @@ def timed_loop(wl, seconds: float, checker: Checker, pauses=()) -> list[tuple]:
         if todo and elapsed >= (len(pauses) - len(todo) + 0.5) * seconds / len(pauses):
             todo.pop(0)()
         untimed += perf_counter() - t1
-        if elapsed >= seconds and not todo:
+        if elapsed >= seconds and i >= min_ops and not todo:
             return recs
 
 
@@ -282,8 +311,6 @@ def environment(seed: int) -> dict:
     }
 
 
-
-
 def metric(metrics: dict, name: str, value, unit: str) -> None:
     metrics[name] = {"value": value, "unit": unit}
 
@@ -347,6 +374,7 @@ def layer_probe(tracer) -> dict[str, tuple[float, str]]:
         fracpois.pmf_table(fracpois.FractionalParams(*AIM1), AIM1_TIMES, N_STATES)
     finally:
         undo()
+    ck_share = table.total["saigo.ck_log_coefficients"] / table.total["processes.pmf_table"]
     tracer.merge(table.dump(), "aim1")
     undo = install(tracer)
     try:
@@ -357,6 +385,7 @@ def layer_probe(tracer) -> dict[str, tuple[float, str]]:
     return {
         "aim1_table.ck_calls": (table.calls["saigo.ck_log_coefficients"], "count"),
         "aim1_table.log_abs_gamma_calls": (table.counts["specfun.log_abs_gamma"], "count"),
+        "aim1_table.ck_share": (ck_share, "1"),
     }
 
 
@@ -384,7 +413,8 @@ def traced_run(wl, args, checker: Checker) -> tuple[list[tuple], dict, list[str]
     from tracer import Tracer, install, layer_metrics
 
     layers = measure_imports()
-    plain = timed_loop(wl, args.seconds / 2, checker)
+    # At least one pass, so the untraced median covers the ops the traced pass runs.
+    plain = timed_loop(wl, args.seconds / 2, checker, min_ops=len(wl.ops))
     tracer = Tracer()
     if isinstance(wl, CliCold):
         stats_dir = OUT / f"trace-{args.workload}-seed{args.seed}"
@@ -392,7 +422,7 @@ def traced_run(wl, args, checker: Checker) -> tuple[list[tuple], dict, list[str]
         stats_dir.mkdir(parents=True)
         wl.traced_prefix = [sys.executable, str(Path(__file__).with_name("traced_cli.py")),
                             str(stats_dir)]
-        traced = timed_loop(wl, args.seconds / 2, checker)
+        traced = timed_loop(wl, 0.0, checker, min_ops=len(wl.ops))
         wl.traced_prefix = None
         for path in sorted(stats_dir.glob("*.json")):
             tracer.merge(json.loads(path.read_text()), path.stem)
@@ -400,12 +430,15 @@ def traced_run(wl, args, checker: Checker) -> tuple[list[tuple], dict, list[str]
     else:
         undo = install(tracer)
         try:
-            traced = timed_loop(wl, args.seconds / 2, checker)
+            traced = timed_loop(wl, 0.0, checker, min_ops=len(wl.ops))
         finally:
             undo()
     loop_calls = dict(tracer.calls)
+    # Share of the pass's op time spent rebuilding ln C_k, before the probe adds the aim-1 table.
+    ck_share = tracer.total["saigo.ck_log_coefficients"] / sum(dt for _, dt, _, _ in traced)
     layers.update(layer_probe(tracer))
     layers.update(layer_metrics(tracer))
+    layers["saigo.ck_share"] = (ck_share, "1")
     layers["processes.max_norm_residual"] = (checker.max_norm_residual, "1")
     layers["processes.max_abs_err"] = (max_abs_err(), "1")
     layers["trace.overhead_s"] = (statistics.median(dt for _, dt, _, _ in traced)
@@ -427,6 +460,13 @@ def traced_run(wl, args, checker: Checker) -> tuple[list[tuple], dict, list[str]
                                            "spans_file": spans_path.name}
 
 
+def roadmap_audit(checker: Checker) -> list[tuple[int, str]]:
+    """Check the ROADMAP's 100 accuracy-sweep points once, untimed; return the failures."""
+    sweep = LatticeSweep()
+    sweep.prepare(0)
+    return checker.audit(sweep, LATTICE)
+
+
 def main(argv: list[str]) -> int:
     args = parse_args(argv)
     for var in THREAD_VARS:
@@ -446,6 +486,9 @@ def main(argv: list[str]) -> int:
     checker = Checker(wl)
     measure = traced_run if args.trace else plain_run
     recs, metrics, lines, detail = measure(wl, args, checker)
+    audit = roadmap_audit(checker)
+    if args.trace:
+        metric(metrics, "accuracy.roadmap_failed", len(audit), "count")
     result = {
         "correct": checker.correct(),
         "attempted": len(recs),
@@ -458,7 +501,7 @@ def main(argv: list[str]) -> int:
         "op_counts": {"attempted": len(recs), "failed": len(checker.failures),
                       "distinct_ops": len(wl.ops)},
         "failures": checker.failures[:200], "unexplained": checker.unexplained[:200],
-        "canary": checker.canary, **detail,
+        "canary": checker.canary, "roadmap_failures": audit, **detail,
     }
     (OUT / f"result-{args.workload}-seed{args.seed}-trace{args.trace}.json").write_text(
         json.dumps(record, indent=1))
@@ -467,6 +510,8 @@ def main(argv: list[str]) -> int:
     print("# environment: " + json.dumps(env))
     for line in lines + checker.lines(len(recs)):
         print(line)
+    print(f"ROADMAP lattice points failed: {len(audit)} of {len(LATTICE)} "
+          "(accuracy.roadmap_failed; checked once, untimed, not ops of this run)")
     print(json.dumps(result))
     return 0
 

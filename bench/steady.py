@@ -1,20 +1,23 @@
 """Steadiness check: do two sets of runs of one commit agree within the bounds?
 
-    python3 bench/steady.py [--runs 10] [--sets 2] [--workloads cli-cold,mc-gof]
+    python3 bench/steady.py [--runs 10] [--workloads cli-cold,mc-gof]
 
-Runs ``bench/run.py`` once per (set, run, workload), one process at a time,
-each run with its own seed, and reads the JSON result line.  For every
-(end-to-end metric, workload) pair it reports each set's median and spread,
-(q3 - q1) / median with the quartiles of ``statistics.quantiles(n=4)``,
-and a verdict against the bound BENCHMARK.json fixes for the metric:
+Runs ``bench/run.py`` once per (set, run, workload) for two sets, one
+process at a time, each run with its own seed, and reads the JSON result
+line.  For every (end-to-end metric, workload) pair it reports each set's
+median and spread, (q3 - q1) / median with the quartiles of
+``statistics.quantiles(n=4)``, and a verdict against the bound
+BENCHMARK.json fixes for the metric:
 
   unresolved  a set's spread is wider than the bound
-  agree       the second set's median is not worse than the first's by
-              more than the bound
+  agree       the two medians differ, in either direction, by at most the
+              bound as a share of the first set's median
   disagree    otherwise
 
-With ``--sets 1`` there is no second set and only the spreads are judged.
-The report is printed and written to bench/out/steady-<seed range>.json.
+It also lists every run that reported correct = false or a failed op (the
+decks are chosen so that a correct program fails none).  It exits 0 only
+if every pair agrees and no run is listed.  The report is printed and
+written to bench/out/steady-<seed range>.json.
 """
 
 from __future__ import annotations
@@ -44,16 +47,10 @@ def spread(values: list[float]) -> tuple[float, float]:
     return med, (q3 - q1) / med
 
 
-def worse_by(first: float, second: float, better: str) -> float:
-    """Relative amount by which `second` is worse than `first` (negative: better)."""
-    return (second - first) / first if better == "lower" else (first - second) / first
-
-
 def main(argv: list[str]) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--sets", type=int, choices=(1, 2), default=2)
     p.add_argument("--workloads", default=",".join(w["name"] for w in bench["workloads"]))
     p.add_argument("--first-seed", type=int, default=1)
     p.add_argument("--seconds", type=int, default=bench["run_seconds"])
@@ -62,9 +59,10 @@ def main(argv: list[str]) -> int:
     if args.runs < 2:
         p.error("--runs must be at least 2")
 
-    results: dict = {w: [[] for _ in range(args.sets)] for w in workloads}
+    results: dict = {w: [[], []] for w in workloads}
     incorrect = []
-    for s in range(args.sets):
+    failing = []
+    for s in range(2):
         for r in range(args.runs):
             seed = args.first_seed + s * args.runs + r
             for w in workloads:
@@ -72,6 +70,8 @@ def main(argv: list[str]) -> int:
                 results[w][s].append(res)
                 if not res["correct"]:
                     incorrect.append((w, seed))
+                if res["failed"]:
+                    failing.append((w, seed, res["failed"], res["attempted"]))
                 print(f"set {s + 1} run {r + 1} {w} seed {seed}: "
                       + ", ".join(f"{k}={v['value']:.6g}" for k, v in res["metrics"].items()),
                       flush=True)
@@ -84,26 +84,27 @@ def main(argv: list[str]) -> int:
                     for runs in results[w]]
             row = {"workload": w, "metric": name, "bound": bound,
                    "medians": [med for med, _ in sets], "spreads": [sp for _, sp in sets]}
+            row["change"] = (sets[1][0] - sets[0][0]) / sets[0][0]
             if any(sp > bound for _, sp in sets):
                 row["verdict"] = "unresolved"
-            elif args.sets == 2:
-                row["worse_by"] = worse_by(sets[0][0], sets[1][0], m["better"])
-                row["verdict"] = "agree" if row["worse_by"] <= bound else "disagree"
             else:
-                row["verdict"] = "steady"
+                row["verdict"] = "agree" if abs(row["change"]) <= bound else "disagree"
             row["under_third_of_bound"] = all(sp < bound / 3 for _, sp in sets)
             report.append(row)
             print(f"{w:14s} {name:13s} bound {bound:<5g} "
                   + " | ".join(f"median {med:.6g} spread {sp:.4f}" for med, sp in sets)
-                  + (f" | worse by {row['worse_by']:+.4f}" if "worse_by" in row else "")
+                  + f" | change {row['change']:+.4f}"
                   + f" -> {row['verdict']}" + ("" if row["under_third_of_bound"] else " (spread >= bound/3)"))
     if incorrect:
         print(f"runs that reported correct = false: {incorrect}")
-    last = args.first_seed + args.sets * args.runs - 1
+    if failing:
+        print(f"runs with failed ops (workload, seed, failed, attempted): {failing}")
+    last = args.first_seed + 2 * args.runs - 1
     out = ROOT / "bench" / "out" / f"steady-seeds{args.first_seed}-{last}.json"
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps({"report": report, "incorrect": incorrect, "results": results}, indent=1))
-    ok = not incorrect and all(r["verdict"] in ("agree", "steady") for r in report)
+    out.write_text(json.dumps({"report": report, "incorrect": incorrect, "failing": failing,
+                               "results": results}, indent=1))
+    ok = not incorrect and not failing and all(r["verdict"] == "agree" for r in report)
     return 0 if ok else 1
 
 

@@ -55,8 +55,7 @@ COUNT_TARGETS = (
 class Tracer:
     """Spans and per-name call statistics of one process."""
 
-    def __init__(self, max_spans: int = MAX_SPANS) -> None:
-        self.max_spans = max_spans
+    def __init__(self) -> None:
         self.spans: list[tuple[int, str, float, float, int]] = []
         self.dropped = 0
         self.calls: Counter = Counter()
@@ -87,7 +86,7 @@ class Tracer:
                 self.self_time[name] += d - frame[1]
                 if stack:
                     stack[-1][1] += d
-                if len(self.spans) < self.max_spans:
+                if len(self.spans) < MAX_SPANS:
                     self.spans.append((sid, name, t0, t1, parent))
                 else:
                     self.dropped += 1
@@ -127,7 +126,7 @@ class Tracer:
         for name, v in other["self_time"].items():
             self.self_time[name] += v
         for sid, name, t0, t1, parent in other["spans"]:
-            if len(self.spans) < self.max_spans:
+            if len(self.spans) < MAX_SPANS:
                 self.spans.append((f"{tag}:{sid}", name, t0, t1, f"{tag}:{parent}"))
             else:
                 self.dropped += 1

@@ -3,13 +3,15 @@
 Every workload is one process, one thread, closed loop with one client: the
 next op starts when the previous one has returned.  ``prepare`` builds the
 inputs, ``run`` executes one op and returns its raw output, and ``check``
-(called after the timed loop) returns ``(reason, residual)`` with reason
-None when the op passed.  A failure is any of: the op raised, the CLI
-exited non-zero or printed other bytes than ``cli.main`` in-process, a p_n
-or tail outside [0, 1], |sum_{n<=N} p_n + tail - 1| > TOL, a pgf value
-outside [sum u^n p_n, sum u^n p_n + u^(N+1) tail], or a chi-square p-value
-below MIN_PVALUE.  The range, normalisation and bracket checks all allow
-TOL of rounding.
+(called right after each op, outside its timing) returns
+``(reason, residual)`` with reason None when the op passed.  ``run`` looks
+each fracpois function up on the package when it is called, so that the
+traced run's wrappers (tracer.py) see the calls.  A failure is any of: the
+op raised, the CLI exited non-zero or printed other bytes than ``cli.main``
+in-process, a p_n or tail outside [0, 1], |sum_{n<=N} p_n + tail - 1| > TOL,
+a pgf value outside [sum u^n p_n, sum u^n p_n + u^(N+1) tail], or a
+chi-square p-value below MIN_PVALUE.  The range, normalisation and
+bracket checks all allow TOL of rounding.
 """
 
 from __future__ import annotations
@@ -108,10 +110,6 @@ class Workload:
         """(lam, alpha, nu, beta, gamma, t) points whose failure may be rounding."""
         return []
 
-    def summary(self, failed_ops: list[int]) -> list[str]:
-        """Extra report lines about which ops failed."""
-        return []
-
 
 class GridTable(Workload):
     """One pmf_table of 50 times x 26 states with its tail, per op.
@@ -121,17 +119,19 @@ class GridTable(Workload):
     the median op lies well inside the sstfpp tables on every seed rather
     than at the gap between them and the faster variants.  Orders are kept in
     [0.9, 1], where the series is accurate to well inside TOL for every
-    x <= 5 (at 0.8 it already fails there); the accuracy boundary is
-    lattice-sweep's job.
+    x <= 5 (at 0.8 it already fails there), so that no grid op fails; the
+    accuracy boundary is lattice-sweep's job.  Off the stfpp line ln C_k is
+    still rebuilt as in the ROADMAP's aim-1 table: the traced run reports
+    saigo.ck_share of a grid pass next to aim1_table.ck_share.
     """
 
     name = "grid-table"
     values_per_op = GRID_TIMES * (N_STATES + 1) + GRID_TIMES
 
     def prepare(self, seed: int) -> None:
-        from fracpois import FractionalParams, pmf_table
+        import fracpois
 
-        self._params, self._pmf_table = FractionalParams, pmf_table
+        self._fp = fracpois
         rng = random.Random(seed)
         d = GRID_DECK
         shapes = [(1.0, 1.0, -1.0, 0.0)] * d["classical"]  # (alpha, nu, beta, gamma)
@@ -150,7 +150,7 @@ class GridTable(Workload):
 
     def run(self, op):
         point, times = op
-        return self._pmf_table(self._params(*point), times, N_STATES)
+        return self._fp.pmf_table(self._fp.FractionalParams(*point), times, N_STATES)
 
     def check(self, op, table) -> tuple[str | None, float]:
         worst = 0.0
@@ -172,22 +172,28 @@ class GridTable(Workload):
 
 
 # The ROADMAP's accuracy sweep: alpha x nu x x at lam = 1, beta = -alpha.
+# About a third of these points cancel away every digit, so they are not
+# timed ops: every run checks them once, untimed (run.py, roadmap_audit).
 LATTICE = [
     (1.0, a, nu, -a, 0.0, x ** (1.0 / a))
     for a in (0.3, 0.5, 0.7, 0.9, 1.0)
     for nu in (0.4, 0.6, 0.8, 1.0)
     for x in (1.0, 2.0, 3.0, 4.0, 5.0)
 ]
-LATTICE_SEEDED = 200
+LATTICE_SEEDED = 300
+# Largest x of a timed lattice point.  oracle.rounding_bound stays below
+# 3e-13 over the whole drawn box up to here (worst corner: alpha = 0.3,
+# -beta = 0.2, nu = 1); at x = 1 it reaches 6e-9, above TOL.
+LATTICE_X_MAX = 0.75
 
 
 class LatticeSweep(Workload):
     """One fresh parameter point per op: p_0..p_25, tail, survival, 3 pgf values.
 
-    The ROADMAP's 100 fixed accuracy-sweep points, where the series can
-    cancel away every digit (the report counts how many of them fail), plus
-    LATTICE_SEEDED sstfpp points with free beta and gamma drawn from the
-    seed, in seed-shuffled order.
+    LATTICE_SEEDED sstfpp points with every parameter drawn from the seed,
+    at x <= LATTICE_X_MAX, where double precision delivers every value, so
+    that no op fails.  The accuracy boundary is the ROADMAP's 100-point
+    sweep (LATTICE), which every run checks once outside the timed loop.
     """
 
     name = "lattice-sweep"
@@ -198,21 +204,21 @@ class LatticeSweep(Workload):
 
         self._fp = fracpois
         rng = random.Random(seed)
-        seeded = []
+        self.ops = []
+        n = LATTICE_SEEDED
         for lam, a, nu, b, g, x in zip(
-            _stratified(rng, 0.5, 2.0, LATTICE_SEEDED), _stratified(rng, 0.3, 1.0, LATTICE_SEEDED),
-            _stratified(rng, 0.4, 1.0, LATTICE_SEEDED), _stratified(rng, 0.2, 1.0, LATTICE_SEEDED),
-            _stratified(rng, 0.0, 0.5, LATTICE_SEEDED), _stratified(rng, 0.0, X_MAX, LATTICE_SEEDED),
+            _stratified(rng, 0.5, 2.0, n), _stratified(rng, 0.3, 1.0, n),
+            _stratified(rng, 0.4, 1.0, n), _stratified(rng, 0.2, 1.0, n),
+            _stratified(rng, 0.0, 0.5, n), _stratified(rng, 1e-3, LATTICE_X_MAX, n),
         ):
             point = (lam, a, nu, -b, g)
-            seeded.append((*point, _times_for_x(point, [max(x, 1e-3)])[0]))
-        self.ops = [(i, p) for i, p in enumerate(LATTICE)] + [(None, p) for p in seeded]
+            self.ops.append((*point, _times_for_x(point, [x])[0]))
         rng.shuffle(self.ops)
         self.warmup = 0
 
     def run(self, op):
         fp = self._fp
-        _, (lam, a, nu, b, g, t) = op
+        lam, a, nu, b, g, t = op
         params = fp.FractionalParams(lam, a, nu, b, g)
         ps = [fp.pmf(params, t, n) for n in range(N_STATES + 1)]
         tail = fp.pmf_tail_mass(params, t, N_STATES)
@@ -240,11 +246,7 @@ class LatticeSweep(Workload):
         return ps, tail, survival, pgf
 
     def points(self, op):
-        return [op[1]]
-
-    def summary(self, failed_ops: list[int]) -> list[str]:
-        fixed = sum(1 for k in failed_ops if self.ops[k][0] is not None)
-        return [f"ROADMAP lattice points failed: {fixed} of {len(LATTICE)}"]
+        return [op]
 
 
 class McGof(Workload):
@@ -260,9 +262,9 @@ class McGof(Workload):
     values_per_op = N_STATES + 2
 
     def prepare(self, seed: int) -> None:
-        from fracpois import FractionalParams, chi_square_gof, empirical_pmf
+        import fracpois
 
-        self._params, self._chi2, self._empirical = FractionalParams, chi_square_gof, empirical_pmf
+        self._fp = fracpois
         rng = random.Random(seed)
         d = MC_DECK
         shapes = [(1.0, 1.0)] * d["classical"]  # (alpha, nu)
@@ -282,9 +284,10 @@ class McGof(Workload):
     def run(self, op):
         point, t = op
         self._count += 1
-        params = self._params(*point)
-        emp = self._empirical(params, t, MC_SAMPLES, N_STATES, self._seed * 1_000_003 + self._count)
-        return self._chi2(emp)
+        fp = self._fp
+        params = fp.FractionalParams(*point)
+        emp = fp.empirical_pmf(params, t, MC_SAMPLES, N_STATES, self._seed * 1_000_003 + self._count)
+        return fp.chi_square_gof(emp)
 
     def check(self, op, out) -> tuple[str | None, float]:
         _, pvalue, _ = out
