@@ -13,7 +13,6 @@ from .adm import (
     PowerTerm,
     SeriesControl,
     adm_solve_linear,
-    adomian_polynomials,
     rl_integrate,
 )
 from .errors import (
@@ -34,16 +33,11 @@ from .processes import (
     pmf_table,
     pmf_tail_mass,
     poisson_pmf,
-    sfpp_pmf,
     sstfpp_pgf,
-    sstfpp_pmf,
-    stfpp_pmf,
-    tfpp_pmf,
     waiting_survival,
 )
 from .saigo import (
     SaigoParams,
-    ck_coefficients,
     composition_check,
     saigo_caputo_derivative_power,
     saigo_integral_power,
@@ -60,10 +54,8 @@ from .simulate import (
 )
 from .specfun import (
     falling_factorial,
-    gauss_2f1,
     log_gamma,
     mittag_leffler,
-    rgamma,
 )
 
 __version__ = "0.1.0"
@@ -83,13 +75,10 @@ __all__ = [
     "UnsupportedVariantError",
     "adm_closed_form_diff",
     "adm_solve_linear",
-    "adomian_polynomials",
     "chi_square_gof",
-    "ck_coefficients",
     "composition_check",
     "empirical_pmf",
     "falling_factorial",
-    "gauss_2f1",
     "kolmogorov_residual",
     "kolmogorov_tail_bound",
     "log_gamma",
@@ -100,7 +89,6 @@ __all__ = [
     "pmf_table",
     "pmf_tail_mass",
     "poisson_pmf",
-    "rgamma",
     "rl_integrate",
     "saigo_caputo_derivative_power",
     "saigo_integral_power",
@@ -109,10 +97,6 @@ __all__ = [
     "sample_process",
     "sample_stable",
     "semigroup_counterexample",
-    "sfpp_pmf",
     "sstfpp_pgf",
-    "sstfpp_pmf",
-    "stfpp_pmf",
-    "tfpp_pmf",
     "waiting_survival",
 ]

@@ -5,15 +5,10 @@ terms, and fractional integrals act on such terms analytically.  The engine
 therefore never discretizes time: :func:`adm_solve_linear` produces the
 iterate series exactly (up to float rounding in the gamma-ratio
 multipliers), and evaluation at a time point happens only at the very end.
-
-The general Adomian polynomial generator (Rach's partition formula) is
-included for completeness; the process equations are linear, where A_n
-reduces to u_n.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -184,12 +179,6 @@ class AdmState:
     control: SeriesControl
     truncation_warning: bool = False
 
-    def partial_sum(self, n: int) -> PowerSeries:
-        total = PowerSeries.zero()
-        for s in self.iterates[n]:
-            total = total + s
-        return total
-
 
 def adm_solve_linear(
     integral_op: Callable[[PowerSeries], PowerSeries],
@@ -233,61 +222,3 @@ def adm_solve_linear(
     # still above tolerance at the t = 1 horizon (where |c * t^e| = |c|).
     worst_last = max(iterates[n][control.max_k].max_abs_coeff() for n in range(n_max + 1))
     return AdmState(iterates, control, truncation_warning=worst_last > control.tol_abs)
-
-
-PARTITION_CAP = 30
-
-
-@functools.lru_cache(maxsize=None)
-def _partitions(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """All partitions of n as ((part, multiplicity), ...) tuples, parts >= 1."""
-    if n == 0:
-        return ((),)
-    out: list[tuple[tuple[int, int], ...]] = []
-
-    def rec(remaining: int, largest: int, acc: list[tuple[int, int]]) -> None:
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for part in range(min(remaining, largest), 0, -1):
-            for mult in range(remaining // part, 0, -1):
-                acc.append((part, mult))
-                rec(remaining - part * mult, part - 1, acc)
-                acc.pop()
-
-    rec(n, n, [])
-    return tuple(out)
-
-
-def adomian_polynomials(
-    nonlinearity_derivatives: Callable[[int], float],
-    iterates: Sequence[float],
-    n: int,
-) -> float:
-    """A_n by Rach's partition formula.
-
-    A_0 = N(u_0); for n >= 1,
-    A_n = sum_{k=1}^{n} C(k, n) N^(k)(u_0) with C(k, n) the sum over
-    partitions of n into exactly k parts (with multiplicity) of
-    prod_j u_j^{m_j} / m_j!, where m_j is the multiplicity of part j.
-    """
-    if n < 0:
-        raise ParameterError(f"adomian_polynomials: n must be >= 0, got {n}")
-    if n > PARTITION_CAP:
-        raise ParameterError(
-            f"adomian_polynomials: n = {n} exceeds the partition cap {PARTITION_CAP}"
-        )
-    if len(iterates) < n + 1:
-        raise ParameterError("adomian_polynomials: need iterates u_0 ... u_n")
-    if n == 0:
-        return nonlinearity_derivatives(0)
-
-    c_by_k: dict[int, float] = {}
-    for partition in _partitions(n):
-        k = sum(mult for _, mult in partition)
-        w = 1.0
-        for part, mult in partition:
-            w *= iterates[part] ** mult / math.factorial(mult)
-        c_by_k[k] = c_by_k.get(k, 0.0) + w
-
-    return sum(w * nonlinearity_derivatives(k) for k, w in sorted(c_by_k.items()))

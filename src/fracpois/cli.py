@@ -24,7 +24,7 @@ from .processes import (
     composition_tuples_residual,
     kolmogorov_residual,
     pmf,
-    pmf_tail_mass,
+    pmf_table,
     sstfpp_pgf,
     truncated_normalization_residual,
     waiting_survival,
@@ -227,11 +227,12 @@ def _params_dict(cfg: RunConfig) -> dict:
 
 
 def _cmd_pmf(cfg: RunConfig) -> tuple[str, int]:
-    rows = []
-    for t in cfg.times:
-        tail = pmf_tail_mass(cfg.params, t, cfg.n_max, cfg.control)
-        for n in range(cfg.n_max + 1):
-            rows.append((t, n, pmf(cfg.params, t, n, cfg.control), tail))
+    table = pmf_table(cfg.params, cfg.times, cfg.n_max, cfg.control)
+    rows = [
+        (t, n, p, tail)
+        for t, row, tail in zip(table.times, table.probs, table.tail_mass)
+        for n, p in enumerate(row)
+    ]
     if cfg.format == "json":
         body = json.dumps(
             {

@@ -8,15 +8,22 @@ Five variants live on one parameter lattice (lambda, alpha, nu, beta, gamma):
 * space-time       (stfpp)  beta = -alpha
 * Saigo space-time (sstfpp) beta < 0, gamma free
 
-Each variant's state probabilities are a k-series whose terms are ratios of
-gamma functions; the series are summed in log-magnitude/sign form so that
-huge numerators against huge denominators never overflow, with reciprocal
-gammas vanishing at poles.  The space-fractional variants have power-law
-state tails, so truncating the state index n at N leaves mass that cannot
-be recovered by summing further states at any feasible N; the tail is
-instead computed exactly from partial sums of the generalized binomial
-series (see :func:`pmf_tail_mass`), which is what makes the normalization
-checks meaningful.
+Every series here is one Saigo k-series,
+
+    sum_k C_k (-x)^k / Gamma(1 - k beta) * f_k / e^s,   x = lam^nu t^(-beta),
+
+summed by :func:`_saigo_series` in log-magnitude/sign form so that huge
+numerators against huge denominators never overflow, with reciprocal gammas
+vanishing at poles.  The state probability takes f_k = (-1)^n
+Gamma(k nu + 1)/Gamma(k nu + 1 - n) and s = ln n!; the tail mass and the
+generating function take other f_k and s.  On beta = -alpha every C_k is
+exactly 1, which yields the tfpp, sfpp and stfpp results; the classical
+variant uses the closed-form Poisson pmf.  The space-fractional variants
+have power-law state tails, so truncating the state index n at N leaves
+mass that cannot be recovered by summing further states at any feasible N;
+the tail is instead computed exactly from partial sums of the generalized
+binomial series (see :func:`pmf_tail_mass`), which is what makes the
+normalization checks meaningful.
 """
 
 from __future__ import annotations
@@ -46,7 +53,8 @@ DEFAULT_CONTROL = SeriesControl()
 
 # Beyond this value of lambda^nu * t^(-beta) (equivalently lambda t^alpha,
 # lambda^nu t) the alternating series cancels away all double-precision
-# digits; full accuracy holds comfortably for arguments up to ~5.
+# digits.  Digits are lost well inside it too, at small alpha and large n:
+# the guard does not make a returned value accurate.
 ARG_GUARD = 30.0
 
 VARIANT_TOL = 1e-12
@@ -108,35 +116,68 @@ def _check_state(t: float, n: int) -> None:
         raise ParameterError(f"state index must be >= 0, got {n}")
 
 
-def _guard_argument(x: float, label: str) -> None:
-    if x > ARG_GUARD:
-        raise ConvergenceError(
-            f"series argument {label} = {x:.6g} exceeds {ARG_GUARD}; "
-            "double-precision cancellation would destroy the result"
-        )
+class _LogCk:
+    """ln C_k for k = 0, 1, ... of one parameter set, built on demand.
+
+    Off the sstfpp variant beta = -alpha makes every factor of the product
+    Gamma(1+g+j a)/Gamma(1+g+j a), so C_k is exactly 1 there and every
+    entry is 0.0.  Growth doubles the table, so a series that needs K terms
+    rebuilds it O(log K) times; sharing one table across a pmf_table keeps
+    the rebuilds to a handful per table.
+    """
+
+    def __init__(self, params: FractionalParams) -> None:
+        self.saigo = params.saigo() if params.variant == "sstfpp" else None
+        self.values = [0.0]
+
+    def __getitem__(self, k: int) -> float:
+        if k >= len(self.values):
+            if self.saigo is None:
+                return 0.0
+            self.values = ck_log_coefficients(self.saigo, max(2 * len(self.values), k + 1))
+        return self.values[k]
 
 
-def _sum_k_series(
-    term: Callable[[int], tuple[float, float]],
+def _saigo_series(
+    params: FractionalParams,
+    lnck: _LogCk,
+    x: float,
+    factor: Callable[[int], tuple[float, float]],
+    s: float,
     k_min: int,
     control: SeriesControl,
     label: str,
 ) -> float:
-    """Sum term(k) = (sign, log-magnitude) over k with a two-term stop rule.
+    """sum_k C_k (-x)^k / Gamma(1 - k beta) * f_k / e^s, the one k-series.
 
-    The stop requires two consecutive below-tolerance terms past k_min:
-    single terms can vanish exactly at gamma poles, but (for nu < 1) two
-    consecutive pole zeros are impossible, so a pair of small terms really
-    does mean the superexponential decay regime has begun.
+    factor(k) returns (sign, ln|f_k|) of the caller's k-dependent factor;
+    a zero sign drops the term (gamma poles).  Terms are formed in
+    log-magnitude/sign form, so huge gamma ratios never overflow, and summed
+    with compensation.  The stop requires two consecutive below-tolerance
+    terms past k_min: single terms can vanish exactly at gamma poles, but
+    (for nu < 1) two consecutive pole zeros are impossible, so a pair of
+    small terms really does mean the superexponential decay regime has
+    begun.  x = 0 (t = 0, or t^(-beta) underflowed) leaves the k = 0 term.
     """
+    if x > ARG_GUARD:
+        raise ConvergenceError(
+            f"{label}: series argument {x:.6g} exceeds {ARG_GUARD}; "
+            "double-precision cancellation would destroy the result"
+        )
+    if x == 0.0:
+        sign, lf = factor(0)
+        return sign * math.exp(lf - s)
+    lx = math.log(x)
+    b = params.beta
     total, comp = 0.0, 0.0
     prev = math.inf
     for k in range(control.term_cap):
-        sign, logmag = term(k)
+        sign, lf = factor(k)
         if sign != 0.0:
+            logmag = lnck[k] + k * lx - math.lgamma(1.0 - k * b) + lf - s
             if logmag > LOG_HUGE:
                 raise ConvergenceError(f"{label}: series term overflow at k = {k}")
-            value = sign * math.exp(logmag)
+            value = (-sign if k % 2 else sign) * math.exp(logmag)
         else:
             value = 0.0
         total, comp = _kahan_add(total, comp, value)
@@ -147,17 +188,6 @@ def _sum_k_series(
                 return total
         prev = mag
     raise ConvergenceError(f"{label}: no convergence within {control.term_cap} terms")
-
-
-def _state_factor(nu: float, n: int, k: int) -> tuple[float, float]:
-    """(sign, log-magnitude) of Gamma(k nu + 1) / Gamma(k nu + 1 - n).
-
-    Zero at the denominator's poles -- those series terms vanish.
-    """
-    s, l = log_abs_gamma(k * nu + 1.0 - n)
-    if s == 0.0:
-        return 0.0, -math.inf
-    return s, math.lgamma(k * nu + 1.0) - l
 
 
 def poisson_pmf(lam: float, t: float, n: int) -> float:
@@ -171,164 +201,48 @@ def poisson_pmf(lam: float, t: float, n: int) -> float:
     return math.exp(n * math.log(m) - m - math.lgamma(n + 1.0))
 
 
-def tfpp_pmf(
-    params: FractionalParams, t: float, n: int, control: SeriesControl | None = None
+def _pmf(
+    params: FractionalParams, lnck: _LogCk, t: float, n: int, control: SeriesControl
 ) -> float:
-    """Time-fractional pmf: (lam t^a)^n/n! sum_k (k+n)!/k! (-lam t^a)^k / G((k+n)a+1)."""
-    if abs(params.nu - 1.0) > VARIANT_TOL:
-        raise ParameterError("tfpp_pmf: requires the nu = 1 variant")
+    if params.variant == "classical":
+        return poisson_pmf(params.lam, t, n)
     _check_state(t, n)
-    control = control or DEFAULT_CONTROL
-    if t == 0.0:
-        return 1.0 if n == 0 else 0.0
-    a = params.alpha
-    y = params.lam * t ** a
-    _guard_argument(y, "lambda*t^alpha")
-    ly = math.log(y)
-    lgn = math.lgamma(n + 1.0)
-
-    def term(k: int) -> tuple[float, float]:
-        logmag = (
-            (n + k) * ly
-            + math.lgamma(k + n + 1.0)
-            - math.lgamma(k + 1.0)
-            - math.lgamma((k + n) * a + 1.0)
-            - lgn
-        )
-        return (-1.0 if k % 2 else 1.0), logmag
-
-    return _sum_k_series(term, 2, control, "tfpp_pmf")
-
-
-def sfpp_pmf(
-    params: FractionalParams, t: float, n: int, control: SeriesControl | None = None
-) -> float:
-    """Space-fractional pmf: (-1)^n/n! sum_k (-lam^nu t)^k/k! * G(k nu+1)/G(k nu+1-n)."""
-    if abs(params.alpha - 1.0) > VARIANT_TOL or abs(params.beta + 1.0) > VARIANT_TOL:
-        raise ParameterError("sfpp_pmf: requires the alpha = 1, beta = -1 variant")
-    _check_state(t, n)
-    control = control or DEFAULT_CONTROL
-    if t == 0.0:
-        return 1.0 if n == 0 else 0.0
     nu = params.nu
-    x = params.lam ** nu * t
-    _guard_argument(x, "lambda^nu*t")
-    lx = math.log(x)
-    lgn = math.lgamma(n + 1.0)
     sign_n = -1.0 if n % 2 else 1.0
 
-    def term(k: int) -> tuple[float, float]:
-        s, lf = _state_factor(nu, n, k)
-        if s == 0.0:
+    def state_factor(k: int) -> tuple[float, float]:
+        # (-1)^n Gamma(k nu + 1) / Gamma(k nu + 1 - n), zero at the poles
+        sign, l = log_abs_gamma(k * nu + 1.0 - n)
+        if sign == 0.0:
             return 0.0, -math.inf
-        logmag = k * lx - math.lgamma(k + 1.0) + lf - lgn
-        sign = sign_n * (-1.0 if k % 2 else 1.0) * s
-        return sign, logmag
+        return sign_n * sign, math.lgamma(k * nu + 1.0) - l
 
-    return _sum_k_series(term, int(n / nu) + 2, control, "sfpp_pmf")
-
-
-def stfpp_pmf(
-    params: FractionalParams, t: float, n: int, control: SeriesControl | None = None
-) -> float:
-    """Space-time-fractional pmf:
-    (-1)^n/n! sum_k (-lam^nu t^a)^k/G(k a+1) * G(k nu+1)/G(k nu+1-n)."""
-    if abs(params.beta + params.alpha) > VARIANT_TOL:
-        raise ParameterError("stfpp_pmf: requires the beta = -alpha variant")
-    _check_state(t, n)
-    control = control or DEFAULT_CONTROL
-    if t == 0.0:
-        return 1.0 if n == 0 else 0.0
-    a, nu = params.alpha, params.nu
-    x = params.lam ** nu * t ** a
-    _guard_argument(x, "lambda^nu*t^alpha")
-    lx = math.log(x)
-    lgn = math.lgamma(n + 1.0)
-    sign_n = -1.0 if n % 2 else 1.0
-
-    def term(k: int) -> tuple[float, float]:
-        s, lf = _state_factor(nu, n, k)
-        if s == 0.0:
-            return 0.0, -math.inf
-        logmag = k * lx - math.lgamma(k * a + 1.0) + lf - lgn
-        sign = sign_n * (-1.0 if k % 2 else 1.0) * s
-        return sign, logmag
-
-    return _sum_k_series(term, int(n / nu) + 2, control, "stfpp_pmf")
-
-
-class _CkLogTable:
-    """Incrementally extended ln C_k table for a fixed parameter triple."""
-
-    def __init__(self, sp: SaigoParams) -> None:
-        self.sp = sp
-        self.values = ck_log_coefficients(sp, 0)
-
-    def __getitem__(self, k: int) -> float:
-        if k >= len(self.values):
-            self.values = ck_log_coefficients(self.sp, max(2 * len(self.values), k + 1))
-        return self.values[k]
-
-
-def sstfpp_pmf(
-    params: FractionalParams, t: float, n: int, control: SeriesControl | None = None
-) -> float:
-    """General Saigo space-time pmf:
-    (-1)^n/n! sum_k C_k (-lam^nu t^{-b})^k/G(1-k b) * G(k nu+1)/G(k nu+1-n)."""
-    _check_state(t, n)
-    control = control or DEFAULT_CONTROL
-    if t == 0.0:
-        return 1.0 if n == 0 else 0.0
-    b, nu = params.beta, params.nu
-    x = params.lam ** nu * t ** (-b)
-    _guard_argument(x, "lambda^nu*t^(-beta)")
-    lx = math.log(x)
-    lgn = math.lgamma(n + 1.0)
-    sign_n = -1.0 if n % 2 else 1.0
-    logck = _CkLogTable(params.saigo())
-
-    def term(k: int) -> tuple[float, float]:
-        s, lf = _state_factor(nu, n, k)
-        if s == 0.0:
-            return 0.0, -math.inf
-        logmag = logck[k] + k * lx - math.lgamma(1.0 - k * b) + lf - lgn
-        sign = sign_n * (-1.0 if k % 2 else 1.0) * s
-        return sign, logmag
-
-    return _sum_k_series(term, int(n / nu) + 2, control, "sstfpp_pmf")
+    x = params.lam ** nu * t ** (-params.beta)
+    return _saigo_series(params, lnck, x, state_factor, math.lgamma(n + 1.0),
+                         int(n / nu) + 2, control, "pmf")
 
 
 def pmf(
     params: FractionalParams, t: float, n: int, control: SeriesControl | None = None
 ) -> float:
-    """Dispatch to the printed formula of the variant the parameters select."""
-    v = params.variant
-    if v == "classical":
-        return poisson_pmf(params.lam, t, n)
-    if v == "tfpp":
-        return tfpp_pmf(params, t, n, control)
-    if v == "sfpp":
-        return sfpp_pmf(params, t, n, control)
-    if v == "stfpp":
-        return stfpp_pmf(params, t, n, control)
-    return sstfpp_pmf(params, t, n, control)
+    """State probability p_n(t): the Poisson pmf on the classical variant,
+    (-1)^n/n! sum_k C_k (-lam^nu t^{-b})^k/G(1-k b) * G(k nu+1)/G(k nu+1-n)
+    on every other, with C_k = 1 exactly unless the variant is sstfpp."""
+    return _pmf(params, _LogCk(params), t, n, control or DEFAULT_CONTROL)
 
 
-def _tail_term_fn(
-    params: FractionalParams, t: float, n_max: int
-) -> Callable[[int], tuple[float, float]]:
-    """Per-order (sign, log-magnitude) of the collapsed tail series."""
-    b, nu = params.beta, params.nu
-    x = params.lam ** nu * t ** (-b)
-    _guard_argument(x, "lambda^nu*t^(-beta)")
-    lx = math.log(x)
-    lgN = math.lgamma(n_max + 1.0)
-    logck = _CkLogTable(params.saigo())
+def _tail_mass(
+    params: FractionalParams, lnck: _LogCk, t: float, n_max: int, control: SeriesControl
+) -> float:
+    _check_state(t, 0)
+    if n_max < 0:
+        raise ParameterError(f"pmf_tail_mass: n_max must be >= 0, got {n_max}")
+    nu = params.nu
 
-    def term(k: int) -> tuple[float, float]:
+    def binomial_factor(k: int) -> tuple[float, float]:
+        # The partial binomial sum factor -prod_{i<=N}(i - k nu), zero at k = 0.
         if k == 0:
             return 0.0, -math.inf
-        # The partial binomial sum factor -prod_{i<=N}(i - k nu)/N!.
         sign_p, log_p = 1.0, 0.0
         knu = k * nu
         for i in range(1, n_max + 1):
@@ -339,11 +253,11 @@ def _tail_term_fn(
                 sign_p = -sign_p
                 f = -f
             log_p += math.log(f)
-        logmag = logck[k] + k * lx - math.lgamma(1.0 - k * b) + log_p - lgN
-        sign = -sign_p * (-1.0 if k % 2 else 1.0)
-        return sign, logmag
+        return -sign_p, log_p
 
-    return term
+    x = params.lam ** nu * t ** (-params.beta)
+    return _saigo_series(params, lnck, x, binomial_factor, math.lgamma(n_max + 1.0),
+                         int(n_max / nu) + 2, control, "pmf_tail_mass")
 
 
 def pmf_tail_mass(
@@ -362,14 +276,7 @@ def pmf_tail_mass(
     space-fractional variants (whose state tails decay like N^{-k nu}) get
     an honest tail figure without summing billions of states.
     """
-    _check_state(t, 0)
-    if n_max < 0:
-        raise ParameterError(f"pmf_tail_mass: n_max must be >= 0, got {n_max}")
-    control = control or DEFAULT_CONTROL
-    if t == 0.0:
-        return 0.0
-    term = _tail_term_fn(params, t, n_max)
-    return _sum_k_series(term, int(n_max / params.nu) + 2, control, "pmf_tail_mass")
+    return _tail_mass(params, _LogCk(params), t, n_max, control or DEFAULT_CONTROL)
 
 
 @dataclass(frozen=True)
@@ -390,12 +297,14 @@ def pmf_table(
     n_max: int,
     control: SeriesControl | None = None,
 ) -> PmfTable:
+    """pmf and pmf_tail_mass over times x states, sharing one ln C_k table."""
     control = control or DEFAULT_CONTROL
+    lnck = _LogCk(params)
     probs = []
     tails = []
     for t in times:
-        probs.append(tuple(pmf(params, t, n, control) for n in range(n_max + 1)))
-        tails.append(pmf_tail_mass(params, t, n_max, control))
+        probs.append(tuple(_pmf(params, lnck, t, n, control) for n in range(n_max + 1)))
+        tails.append(_tail_mass(params, lnck, t, n_max, control))
     return PmfTable(params, tuple(times), n_max, tuple(probs), tuple(tails), control)
 
 
@@ -458,22 +367,10 @@ def sstfpp_pgf(
     if not (math.isfinite(u) and abs(u) < 1.0):
         raise ParameterError(f"sstfpp_pgf: requires |u| < 1, got {u!r}")
     _check_state(t, 0)
-    control = control or DEFAULT_CONTROL
-    if t == 0.0:
-        return 1.0
-    b, nu = params.beta, params.nu
-    z = params.lam ** nu * (1.0 - u) ** nu * t ** (-b)
-    _guard_argument(z, "lambda^nu*(1-u)^nu*t^(-beta)")
-    lz = math.log(z) if z > 0.0 else -math.inf
-    logck = _CkLogTable(params.saigo())
-
-    def term(k: int) -> tuple[float, float]:
-        if lz == -math.inf and k > 0:
-            return 0.0, -math.inf
-        logmag = logck[k] + k * lz - math.lgamma(1.0 - k * b)
-        return (-1.0 if k % 2 else 1.0), logmag
-
-    return _sum_k_series(term, 2, control, "sstfpp_pgf")
+    nu = params.nu
+    x = params.lam ** nu * (1.0 - u) ** nu * t ** (-params.beta)
+    return _saigo_series(params, _LogCk(params), x, lambda k: (1.0, 0.0), 0.0, 2,
+                         control or DEFAULT_CONTROL, "sstfpp_pgf")
 
 
 def waiting_survival(
@@ -490,7 +387,7 @@ def waiting_survival(
 
 
 def closed_iterate_coefficient(
-    params: FractionalParams, logck: Sequence[float] | _CkLogTable, n: int, k: int
+    params: FractionalParams, logck: Sequence[float], n: int, k: int
 ) -> float:
     """Coefficient of t^{-k beta} in the k-th decomposition iterate of state n:
 

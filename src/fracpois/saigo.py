@@ -252,8 +252,3 @@ def ck_log_coefficients(p: SaigoParams, k_max: int) -> list[float]:
         acc += log_gamma(num) - log_gamma(den)
         out.append(acc)
     return out
-
-
-def ck_coefficients(p: SaigoParams, k_max: int) -> list[float]:
-    """C_0 .. C_{k_max} as plain floats (C_0 = 1, the empty product)."""
-    return [math.exp(v) for v in ck_log_coefficients(p, k_max)]

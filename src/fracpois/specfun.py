@@ -1,8 +1,7 @@
 """Scalar special functions used by every distribution formula.
 
-Everything here is plain-float and pure: log-gamma, a pole-aware reciprocal
-gamma, falling factorials, the one-parameter Mittag-Leffler function and the
-Gauss hypergeometric series.  The distribution series downstream are built
+Everything here is plain-float and pure: log-gamma, falling factorials and
+the one-parameter Mittag-Leffler function.  The distribution series are built
 from *differences* of log-gamma values with explicit sign tracking, so the
 central helper is :func:`log_abs_gamma` which returns ``(sign, log|Gamma|)``
 for any finite real argument.
@@ -65,22 +64,6 @@ def log_abs_gamma(x: float) -> tuple[float, float]:
         return 0.0, math.inf
     sign = -1.0 if math.floor(x) % 2 else 1.0
     return sign, math.lgamma(x)
-
-
-def rgamma(x: float) -> float:
-    """1 / Gamma(x) as a total function: exactly 0.0 at non-positive integers.
-
-    This is the semantics the state-probability series rely on: terms whose
-    denominator Gamma hits a pole simply vanish.
-    """
-    sign, logmag = log_abs_gamma(x)
-    if sign == 0.0:
-        return 0.0
-    if -logmag > LOG_HUGE:
-        # Gamma underflowed to (effectively) zero; the reciprocal has no
-        # finite representation.  Signed infinity keeps the function total.
-        return sign * math.inf
-    return sign * math.exp(-logmag)
 
 
 def falling_factorial(x: float, r: int) -> float:
@@ -154,48 +137,3 @@ def mittag_leffler(
             f"(alpha={alpha}, x={x})"
         )
     return total
-
-
-def gauss_2f1(
-    a: float,
-    b: float,
-    c: float,
-    z: float,
-    *,
-    tol_abs: float = DEFAULT_TOL_ABS,
-    term_cap: int = DEFAULT_TERM_CAP,
-) -> float:
-    """Gauss hypergeometric series 2F1(a, b; c; z) for |z| < 1.
-
-    Uses the standard *rising*-factorial definition
-    sum_k (a)^rise_k (b)^rise_k / (c)^rise_k * z^k / k!  via the term
-    recurrence t_{k+1} = t_k (a+k)(b+k) / ((c+k)(k+1)) z.  Terminating cases
-    (a or b a non-positive integer) fall out naturally because a term
-    becomes exactly zero.
-    """
-    for name, v in (("a", a), ("b", b), ("c", c), ("z", z)):
-        if not math.isfinite(v):
-            raise ParameterError(f"gauss_2f1: {name} must be finite, got {v!r}")
-    if is_gamma_pole(c):
-        raise ParameterError(f"gauss_2f1: c = {c} is a non-positive integer")
-    if abs(z) >= 1.0:
-        raise ParameterError(f"gauss_2f1: |z| must be < 1, got z = {z}")
-
-    total, comp = 0.0, 0.0
-    term = 1.0
-    small_run = 0
-    for k in range(term_cap):
-        total, comp = _kahan_add(total, comp, term)
-        if term == 0.0:
-            return total
-        nxt = term * (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        if abs(nxt) > 1e300:
-            raise ConvergenceError("gauss_2f1: series term overflow")
-        bound = max(tol_abs, tol_abs * abs(total))
-        small_run = small_run + 1 if abs(nxt) <= bound else 0
-        if small_run >= 2:
-            return total + nxt
-        term = nxt
-    raise ConvergenceError(
-        f"gauss_2f1: no convergence within {term_cap} terms (z = {z} too close to 1?)"
-    )

@@ -1,0 +1,205 @@
+"""The printed per-variant pmf formulas, kept as test oracles.
+
+The package evaluates every variant through one Saigo k-series kernel with
+C_k = 1 exactly on beta = -alpha.  These are the formulas as printed for each
+variant, with their own term arithmetic and summation loop, so that tests can
+compare independent arithmetic against the production ``pmf``.  tfpp is the
+reindexed (k+n)!/k! form, algebraically distinct from the kernel's; sstfpp
+builds C_k from the Saigo product even on beta = -alpha.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable
+
+from fracpois.adm import SeriesControl
+from fracpois.errors import ConvergenceError, ParameterError
+from fracpois.processes import (
+    ARG_GUARD,
+    DEFAULT_CONTROL,
+    VARIANT_TOL,
+    FractionalParams,
+    _check_state,
+)
+from fracpois.saigo import SaigoParams, ck_log_coefficients
+from fracpois.specfun import LOG_HUGE, _kahan_add, log_abs_gamma
+
+
+def _guard_argument(x: float, label: str) -> None:
+    if x > ARG_GUARD:
+        raise ConvergenceError(
+            f"series argument {label} = {x:.6g} exceeds {ARG_GUARD}; "
+            "double-precision cancellation would destroy the result"
+        )
+
+
+def _sum_k_series(
+    term: Callable[[int], tuple[float, float]],
+    k_min: int,
+    control: SeriesControl,
+    label: str,
+) -> float:
+    """Sum term(k) = (sign, log-magnitude) over k with a two-term stop rule.
+
+    The stop requires two consecutive below-tolerance terms past k_min:
+    single terms can vanish exactly at gamma poles, but (for nu < 1) two
+    consecutive pole zeros are impossible, so a pair of small terms really
+    does mean the superexponential decay regime has begun.
+    """
+    total, comp = 0.0, 0.0
+    prev = math.inf
+    for k in range(control.term_cap):
+        sign, logmag = term(k)
+        if sign != 0.0:
+            if logmag > LOG_HUGE:
+                raise ConvergenceError(f"{label}: series term overflow at k = {k}")
+            value = sign * math.exp(logmag)
+        else:
+            value = 0.0
+        total, comp = _kahan_add(total, comp, value)
+        mag = abs(value)
+        if k >= k_min:
+            bound = max(control.tol_abs, control.tol_rel * abs(total))
+            if mag <= bound and prev <= bound:
+                return total
+        prev = mag
+    raise ConvergenceError(f"{label}: no convergence within {control.term_cap} terms")
+
+
+def _state_factor(nu: float, n: int, k: int) -> tuple[float, float]:
+    """(sign, log-magnitude) of Gamma(k nu + 1) / Gamma(k nu + 1 - n).
+
+    Zero at the denominator's poles -- those series terms vanish.
+    """
+    s, l = log_abs_gamma(k * nu + 1.0 - n)
+    if s == 0.0:
+        return 0.0, -math.inf
+    return s, math.lgamma(k * nu + 1.0) - l
+
+
+def tfpp_pmf(
+    params: FractionalParams, t: float, n: int, control: SeriesControl | None = None
+) -> float:
+    """Time-fractional pmf: (lam t^a)^n/n! sum_k (k+n)!/k! (-lam t^a)^k / G((k+n)a+1)."""
+    if abs(params.nu - 1.0) > VARIANT_TOL:
+        raise ParameterError("tfpp_pmf: requires the nu = 1 variant")
+    _check_state(t, n)
+    control = control or DEFAULT_CONTROL
+    if t == 0.0:
+        return 1.0 if n == 0 else 0.0
+    a = params.alpha
+    y = params.lam * t ** a
+    _guard_argument(y, "lambda*t^alpha")
+    ly = math.log(y)
+    lgn = math.lgamma(n + 1.0)
+
+    def term(k: int) -> tuple[float, float]:
+        logmag = (
+            (n + k) * ly
+            + math.lgamma(k + n + 1.0)
+            - math.lgamma(k + 1.0)
+            - math.lgamma((k + n) * a + 1.0)
+            - lgn
+        )
+        return (-1.0 if k % 2 else 1.0), logmag
+
+    return _sum_k_series(term, 2, control, "tfpp_pmf")
+
+
+def sfpp_pmf(
+    params: FractionalParams, t: float, n: int, control: SeriesControl | None = None
+) -> float:
+    """Space-fractional pmf: (-1)^n/n! sum_k (-lam^nu t)^k/k! * G(k nu+1)/G(k nu+1-n)."""
+    if abs(params.alpha - 1.0) > VARIANT_TOL or abs(params.beta + 1.0) > VARIANT_TOL:
+        raise ParameterError("sfpp_pmf: requires the alpha = 1, beta = -1 variant")
+    _check_state(t, n)
+    control = control or DEFAULT_CONTROL
+    if t == 0.0:
+        return 1.0 if n == 0 else 0.0
+    nu = params.nu
+    x = params.lam ** nu * t
+    _guard_argument(x, "lambda^nu*t")
+    lx = math.log(x)
+    lgn = math.lgamma(n + 1.0)
+    sign_n = -1.0 if n % 2 else 1.0
+
+    def term(k: int) -> tuple[float, float]:
+        s, lf = _state_factor(nu, n, k)
+        if s == 0.0:
+            return 0.0, -math.inf
+        logmag = k * lx - math.lgamma(k + 1.0) + lf - lgn
+        sign = sign_n * (-1.0 if k % 2 else 1.0) * s
+        return sign, logmag
+
+    return _sum_k_series(term, int(n / nu) + 2, control, "sfpp_pmf")
+
+
+def stfpp_pmf(
+    params: FractionalParams, t: float, n: int, control: SeriesControl | None = None
+) -> float:
+    """Space-time-fractional pmf:
+    (-1)^n/n! sum_k (-lam^nu t^a)^k/G(k a+1) * G(k nu+1)/G(k nu+1-n)."""
+    if abs(params.beta + params.alpha) > VARIANT_TOL:
+        raise ParameterError("stfpp_pmf: requires the beta = -alpha variant")
+    _check_state(t, n)
+    control = control or DEFAULT_CONTROL
+    if t == 0.0:
+        return 1.0 if n == 0 else 0.0
+    a, nu = params.alpha, params.nu
+    x = params.lam ** nu * t ** a
+    _guard_argument(x, "lambda^nu*t^alpha")
+    lx = math.log(x)
+    lgn = math.lgamma(n + 1.0)
+    sign_n = -1.0 if n % 2 else 1.0
+
+    def term(k: int) -> tuple[float, float]:
+        s, lf = _state_factor(nu, n, k)
+        if s == 0.0:
+            return 0.0, -math.inf
+        logmag = k * lx - math.lgamma(k * a + 1.0) + lf - lgn
+        sign = sign_n * (-1.0 if k % 2 else 1.0) * s
+        return sign, logmag
+
+    return _sum_k_series(term, int(n / nu) + 2, control, "stfpp_pmf")
+
+
+class _CkLogTable:
+    """Incrementally extended ln C_k table for a fixed parameter triple."""
+
+    def __init__(self, sp: SaigoParams) -> None:
+        self.sp = sp
+        self.values = ck_log_coefficients(sp, 0)
+
+    def __getitem__(self, k: int) -> float:
+        if k >= len(self.values):
+            self.values = ck_log_coefficients(self.sp, max(2 * len(self.values), k + 1))
+        return self.values[k]
+
+
+def sstfpp_pmf(
+    params: FractionalParams, t: float, n: int, control: SeriesControl | None = None
+) -> float:
+    """General Saigo space-time pmf:
+    (-1)^n/n! sum_k C_k (-lam^nu t^{-b})^k/G(1-k b) * G(k nu+1)/G(k nu+1-n)."""
+    _check_state(t, n)
+    control = control or DEFAULT_CONTROL
+    if t == 0.0:
+        return 1.0 if n == 0 else 0.0
+    b, nu = params.beta, params.nu
+    x = params.lam ** nu * t ** (-b)
+    _guard_argument(x, "lambda^nu*t^(-beta)")
+    lx = math.log(x)
+    lgn = math.lgamma(n + 1.0)
+    sign_n = -1.0 if n % 2 else 1.0
+    logck = _CkLogTable(params.saigo())
+
+    def term(k: int) -> tuple[float, float]:
+        s, lf = _state_factor(nu, n, k)
+        if s == 0.0:
+            return 0.0, -math.inf
+        logmag = logck[k] + k * lx - math.lgamma(1.0 - k * b) + lf - lgn
+        sign = sign_n * (-1.0 if k % 2 else 1.0) * s
+        return sign, logmag
+
+    return _sum_k_series(term, int(n / nu) + 2, control, "sstfpp_pmf")

@@ -20,17 +20,14 @@ from fracpois.processes import (
     normalization_residual,
     pgf_cauchy_residual,
     poisson_pmf,
-    sfpp_pmf,
     sstfpp_pgf,
-    sstfpp_pmf,
-    stfpp_pmf,
-    tfpp_pmf,
     waiting_survival,
 )
 from fracpois.saigo import SaigoParams, composition_check, saigo_integral_power, \
     saigo_integral_quadrature, semigroup_counterexample
 from fracpois.simulate import chi_square_gof, empirical_pmf
 from fracpois.specfun import mittag_leffler
+from oracles import sfpp_pmf, sstfpp_pmf, stfpp_pmf, tfpp_pmf
 
 
 def report(criterion: int, label: str, ok: bool, detail: str) -> None:

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +8,6 @@ from fracpois.adm import (
     PowerTerm,
     SeriesControl,
     adm_solve_linear,
-    adomian_polynomials,
     rl_integrate,
 )
 from fracpois.errors import ParameterError
@@ -178,59 +176,3 @@ class TestAdmSolveLinear:
         tight = adm_solve_linear(control=SeriesControl(max_k=40), **args)
         assert loose.truncation_warning
         assert not tight.truncation_warning
-
-    def test_partial_sum_matches_manual_total(self):
-        state = adm_solve_linear(
-            lambda s: rl_integrate(s, 0.8),
-            stfpp_coupling(0.9, 0.7),
-            [1.0, 0.0, 0.0],
-            n_max=2,
-            control=SeriesControl(max_k=5),
-        )
-        t = 0.8
-        for n in range(3):
-            manual = sum(state.iterates[n][k].evaluate(t) for k in range(6))
-            assert state.partial_sum(n).evaluate(t) == pytest.approx(manual, rel=1e-12)
-
-
-class TestAdomianPolynomials:
-    def test_identity_nonlinearity(self):
-        # N(u) = u must reproduce the iterates themselves
-        u = [0.4, -1.2, 0.9, 0.3]
-        derivs = lambda k: u[0] if k == 0 else (1.0 if k == 1 else 0.0)
-        for n in range(4):
-            assert adomian_polynomials(derivs, u, n) == pytest.approx(u[n], rel=1e-12)
-
-    def test_square_nonlinearity(self):
-        # N(u) = u^2: A_0 = u0^2, A_1 = 2 u0 u1, A_2 = 2 u0 u2 + u1^2
-        u = [2.0, 3.0, -1.0]
-        derivs = lambda k: [u[0] ** 2, 2.0 * u[0], 2.0][k] if k <= 2 else 0.0
-        assert adomian_polynomials(derivs, u, 0) == pytest.approx(4.0)
-        assert adomian_polynomials(derivs, u, 1) == pytest.approx(12.0)
-        assert adomian_polynomials(derivs, u, 2) == pytest.approx(5.0)
-
-    def test_against_polynomial_composition_oracle(self):
-        # A_n is the lambda^n coefficient of N(sum_k u_k lambda^k); for
-        # polynomial N that composition can be done exactly with numpy
-        rng = np.random.default_rng(7)
-        for _ in range(12):
-            ncoef = rng.uniform(-1, 1, size=rng.integers(2, 6))
-            u = rng.uniform(-1, 1, size=9)
-            npoly = np.polynomial.Polynomial(ncoef)
-            upoly = np.polynomial.Polynomial(u)
-            composed = npoly(upoly)
-
-            def at(k, _p=npoly, _u0=float(u[0])):
-                # k = 0 is N(u0) itself, k >= 1 the k-th derivative there
-                if k >= len(_p.coef):
-                    return 0.0
-                return float(_p.deriv(k)(_u0)) if k else float(_p(_u0))
-
-            for n in range(9):
-                oracle = float(composed.coef[n]) if n < len(composed.coef) else 0.0
-                got = adomian_polynomials(at, list(u), n)
-                assert got == pytest.approx(oracle, rel=1e-9, abs=1e-9)
-
-    def test_partition_cap(self):
-        with pytest.raises(ParameterError):
-            adomian_polynomials(lambda k: 1.0, [1.0] * 40, 31)

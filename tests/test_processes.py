@@ -18,23 +18,22 @@ from fracpois.processes import (
     pmf_table,
     pmf_tail_mass,
     poisson_pmf,
-    sfpp_pmf,
     sstfpp_pgf,
-    sstfpp_pmf,
     state_series,
-    stfpp_pmf,
-    tfpp_pmf,
     truncated_normalization_residual,
     waiting_survival,
 )
 from fracpois.saigo import ck_log_coefficients
 from fracpois.specfun import mittag_leffler
+from oracles import sfpp_pmf, sstfpp_pmf, stfpp_pmf, tfpp_pmf
 
 # Reference parameter points reused across tests.
 STFPP = FractionalParams(1.0, alpha=0.7, nu=0.6)
 SSTFPP = FractionalParams(1.0, alpha=0.8, nu=0.6, beta=-0.5, gamma_p=0.1)
 TFPP = FractionalParams(1.3, alpha=0.6)
 SFPP = FractionalParams(1.0, nu=0.5, beta=-1.0)
+# beta = -alpha with gamma != 0: C_k = 1 whatever gamma is
+RL_GAMMA = FractionalParams(1.0, alpha=0.7, nu=0.6, beta=-0.7, gamma_p=0.4)
 
 
 class TestFractionalParams:
@@ -96,16 +95,16 @@ class TestTfpp:
     def test_survival_is_mittag_leffler(self):
         for t in (0.3, 1.0, 2.2):
             expect = mittag_leffler(TFPP.alpha, -TFPP.lam * t ** TFPP.alpha)
-            assert tfpp_pmf(TFPP, t, 0) == pytest.approx(expect, rel=1e-12)
+            assert pmf(TFPP, t, 0) == pytest.approx(expect, rel=1e-12)
 
     def test_frozen_values(self):
         # reference values from a 60-digit evaluation of the same series
-        assert tfpp_pmf(TFPP, 0.8, 0) == pytest.approx(0.37709569096902275, rel=1e-12)
-        assert tfpp_pmf(TFPP, 0.8, 2) == pytest.approx(0.17237910827746373, rel=1e-12)
+        assert pmf(TFPP, 0.8, 0) == pytest.approx(0.37709569096902275, rel=1e-12)
+        assert pmf(TFPP, 0.8, 2) == pytest.approx(0.17237910827746373, rel=1e-12)
 
     def test_initial_condition(self):
-        assert tfpp_pmf(TFPP, 0.0, 0) == 1.0
-        assert tfpp_pmf(TFPP, 0.0, 3) == 0.0
+        assert pmf(TFPP, 0.0, 0) == 1.0
+        assert pmf(TFPP, 0.0, 3) == 0.0
 
     def test_requires_nu_one(self):
         with pytest.raises(ParameterError):
@@ -124,11 +123,11 @@ class TestSfpp:
     def test_survival_is_stretched_exponential(self):
         for t in (0.4, 1.0, 3.0):
             expect = math.exp(-(SFPP.lam ** SFPP.nu) * t)
-            assert sfpp_pmf(SFPP, t, 0) == pytest.approx(expect, rel=1e-12)
+            assert pmf(SFPP, t, 0) == pytest.approx(expect, rel=1e-12)
 
     def test_frozen_value(self):
         # reference value from a 60-digit evaluation of the same series
-        assert sfpp_pmf(SFPP, 1.0, 1) == pytest.approx(0.18393972058572116, rel=1e-12)
+        assert pmf(SFPP, 1.0, 1) == pytest.approx(0.18393972058572116, rel=1e-12)
 
     def test_requires_space_fractional_parameters(self):
         with pytest.raises(ParameterError):
@@ -140,7 +139,7 @@ class TestStfpp:
         p = FractionalParams(1.3, alpha=0.6, nu=1.0)
         for t in (0.25, 1.0, 2.0):
             for n in range(12):
-                assert stfpp_pmf(p, t, n) == pytest.approx(
+                assert pmf(p, t, n) == pytest.approx(
                     tfpp_pmf(p, t, n), abs=1e-11
                 )
 
@@ -148,14 +147,14 @@ class TestStfpp:
         p = FractionalParams(1.0, alpha=1.0, nu=0.6, beta=-1.0)
         for t in (0.5, 1.0, 2.0):
             for n in range(12):
-                assert stfpp_pmf(p, t, n) == pytest.approx(
+                assert pmf(p, t, n) == pytest.approx(
                     sfpp_pmf(p, t, n), abs=1e-11
                 )
 
     def test_survival_is_mittag_leffler(self):
         for t in (0.4, 1.0, 2.0):
             x = STFPP.lam ** STFPP.nu * t ** STFPP.alpha
-            assert stfpp_pmf(STFPP, t, 0) == pytest.approx(
+            assert pmf(STFPP, t, 0) == pytest.approx(
                 mittag_leffler(STFPP.alpha, -x), rel=1e-12
             )
 
@@ -168,7 +167,7 @@ class TestStfpp:
             0.058791005347684623,
         ]
         for n, e in enumerate(expect):
-            assert stfpp_pmf(STFPP, 1.0, n) == pytest.approx(e, rel=1e-12)
+            assert pmf(STFPP, 1.0, n) == pytest.approx(e, rel=1e-12)
 
     def test_requires_beta_minus_alpha(self):
         with pytest.raises(ParameterError):
@@ -182,7 +181,7 @@ class TestSstfpp:
             for t in (0.5, 1.0, 2.0):
                 for n in range(10):
                     assert sstfpp_pmf(p, t, n) == pytest.approx(
-                        stfpp_pmf(p, t, n), abs=1e-11
+                        pmf(p, t, n), abs=1e-11
                     )
 
     def test_frozen_values(self):
@@ -194,15 +193,21 @@ class TestSstfpp:
             0.055258992671024902,
         ]
         for n, e in enumerate(expect):
-            assert sstfpp_pmf(SSTFPP, 1.0, n) == pytest.approx(e, rel=1e-12)
+            assert pmf(SSTFPP, 1.0, n) == pytest.approx(e, rel=1e-12)
 
     def test_initial_condition(self):
-        assert sstfpp_pmf(SSTFPP, 0.0, 0) == 1.0
-        assert sstfpp_pmf(SSTFPP, 0.0, 2) == 0.0
+        assert pmf(SSTFPP, 0.0, 0) == 1.0
+        assert pmf(SSTFPP, 0.0, 2) == 0.0
+        # t^(-beta) underflows to 0: only the k = 0 term is left, as at t = 0
+        p = FractionalParams(1.0, alpha=0.8, nu=0.6, beta=-1.5)
+        assert pmf(p, 1e-300, 0) == 1.0
+        assert pmf(p, 1e-300, 2) == 0.0
+        assert pmf_tail_mass(p, 1e-300, 2) == 0.0
+        assert sstfpp_pgf(p, 0.4, 1e-300) == 1.0
 
     def test_argument_guard(self):
         with pytest.raises(ConvergenceError):
-            sstfpp_pmf(SSTFPP, 1e6, 0)
+            pmf(SSTFPP, 1e6, 0)
 
     def test_nonnegative_and_bounded(self):
         for params in (STFPP, SSTFPP, TFPP, SFPP):
@@ -211,6 +216,26 @@ class TestSstfpp:
                 for n in range(0, 21, 4):
                     v = fn(params, t, n)
                     assert -1e-12 <= v <= 1.0 + 1e-12
+
+
+class TestKernelAgainstOracles:
+    @pytest.mark.parametrize(
+        "params, oracle, tol",
+        [
+            (STFPP, stfpp_pmf, 0.0),
+            (RL_GAMMA, stfpp_pmf, 0.0),
+            (SFPP, sfpp_pmf, 0.0),
+            (SSTFPP, sstfpp_pmf, 0.0),
+            # the reindexed (k+n)!/k! form rounds differently
+            (TFPP, tfpp_pmf, 1e-11),
+        ],
+        ids=["stfpp", "rl-gamma", "sfpp", "sstfpp", "tfpp"],
+    )
+    def test_pmf_matches_printed_formula(self, params, oracle, tol):
+        for t in (0.25, 0.5, 1.0, 2.0):
+            for n in range(16):
+                got, want = pmf(params, t, n), oracle(params, t, n)
+                assert abs(got - want) <= tol, (t, n, got, want)
 
 
 class TestDispatch:
@@ -281,16 +306,32 @@ class TestNormalization:
 class TestPmfTable:
     def test_shape_and_consistency(self):
         times = [0.0, 0.5, 1.0]
-        table = pmf_table(SSTFPP, times, 6)
-        assert table.times == (0.0, 0.5, 1.0)
-        assert len(table.probs) == 3
-        assert all(len(row) == 7 for row in table.probs)
-        assert table.probs[0] == (1.0,) + (0.0,) * 6
-        assert table.tail_mass[0] == 0.0
-        assert table.probs[2][1] == pmf(SSTFPP, 1.0, 1)
-        assert table.tail_mass[2] == pmf_tail_mass(SSTFPP, 1.0, 6)
-        for row, tail in zip(table.probs[1:], table.tail_mass[1:]):
-            assert sum(row) + tail == pytest.approx(1.0, abs=1e-9)
+        for params in (SSTFPP, RL_GAMMA):
+            table = pmf_table(params, times, 6)
+            assert table.times == (0.0, 0.5, 1.0)
+            assert len(table.probs) == 3
+            assert all(len(row) == 7 for row in table.probs)
+            assert table.probs[0] == (1.0,) + (0.0,) * 6
+            assert table.tail_mass[0] == 0.0
+            for t, row, tail in zip(times, table.probs, table.tail_mass):
+                assert row == tuple(pmf(params, t, n) for n in range(7))
+                assert tail == pmf_tail_mass(params, t, 6)
+            for row, tail in zip(table.probs[1:], table.tail_mass[1:]):
+                assert sum(row) + tail == pytest.approx(1.0, abs=1e-9)
+
+    def test_ln_ck_built_a_few_times_per_table(self, monkeypatch):
+        # the 50 x 26 sstfpp table shares one ln C_k table across its
+        # 1,300 probabilities and 50 tails
+        calls = []
+
+        def counting(sp, k_max):
+            calls.append(k_max)
+            return ck_log_coefficients(sp, k_max)
+
+        monkeypatch.setattr("fracpois.processes.ck_log_coefficients", counting)
+        params = FractionalParams(1.0, alpha=0.8, nu=0.6, beta=-0.5, gamma_p=0.1)
+        pmf_table(params, [0.1 * i for i in range(1, 51)], 25)
+        assert 1 <= len(calls) <= 8
 
 
 class TestPgf:
@@ -377,7 +418,7 @@ class TestClosedIterates:
 
     def test_state_series_evaluates_to_pmf(self):
         s = state_series(SSTFPP, 2, 60)
-        assert s.evaluate(1.0) == pytest.approx(sstfpp_pmf(SSTFPP, 1.0, 2), abs=1e-12)
+        assert s.evaluate(1.0) == pytest.approx(pmf(SSTFPP, 1.0, 2), abs=1e-12)
 
 
 class TestGoverningEquation:

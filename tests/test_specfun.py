@@ -7,11 +7,9 @@ from hypothesis import given, strategies as st
 from fracpois.errors import ConvergenceError, ParameterError
 from fracpois.specfun import (
     falling_factorial,
-    gauss_2f1,
     log_abs_gamma,
     log_gamma,
     mittag_leffler,
-    rgamma,
 )
 
 
@@ -35,28 +33,7 @@ class TestLogGamma:
 
 
 class TestRgamma:
-    def test_poles_give_exact_zero(self):
-        assert rgamma(0.0) == 0.0
-        assert rgamma(-3.0) == 0.0
-        assert rgamma(-17.0) == 0.0
-        # arguments produced by float arithmetic can miss the pole by a hair
-        assert rgamma(-3.0 + 1e-12) == 0.0
-
-    def test_simple_values(self):
-        assert rgamma(2.0) == pytest.approx(1.0, rel=1e-12)
-        assert rgamma(0.5) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-12)
-
-    def test_product_with_gamma_is_one(self):
-        x = 0.1
-        while x <= 10.0:
-            assert rgamma(x) * math.exp(log_gamma(x)) == pytest.approx(1.0, abs=1e-10)
-            x += 0.1
-
-    def test_negative_noninteger_sign(self):
-        # Gamma alternates sign on successive negative unit intervals
-        assert rgamma(-0.5) == pytest.approx(1.0 / math.gamma(-0.5), rel=1e-12)
-        assert rgamma(-1.5) == pytest.approx(1.0 / math.gamma(-1.5), rel=1e-12)
-        assert rgamma(-0.5) < 0.0 < rgamma(-1.5)
+    """The reciprocal-gamma semantics the series rely on: sign 0 at a pole."""
 
     def test_log_abs_gamma_pole_signature(self):
         s, l = log_abs_gamma(-4.0)
@@ -158,50 +135,3 @@ class TestMittagLeffler:
     def test_overflow_guard(self):
         with pytest.raises(ConvergenceError):
             mittag_leffler(0.5, 1e7)
-
-
-class TestGauss2F1:
-    def test_at_zero(self):
-        assert gauss_2f1(0.3, -1.2, 0.7, 0.0) == 1.0
-
-    def test_log_identity(self):
-        # 2F1(1, 1; 2; z) = -ln(1-z)/z
-        assert gauss_2f1(1.0, 1.0, 2.0, 0.5) == pytest.approx(2.0 * math.log(2.0), rel=1e-12)
-
-    def test_binomial_identity(self):
-        # 2F1(a, b; b; z) = (1-z)^{-a}
-        assert gauss_2f1(0.3, 2.0, 2.0, 0.25) == pytest.approx(0.75 ** -0.3, rel=1e-12)
-
-    def test_terminating_series(self):
-        # a = -3 terminates; compare against the explicit cubic
-        a, b, c, z = -3.0, 1.4, 2.2, 0.9
-        explicit = sum(
-            math.prod((a + i) for i in range(k)) * math.prod((b + i) for i in range(k))
-            / math.prod((c + i) for i in range(k)) * z ** k / math.factorial(k)
-            for k in range(4)
-        )
-        assert gauss_2f1(a, b, c, z) == pytest.approx(explicit, rel=1e-12)
-
-    def test_against_scipy(self):
-        cases = [
-            (0.5, 0.7, 1.3, 0.4),
-            (1.2, -0.3, 0.9, -0.7),
-            (2.5, 1.1, 3.7, 0.6),
-            (0.05, 4.0, 0.35, 0.25),
-        ]
-        for a, b, c, z in cases:
-            assert gauss_2f1(a, b, c, z) == pytest.approx(
-                float(scipy.special.hyp2f1(a, b, c, z)), rel=1e-11
-            )
-
-    def test_domain_errors(self):
-        with pytest.raises(ParameterError):
-            gauss_2f1(1.0, 1.0, 0.0, 0.5)
-        with pytest.raises(ParameterError):
-            gauss_2f1(1.0, 1.0, -2.0, 0.5)
-        with pytest.raises(ParameterError):
-            gauss_2f1(1.0, 1.0, 2.0, 1.0)
-
-    def test_slow_convergence_reported(self):
-        with pytest.raises(ConvergenceError):
-            gauss_2f1(0.5, 0.7, 1.3, 0.999999, term_cap=50)
