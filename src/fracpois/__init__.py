@@ -11,7 +11,6 @@ from .adm import (
     AdmState,
     PowerSeries,
     PowerTerm,
-    SeriesControl,
     adm_solve_linear,
     rl_integrate,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "PowerSeries",
     "PowerTerm",
     "SaigoParams",
-    "SeriesControl",
     "UnsupportedVariantError",
     "adm_closed_form_diff",
     "adm_solve_linear",

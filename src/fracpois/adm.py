@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ConvergenceError, ParameterError
-from .specfun import _kahan_add, log_gamma
+from .specfun import SERIES_TOL, _kahan_add, log_gamma
 
 # Exponents arise from repeated addition of fractional orders, so two terms
 # that should share an exponent can differ by accumulated rounding.
@@ -24,24 +24,6 @@ EXPONENT_MERGE_TOL = 1e-12
 COEFF_DROP_TOL = 1e-300
 
 COEFF_OVERFLOW = 1e300
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation order and tolerances shared by every series computation."""
-
-    max_k: int = 40
-    tol_abs: float = 1e-12
-    tol_rel: float = 1e-12
-    term_cap: int = 10_000
-
-    def __post_init__(self) -> None:
-        if self.max_k < 1:
-            raise ParameterError(f"SeriesControl: max_k must be >= 1, got {self.max_k}")
-        if not (self.tol_abs > 0.0 and self.tol_rel > 0.0):
-            raise ParameterError("SeriesControl: tolerances must be > 0")
-        if self.term_cap < 1:
-            raise ParameterError("SeriesControl: term_cap must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -176,7 +158,6 @@ class AdmState:
     """All decomposition iterates: iterates[n][k] is the k-th series for state n."""
 
     iterates: list[list[PowerSeries]]
-    control: SeriesControl
     truncation_warning: bool = False
 
 
@@ -185,7 +166,7 @@ def adm_solve_linear(
     coupling: Callable[[int, int], float],
     initial: Sequence[float],
     n_max: int,
-    control: SeriesControl,
+    max_k: int,
 ) -> AdmState:
     """Run the decomposition recursion for a linear lower-triangular system.
 
@@ -193,7 +174,10 @@ def adm_solve_linear(
     sum_{r=0}^{n} coupling(n, r) * iterate_{k-1}(n - r); the zeroth iterate
     is the initial condition.  Linearity means the Adomian polynomials are
     the iterates themselves, so no polynomial generation is needed here.
+    Iterates k = 0 .. max_k are built.
     """
+    if max_k < 1:
+        raise ParameterError(f"adm_solve_linear: max_k must be >= 1, got {max_k}")
     if n_max < 0:
         raise ParameterError(f"adm_solve_linear: n_max must be >= 0, got {n_max}")
     if len(initial) < n_max + 1:
@@ -204,7 +188,7 @@ def adm_solve_linear(
         c0 = initial[n]
         iterates.append([PowerSeries.constant(c0) if c0 != 0.0 else PowerSeries.zero()])
 
-    for k in range(1, control.max_k + 1):
+    for k in range(1, max_k + 1):
         for n in range(n_max + 1):
             rhs = PowerSeries.zero()
             for r in range(n + 1):
@@ -220,5 +204,5 @@ def adm_solve_linear(
 
     # The last iterate is what truncation throws away; flag it when it is
     # still above tolerance at the t = 1 horizon (where |c * t^e| = |c|).
-    worst_last = max(iterates[n][control.max_k].max_abs_coeff() for n in range(n_max + 1))
-    return AdmState(iterates, control, truncation_warning=worst_last > control.tol_abs)
+    worst_last = max(iterates[n][max_k].max_abs_coeff() for n in range(n_max + 1))
+    return AdmState(iterates, truncation_warning=worst_last > SERIES_TOL)

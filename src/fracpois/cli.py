@@ -3,8 +3,11 @@
 Output is CSV (default) or JSON, printed only after the whole computation
 succeeds, so a failure never leaves a partial table behind.  Configuration
 precedence: command-line flags > the JSON file named by FRACPOIS_CONFIG >
-built-in defaults.  Exit codes: 0 ok, 1 verification failed, 2 bad
-parameters, 3 convergence failure, 4 unsupported variant.
+built-in defaults; the config keys are the flags' destination names, and
+each value must have the type and choices its flag accepts.  The series
+stop rule is fixed (see fracpois.specfun.SERIES_TOL); --max-k is verify's
+decomposition truncation order.  Exit codes: 0 ok, 1 verification failed,
+2 bad parameters, 3 convergence failure, 4 unsupported variant.
 """
 
 from __future__ import annotations
@@ -16,14 +19,12 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .adm import SeriesControl
 from .errors import ConvergenceError, ParameterError, UnsupportedVariantError
 from .processes import (
     FractionalParams,
     adm_closed_form_diff,
     composition_tuples_residual,
     kolmogorov_residual,
-    pmf,
     pmf_table,
     sstfpp_pgf,
     truncated_normalization_residual,
@@ -48,9 +49,6 @@ DEFAULTS = {
     "n_max": 10,
     "u": 0.5,
     "max_k": 40,
-    "tol_abs": 1e-12,
-    "tol_rel": 1e-12,
-    "term_cap": 10_000,
     "format": "csv",
     "seed": 12345,
     "samples": 100_000,
@@ -84,18 +82,20 @@ class RunConfig:
     times: list[float]
     n_max: int
     u: float
-    control: SeriesControl
+    max_k: int
     format: str
     seed: int
     samples: int
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Action]]:
+    """The argument parser, and its flags by destination: the config keys."""
     parser = argparse.ArgumentParser(
         prog="fracpois",
         description="State probabilities and diagnostics of fractional Poisson processes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    flags: dict[str, argparse.Action] = {}
     for name, help_text in (
         ("pmf", "state-probability table with exact tail mass"),
         ("pgf", "probability generating function values"),
@@ -104,31 +104,34 @@ def _build_parser() -> argparse.ArgumentParser:
         ("simulate", "Monte-Carlo histogram vs the closed form"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--variant", choices=VARIANTS)
-        p.add_argument("--lam", type=float, help="intensity lambda > 0")
-        p.add_argument("--alpha", type=float, help="time-fractional order in (0, 1]")
-        p.add_argument("--nu", type=float, help="space-fractional order in (0, 1]")
-        p.add_argument("--beta", type=float, help="Saigo beta < 0 (sstfpp only)")
-        p.add_argument("--gamma", type=float, dest="gamma_p", help="Saigo gamma (sstfpp only)")
-        p.add_argument("-t", type=float, dest="t", help="single time point")
-        p.add_argument("--t-start", type=float, dest="t_start")
-        p.add_argument("--t-stop", type=float, dest="t_stop")
-        p.add_argument("--t-count", type=int, dest="t_count")
-        p.add_argument("--n-max", type=int, dest="n_max")
-        p.add_argument("--max-k", type=int, dest="max_k")
-        p.add_argument("--tol-abs", type=float, dest="tol_abs")
-        p.add_argument("--tol-rel", type=float, dest="tol_rel")
-        p.add_argument("--term-cap", type=int, dest="term_cap")
-        p.add_argument("--format", choices=("csv", "json"))
+
+        def add(*names: str, **kwargs) -> None:
+            action = p.add_argument(*names, **kwargs)
+            flags[action.dest] = action
+
+        add("--variant", choices=VARIANTS)
+        add("--lam", type=float, help="intensity lambda > 0")
+        add("--alpha", type=float, help="time-fractional order in (0, 1]")
+        add("--nu", type=float, help="space-fractional order in (0, 1]")
+        add("--beta", type=float, help="Saigo beta < 0 (sstfpp only)")
+        add("--gamma", type=float, dest="gamma_p", help="Saigo gamma (sstfpp only)")
+        add("-t", type=float, dest="t", help="single time point")
+        add("--t-start", type=float, dest="t_start")
+        add("--t-stop", type=float, dest="t_stop")
+        add("--t-count", type=int, dest="t_count")
+        add("--n-max", type=int, dest="n_max")
+        add("--max-k", type=int, dest="max_k",
+            help="decomposition truncation order of verify's checks, >= 1")
+        add("--format", choices=("csv", "json"))
         if name == "pgf":
-            p.add_argument("-u", type=float, dest="u", help="pgf argument, |u| < 1")
+            add("-u", type=float, dest="u", help="pgf argument, |u| < 1")
         if name == "simulate":
-            p.add_argument("--seed", type=int)
-            p.add_argument("--samples", type=int)
-    return parser
+            add("--seed", type=int, help="random seed, >= 0")
+            add("--samples", type=int)
+    return parser, flags
 
 
-def _load_env_config() -> dict:
+def _load_env_config(flags: dict[str, argparse.Action]) -> dict:
     path = os.environ.get("FRACPOIS_CONFIG")
     if not path:
         return {}
@@ -142,14 +145,27 @@ def _load_env_config() -> dict:
     unknown = set(data) - set(DEFAULTS)
     if unknown:
         raise ParameterError(f"FRACPOIS_CONFIG: unknown keys {sorted(unknown)}")
+    # Each value must be what the flag of the same name would parse to.
+    for key, value in data.items():
+        flag = flags[key]
+        kind = flag.type or str
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float) if kind is float else kind)
+            or (flag.choices is not None and value not in flag.choices)
+        ):
+            raise ParameterError(
+                f"FRACPOIS_CONFIG: {key} = {value!r} is not a valid "
+                f"{flag.option_strings[0]} value"
+            )
     return data
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
+def _resolve(args: argparse.Namespace, flags: dict[str, argparse.Action]) -> RunConfig:
     # Explicit values (config file, then flags on top) are distinguished from
     # built-in defaults: a variant may override a default silently, but an
     # explicitly requested value it disagrees with is an error.
-    explicit = _load_env_config()
+    explicit = _load_env_config(flags)
     for key, value in vars(args).items():
         if key != "command" and value is not None:
             explicit[key] = value
@@ -190,16 +206,18 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             times = [start + i * step for i in range(count)]
     if any(t < 0.0 or not math.isfinite(t) for t in times):
         raise ParameterError("time points must be finite and >= 0")
+    if args.command == "simulate" and len(times) > 1:
+        raise ParameterError(f"simulate takes one time point, got {len(times)}")
 
-    control = SeriesControl(
-        max_k=int(merged["max_k"]),
-        tol_abs=float(merged["tol_abs"]),
-        tol_rel=float(merged["tol_rel"]),
-        term_cap=int(merged["term_cap"]),
-    )
     n_max = int(merged["n_max"])
     if n_max < 0:
         raise ParameterError(f"--n-max must be >= 0, got {n_max}")
+    max_k = int(merged["max_k"])
+    if max_k < 1:
+        raise ParameterError(f"--max-k must be >= 1, got {max_k}")
+    seed = int(merged["seed"])
+    if seed < 0:
+        raise ParameterError(f"--seed must be >= 0, got {seed}")
     return RunConfig(
         command=args.command,
         params=params,
@@ -207,9 +225,9 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         times=times,
         n_max=n_max,
         u=float(merged["u"]),
-        control=control,
+        max_k=max_k,
         format=str(merged["format"]),
-        seed=int(merged["seed"]),
+        seed=seed,
         samples=int(merged["samples"]),
     )
 
@@ -227,7 +245,7 @@ def _params_dict(cfg: RunConfig) -> dict:
 
 
 def _cmd_pmf(cfg: RunConfig) -> tuple[str, int]:
-    table = pmf_table(cfg.params, cfg.times, cfg.n_max, cfg.control)
+    table = pmf_table(cfg.params, cfg.times, cfg.n_max)
     rows = [
         (t, n, p, tail)
         for t, row, tail in zip(table.times, table.probs, table.tail_mass)
@@ -249,7 +267,7 @@ def _cmd_pmf(cfg: RunConfig) -> tuple[str, int]:
 
 
 def _cmd_pgf(cfg: RunConfig) -> tuple[str, int]:
-    rows = [(t, cfg.u, sstfpp_pgf(cfg.params, cfg.u, t, cfg.control)) for t in cfg.times]
+    rows = [(t, cfg.u, sstfpp_pgf(cfg.params, cfg.u, t)) for t in cfg.times]
     if cfg.format == "json":
         body = json.dumps(
             {
@@ -263,7 +281,7 @@ def _cmd_pgf(cfg: RunConfig) -> tuple[str, int]:
 
 
 def _cmd_survival(cfg: RunConfig) -> tuple[str, int]:
-    rows = [(t, waiting_survival(cfg.params, t, cfg.control)) for t in cfg.times]
+    rows = [(t, waiting_survival(cfg.params, t)) for t in cfg.times]
     if cfg.format == "json":
         body = json.dumps(
             {
@@ -277,7 +295,7 @@ def _cmd_survival(cfg: RunConfig) -> tuple[str, int]:
 
 
 def _cmd_verify(cfg: RunConfig) -> tuple[str, int]:
-    params, control = cfg.params, cfg.control
+    params, max_k = cfg.params, cfg.max_k
     times = cfg.times
     checks: list[dict] = []
 
@@ -287,16 +305,16 @@ def _cmd_verify(cfg: RunConfig) -> tuple[str, int]:
         )
 
     r = max(
-        truncated_normalization_residual(params, t, cfg.n_max, control.max_k)
+        truncated_normalization_residual(params, t, cfg.n_max, max_k)
         for t in times
     )
     add("normalization", r, 1e-6, r <= 1e-6)
 
-    r = adm_closed_form_diff(params, min(cfg.n_max, 5), min(control.max_k, 10), control)
+    r = adm_closed_form_diff(params, min(cfg.n_max, 5), min(max_k, 10))
     add("adm_closed_form", r, 1e-10, r <= 1e-10)
 
     r = max(
-        kolmogorov_residual(params, t, n, control.max_k, control)
+        kolmogorov_residual(params, t, n, max_k)
         for t in times
         for n in range(min(cfg.n_max, 5) + 1)
     )
@@ -319,10 +337,9 @@ def _cmd_verify(cfg: RunConfig) -> tuple[str, int]:
 def _cmd_simulate(cfg: RunConfig) -> tuple[str, int]:
     t = cfg.times[0]
     emp = empirical_pmf(cfg.params, t, cfg.samples, cfg.n_max, cfg.seed)
-    stat, pvalue, dof = chi_square_gof(emp, cfg.control)
+    stat, pvalue, dof = chi_square_gof(emp)
     rows = []
-    for n in range(cfg.n_max + 1):
-        closed = pmf(cfg.params, t, n, cfg.control)
+    for n, closed in enumerate(pmf_table(cfg.params, [t], cfg.n_max).probs[0]):
         freq = emp.frequency(n)
         rows.append((n, freq, closed, abs(freq - closed)))
     if cfg.format == "json":
@@ -360,10 +377,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, flags = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _resolve(args)
+        cfg = _resolve(args, flags)
         body, code = _COMMANDS[args.command](cfg)
     except ParameterError as exc:
         print(f"fracpois: parameter error: {exc}", file=sys.stderr)

@@ -24,18 +24,21 @@ mass that cannot be recovered by summing further states at any feasible N;
 the tail is instead computed exactly from partial sums of the generalized
 binomial series (see :func:`pmf_tail_mass`), which is what makes the
 normalization checks meaningful.
+
+Every series stops by one fixed rule (``SERIES_TOL`` and ``TERM_CAP`` in
+:mod:`fracpois.specfun`); the only truncation a caller chooses is the
+decomposition order ``k_trunc``/``max_k`` of the cross-checks below.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .adm import (
     PowerSeries,
     PowerTerm,
-    SeriesControl,
     adm_solve_linear,
     rl_integrate,
 )
@@ -47,9 +50,14 @@ from .saigo import (
     saigo_derivative_series,
     saigo_integrate,
 )
-from .specfun import LOG_HUGE, _kahan_add, falling_factorial, log_abs_gamma
-
-DEFAULT_CONTROL = SeriesControl()
+from .specfun import (
+    LOG_HUGE,
+    SERIES_TOL,
+    TERM_CAP,
+    _kahan_add,
+    falling_factorial,
+    log_abs_gamma,
+)
 
 # Beyond this value of lambda^nu * t^(-beta) (equivalently lambda t^alpha,
 # lambda^nu t) the alternating series cancels away all double-precision
@@ -145,7 +153,6 @@ def _saigo_series(
     factor: Callable[[int], tuple[float, float]],
     s: float,
     k_min: int,
-    control: SeriesControl,
     label: str,
 ) -> float:
     """sum_k C_k (-x)^k / Gamma(1 - k beta) * f_k / e^s, the one k-series.
@@ -153,11 +160,11 @@ def _saigo_series(
     factor(k) returns (sign, ln|f_k|) of the caller's k-dependent factor;
     a zero sign drops the term (gamma poles).  Terms are formed in
     log-magnitude/sign form, so huge gamma ratios never overflow, and summed
-    with compensation.  The stop requires two consecutive below-tolerance
-    terms past k_min: single terms can vanish exactly at gamma poles, but
-    (for nu < 1) two consecutive pole zeros are impossible, so a pair of
-    small terms really does mean the superexponential decay regime has
-    begun.  x = 0 (t = 0, or t^(-beta) underflowed) leaves the k = 0 term.
+    with compensation.  The stop requires two consecutive terms at most
+    SERIES_TOL * max(1, |partial sum|) past k_min: single terms can vanish
+    exactly at gamma poles, but (for nu < 1) two consecutive pole zeros are
+    impossible, so a pair of small terms really does mean the
+    superexponential decay regime has begun.  x = 0 (t = 0, or t^(-beta) underflowed) leaves the k = 0 term.
     """
     if x > ARG_GUARD:
         raise ConvergenceError(
@@ -171,7 +178,7 @@ def _saigo_series(
     b = params.beta
     total, comp = 0.0, 0.0
     prev = math.inf
-    for k in range(control.term_cap):
+    for k in range(TERM_CAP):
         sign, lf = factor(k)
         if sign != 0.0:
             logmag = lnck[k] + k * lx - math.lgamma(1.0 - k * b) + lf - s
@@ -183,11 +190,11 @@ def _saigo_series(
         total, comp = _kahan_add(total, comp, value)
         mag = abs(value)
         if k >= k_min:
-            bound = max(control.tol_abs, control.tol_rel * abs(total))
+            bound = SERIES_TOL * max(1.0, abs(total))
             if mag <= bound and prev <= bound:
                 return total
         prev = mag
-    raise ConvergenceError(f"{label}: no convergence within {control.term_cap} terms")
+    raise ConvergenceError(f"{label}: no convergence within {TERM_CAP} terms")
 
 
 def poisson_pmf(lam: float, t: float, n: int) -> float:
@@ -201,9 +208,7 @@ def poisson_pmf(lam: float, t: float, n: int) -> float:
     return math.exp(n * math.log(m) - m - math.lgamma(n + 1.0))
 
 
-def _pmf(
-    params: FractionalParams, lnck: _LogCk, t: float, n: int, control: SeriesControl
-) -> float:
+def _pmf(params: FractionalParams, lnck: _LogCk, t: float, n: int) -> float:
     if params.variant == "classical":
         return poisson_pmf(params.lam, t, n)
     _check_state(t, n)
@@ -219,21 +224,17 @@ def _pmf(
 
     x = params.lam ** nu * t ** (-params.beta)
     return _saigo_series(params, lnck, x, state_factor, math.lgamma(n + 1.0),
-                         int(n / nu) + 2, control, "pmf")
+                         int(n / nu) + 2, "pmf")
 
 
-def pmf(
-    params: FractionalParams, t: float, n: int, control: SeriesControl | None = None
-) -> float:
+def pmf(params: FractionalParams, t: float, n: int) -> float:
     """State probability p_n(t): the Poisson pmf on the classical variant,
     (-1)^n/n! sum_k C_k (-lam^nu t^{-b})^k/G(1-k b) * G(k nu+1)/G(k nu+1-n)
     on every other, with C_k = 1 exactly unless the variant is sstfpp."""
-    return _pmf(params, _LogCk(params), t, n, control or DEFAULT_CONTROL)
+    return _pmf(params, _LogCk(params), t, n)
 
 
-def _tail_mass(
-    params: FractionalParams, lnck: _LogCk, t: float, n_max: int, control: SeriesControl
-) -> float:
+def _tail_mass(params: FractionalParams, lnck: _LogCk, t: float, n_max: int) -> float:
     _check_state(t, 0)
     if n_max < 0:
         raise ParameterError(f"pmf_tail_mass: n_max must be >= 0, got {n_max}")
@@ -257,12 +258,10 @@ def _tail_mass(
 
     x = params.lam ** nu * t ** (-params.beta)
     return _saigo_series(params, lnck, x, binomial_factor, math.lgamma(n_max + 1.0),
-                         int(n_max / nu) + 2, control, "pmf_tail_mass")
+                         int(n_max / nu) + 2, "pmf_tail_mass")
 
 
-def pmf_tail_mass(
-    params: FractionalParams, t: float, n_max: int, control: SeriesControl | None = None
-) -> float:
+def pmf_tail_mass(params: FractionalParams, t: float, n_max: int) -> float:
     """Exact mass above state n_max: sum_{n > n_max} pmf(n, t).
 
     Interchanging the (absolutely convergent) state and series sums, the
@@ -276,7 +275,7 @@ def pmf_tail_mass(
     space-fractional variants (whose state tails decay like N^{-k nu}) get
     an honest tail figure without summing billions of states.
     """
-    return _tail_mass(params, _LogCk(params), t, n_max, control or DEFAULT_CONTROL)
+    return _tail_mass(params, _LogCk(params), t, n_max)
 
 
 @dataclass(frozen=True)
@@ -288,44 +287,30 @@ class PmfTable:
     n_max: int
     probs: tuple[tuple[float, ...], ...]
     tail_mass: tuple[float, ...]
-    control: SeriesControl
 
 
-def pmf_table(
-    params: FractionalParams,
-    times: Sequence[float],
-    n_max: int,
-    control: SeriesControl | None = None,
-) -> PmfTable:
+def pmf_table(params: FractionalParams, times: Sequence[float], n_max: int) -> PmfTable:
     """pmf and pmf_tail_mass over times x states, sharing one ln C_k table."""
-    control = control or DEFAULT_CONTROL
     lnck = _LogCk(params)
     probs = []
     tails = []
     for t in times:
-        probs.append(tuple(_pmf(params, lnck, t, n, control) for n in range(n_max + 1)))
-        tails.append(_tail_mass(params, lnck, t, n_max, control))
-    return PmfTable(params, tuple(times), n_max, tuple(probs), tuple(tails), control)
+        probs.append(tuple(_pmf(params, lnck, t, n) for n in range(n_max + 1)))
+        tails.append(_tail_mass(params, lnck, t, n_max))
+    return PmfTable(params, tuple(times), n_max, tuple(probs), tuple(tails))
 
 
-def normalization_residual(
-    params: FractionalParams,
-    t: float,
-    n_max: int,
-    control: SeriesControl | None = None,
-) -> float:
+def normalization_residual(params: FractionalParams, t: float, n_max: int) -> float:
     """|sum_{n<=n_max} pmf + tail_mass - 1| at one time point."""
-    control = control or DEFAULT_CONTROL
+    table = pmf_table(params, [t], n_max)
     total, comp = 0.0, 0.0
-    for n in range(n_max + 1):
-        total, comp = _kahan_add(total, comp, pmf(params, t, n, control))
-    total, comp = _kahan_add(total, comp, pmf_tail_mass(params, t, n_max, control))
+    for p in table.probs[0] + table.tail_mass:
+        total, comp = _kahan_add(total, comp, p)
     return abs(total - 1.0)
 
 
 def truncated_normalization_residual(
-    params: FractionalParams, t: float, n_max: int, max_k: int,
-    control: SeriesControl | None = None,
+    params: FractionalParams, t: float, n_max: int, max_k: int
 ) -> float:
     """|row sum + tail - 1| with the row sum hard-truncated at order max_k.
 
@@ -339,11 +324,10 @@ def truncated_normalization_residual(
     _check_state(t, 0)
     if t == 0.0:
         return 0.0
-    control = control or DEFAULT_CONTROL
     total, comp = 0.0, 0.0
     for n in range(n_max + 1):
         total, comp = _kahan_add(total, comp, state_series(params, n, max_k).evaluate(t))
-    total, comp = _kahan_add(total, comp, pmf_tail_mass(params, t, n_max, control))
+    total, comp = _kahan_add(total, comp, pmf_tail_mass(params, t, n_max))
     return abs(total - 1.0)
 
 
@@ -360,9 +344,7 @@ def composition_tuples_residual(params: FractionalParams) -> float:
     )
 
 
-def sstfpp_pgf(
-    params: FractionalParams, u: float, t: float, control: SeriesControl | None = None
-) -> float:
+def sstfpp_pgf(params: FractionalParams, u: float, t: float) -> float:
     """Probability generating function sum_k C_k (-lam^nu (1-u)^nu t^{-b})^k / G(1-k b)."""
     if not (math.isfinite(u) and abs(u) < 1.0):
         raise ParameterError(f"sstfpp_pgf: requires |u| < 1, got {u!r}")
@@ -370,14 +352,12 @@ def sstfpp_pgf(
     nu = params.nu
     x = params.lam ** nu * (1.0 - u) ** nu * t ** (-params.beta)
     return _saigo_series(params, _LogCk(params), x, lambda k: (1.0, 0.0), 0.0, 2,
-                         control or DEFAULT_CONTROL, "sstfpp_pgf")
+                         "sstfpp_pgf")
 
 
-def waiting_survival(
-    params: FractionalParams, t: float, control: SeriesControl | None = None
-) -> float:
+def waiting_survival(params: FractionalParams, t: float) -> float:
     """Pr{first event after t}; identical to the n = 0 state probability."""
-    return pmf(params, t, 0, control)
+    return pmf(params, t, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +405,7 @@ def _coupling_weight(params: FractionalParams, r: int) -> float:
     return -(params.lam ** params.nu) * (-w if r % 2 else w)
 
 
-def kolmogorov_residual(
-    params: FractionalParams,
-    t: float,
-    n: int,
-    k_trunc: int,
-    control: SeriesControl | None = None,
-) -> float:
+def kolmogorov_residual(params: FractionalParams, t: float, n: int, k_trunc: int) -> float:
     """Residual of the governing equation on truncated series at time t.
 
     LHS: the Caputo-type Saigo derivative applied term-wise to state n's
@@ -468,12 +442,7 @@ def kolmogorov_tail_bound(
     return top * t ** (-k_trunc * params.beta) + 64.0 * eps * max(scale, 1.0)
 
 
-def adm_closed_form_diff(
-    params: FractionalParams,
-    n_max: int,
-    k_trunc: int,
-    control: SeriesControl | None = None,
-) -> float:
+def adm_closed_form_diff(params: FractionalParams, n_max: int, k_trunc: int) -> float:
     """Run the decomposition engine and compare every iterate coefficient
     against the closed-form term; returns the worst normalized discrepancy.
 
@@ -481,8 +450,6 @@ def adm_closed_form_diff(
     (Riemann-Liouville when beta = -alpha, the Saigo integral otherwise),
     so it shares no arithmetic with the closed-form coefficients.
     """
-    base = control or DEFAULT_CONTROL
-    solve_control = replace(base, max_k=k_trunc)
     if abs(params.beta + params.alpha) <= VARIANT_TOL:
         integral_op = lambda s: rl_integrate(s, params.alpha)
     else:
@@ -493,7 +460,7 @@ def adm_closed_form_diff(
         lambda n, r: _coupling_weight(params, r),
         [1.0 if n == 0 else 0.0 for n in range(n_max + 1)],
         n_max,
-        solve_control,
+        k_trunc,
     )
     logck = ck_log_coefficients(params.saigo(), k_trunc)
     worst = 0.0

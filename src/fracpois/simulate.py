@@ -21,12 +21,15 @@ import numpy as np
 from scipy import stats as _stats
 
 from .errors import ParameterError, UnsupportedVariantError
-from .processes import FractionalParams, SeriesControl, pmf, pmf_tail_mass
+from .processes import FractionalParams, pmf_table
 
 # Poisson intensities beyond this land every draw far above any histogram
 # range we use; clamping keeps the generator in its supported domain without
 # touching the distribution of the recorded (clipped) counts.
 _LAM_CLAMP = 1e15
+
+# Smallest expected count a chi-square bin may have after pooling.
+_MIN_EXPECTED = 5.0
 
 
 def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
@@ -183,33 +186,29 @@ def empirical_pmf(
     )
 
 
-def chi_square_gof(
-    emp: EmpiricalPmf, control: SeriesControl | None = None, min_expected: float = 5.0
-) -> tuple[float, float, int]:
+def chi_square_gof(emp: EmpiricalPmf) -> tuple[float, float, int]:
     """Chi-square goodness of fit of the histogram against the closed form.
 
     Expected counts come from the variant's pmf, with the overflow bin given
     the exact tail mass above n_max.  Bins are pooled from the right until
-    every bin's expected count reaches ``min_expected``.  Returns
+    every bin's expected count reaches ``_MIN_EXPECTED``.  Returns
     (statistic, p_value, degrees_of_freedom).
     """
-    p = emp.params
-    n_tot = emp.sample_count
-    expected = [pmf(p, emp.t, n, control) * n_tot for n in range(emp.n_max + 1)]
-    expected.append(pmf_tail_mass(p, emp.t, emp.n_max, control) * n_tot)
+    table = pmf_table(emp.params, [emp.t], emp.n_max)
+    expected = [q * emp.sample_count for q in table.probs[0] + table.tail_mass]
     observed = [float(c) for c in emp.counts] + [float(emp.overflow)]
 
     # Pool from the right so the (possibly tiny) overflow and tail bins merge
     # into their neighbors until everything is comfortably populated.
     obs, exp = observed[:], expected[:]
-    while len(exp) > 1 and exp[-1] < min_expected:
+    while len(exp) > 1 and exp[-1] < _MIN_EXPECTED:
         exp[-2] += exp[-1]
         obs[-2] += obs[-1]
         del exp[-1], obs[-1]
     # A second pass for any undersized interior bin (merges leftward).
     i = len(exp) - 1
     while i > 0:
-        if exp[i] < min_expected:
+        if exp[i] < _MIN_EXPECTED:
             exp[i - 1] += exp[i]
             obs[i - 1] += obs[i]
             del exp[i], obs[i]

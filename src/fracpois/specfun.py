@@ -22,8 +22,13 @@ POLE_TOL = 1e-9
 # beyond this, double precision has no digits left to cancel.
 LOG_HUGE = math.log(1e300)
 
-DEFAULT_TOL_ABS = 1e-14
-DEFAULT_TERM_CAP = 10_000
+# The fixed stop rule of every k-series: stop on two consecutive terms
+# <= SERIES_TOL * max(1, |partial sum|), and give up after TERM_CAP terms.
+SERIES_TOL = 1e-12
+TERM_CAP = 10_000
+
+# mittag_leffler stops on one decreasing term below this.
+ML_TOL = 1e-14
 
 
 def log_gamma(x: float) -> float:
@@ -84,13 +89,7 @@ def _kahan_add(total: float, comp: float, term: float) -> tuple[float, float]:
     return t, comp
 
 
-def mittag_leffler(
-    alpha: float,
-    x: float,
-    *,
-    tol_abs: float = DEFAULT_TOL_ABS,
-    term_cap: int = DEFAULT_TERM_CAP,
-) -> float:
+def mittag_leffler(alpha: float, x: float) -> float:
     """One-parameter Mittag-Leffler function E_alpha(x) = sum x^k / Gamma(k alpha + 1).
 
     Direct series with compensated summation.  Two guards keep the answer
@@ -120,7 +119,7 @@ def mittag_leffler(
     log_ax = math.log(abs(x))
     total, comp = 0.0, 0.0
     prev = math.inf
-    for k in range(term_cap):
+    for k in range(TERM_CAP):
         logmag = k * log_ax - math.lgamma(k * alpha + 1.0)
         if logmag > LOG_HUGE:
             raise ConvergenceError("mittag_leffler: series term overflow")
@@ -128,12 +127,10 @@ def mittag_leffler(
         if x < 0.0 and k % 2:
             term = -term
         total, comp = _kahan_add(total, comp, term)
-        if k >= 1 and abs(term) <= tol_abs and abs(term) < prev:
+        if k >= 1 and abs(term) <= ML_TOL and abs(term) < prev:
             return total
         prev = abs(term)
-    else:
-        raise ConvergenceError(
-            f"mittag_leffler: no convergence within {term_cap} terms "
-            f"(alpha={alpha}, x={x})"
-        )
-    return total
+    raise ConvergenceError(
+        f"mittag_leffler: no convergence within {TERM_CAP} terms "
+        f"(alpha={alpha}, x={x})"
+    )

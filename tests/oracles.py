@@ -13,17 +13,15 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from fracpois.adm import SeriesControl
 from fracpois.errors import ConvergenceError, ParameterError
 from fracpois.processes import (
     ARG_GUARD,
-    DEFAULT_CONTROL,
     VARIANT_TOL,
     FractionalParams,
     _check_state,
 )
 from fracpois.saigo import SaigoParams, ck_log_coefficients
-from fracpois.specfun import LOG_HUGE, _kahan_add, log_abs_gamma
+from fracpois.specfun import LOG_HUGE, SERIES_TOL, TERM_CAP, _kahan_add, log_abs_gamma
 
 
 def _guard_argument(x: float, label: str) -> None:
@@ -37,7 +35,6 @@ def _guard_argument(x: float, label: str) -> None:
 def _sum_k_series(
     term: Callable[[int], tuple[float, float]],
     k_min: int,
-    control: SeriesControl,
     label: str,
 ) -> float:
     """Sum term(k) = (sign, log-magnitude) over k with a two-term stop rule.
@@ -49,7 +46,7 @@ def _sum_k_series(
     """
     total, comp = 0.0, 0.0
     prev = math.inf
-    for k in range(control.term_cap):
+    for k in range(TERM_CAP):
         sign, logmag = term(k)
         if sign != 0.0:
             if logmag > LOG_HUGE:
@@ -60,11 +57,11 @@ def _sum_k_series(
         total, comp = _kahan_add(total, comp, value)
         mag = abs(value)
         if k >= k_min:
-            bound = max(control.tol_abs, control.tol_rel * abs(total))
+            bound = SERIES_TOL * max(1.0, abs(total))
             if mag <= bound and prev <= bound:
                 return total
         prev = mag
-    raise ConvergenceError(f"{label}: no convergence within {control.term_cap} terms")
+    raise ConvergenceError(f"{label}: no convergence within {TERM_CAP} terms")
 
 
 def _state_factor(nu: float, n: int, k: int) -> tuple[float, float]:
@@ -78,14 +75,11 @@ def _state_factor(nu: float, n: int, k: int) -> tuple[float, float]:
     return s, math.lgamma(k * nu + 1.0) - l
 
 
-def tfpp_pmf(
-    params: FractionalParams, t: float, n: int, control: SeriesControl | None = None
-) -> float:
+def tfpp_pmf(params: FractionalParams, t: float, n: int) -> float:
     """Time-fractional pmf: (lam t^a)^n/n! sum_k (k+n)!/k! (-lam t^a)^k / G((k+n)a+1)."""
     if abs(params.nu - 1.0) > VARIANT_TOL:
         raise ParameterError("tfpp_pmf: requires the nu = 1 variant")
     _check_state(t, n)
-    control = control or DEFAULT_CONTROL
     if t == 0.0:
         return 1.0 if n == 0 else 0.0
     a = params.alpha
@@ -104,17 +98,14 @@ def tfpp_pmf(
         )
         return (-1.0 if k % 2 else 1.0), logmag
 
-    return _sum_k_series(term, 2, control, "tfpp_pmf")
+    return _sum_k_series(term, 2, "tfpp_pmf")
 
 
-def sfpp_pmf(
-    params: FractionalParams, t: float, n: int, control: SeriesControl | None = None
-) -> float:
+def sfpp_pmf(params: FractionalParams, t: float, n: int) -> float:
     """Space-fractional pmf: (-1)^n/n! sum_k (-lam^nu t)^k/k! * G(k nu+1)/G(k nu+1-n)."""
     if abs(params.alpha - 1.0) > VARIANT_TOL or abs(params.beta + 1.0) > VARIANT_TOL:
         raise ParameterError("sfpp_pmf: requires the alpha = 1, beta = -1 variant")
     _check_state(t, n)
-    control = control or DEFAULT_CONTROL
     if t == 0.0:
         return 1.0 if n == 0 else 0.0
     nu = params.nu
@@ -132,18 +123,15 @@ def sfpp_pmf(
         sign = sign_n * (-1.0 if k % 2 else 1.0) * s
         return sign, logmag
 
-    return _sum_k_series(term, int(n / nu) + 2, control, "sfpp_pmf")
+    return _sum_k_series(term, int(n / nu) + 2, "sfpp_pmf")
 
 
-def stfpp_pmf(
-    params: FractionalParams, t: float, n: int, control: SeriesControl | None = None
-) -> float:
+def stfpp_pmf(params: FractionalParams, t: float, n: int) -> float:
     """Space-time-fractional pmf:
     (-1)^n/n! sum_k (-lam^nu t^a)^k/G(k a+1) * G(k nu+1)/G(k nu+1-n)."""
     if abs(params.beta + params.alpha) > VARIANT_TOL:
         raise ParameterError("stfpp_pmf: requires the beta = -alpha variant")
     _check_state(t, n)
-    control = control or DEFAULT_CONTROL
     if t == 0.0:
         return 1.0 if n == 0 else 0.0
     a, nu = params.alpha, params.nu
@@ -161,7 +149,7 @@ def stfpp_pmf(
         sign = sign_n * (-1.0 if k % 2 else 1.0) * s
         return sign, logmag
 
-    return _sum_k_series(term, int(n / nu) + 2, control, "stfpp_pmf")
+    return _sum_k_series(term, int(n / nu) + 2, "stfpp_pmf")
 
 
 class _CkLogTable:
@@ -177,13 +165,10 @@ class _CkLogTable:
         return self.values[k]
 
 
-def sstfpp_pmf(
-    params: FractionalParams, t: float, n: int, control: SeriesControl | None = None
-) -> float:
+def sstfpp_pmf(params: FractionalParams, t: float, n: int) -> float:
     """General Saigo space-time pmf:
     (-1)^n/n! sum_k C_k (-lam^nu t^{-b})^k/G(1-k b) * G(k nu+1)/G(k nu+1-n)."""
     _check_state(t, n)
-    control = control or DEFAULT_CONTROL
     if t == 0.0:
         return 1.0 if n == 0 else 0.0
     b, nu = params.beta, params.nu
@@ -202,4 +187,4 @@ def sstfpp_pmf(
         sign = sign_n * (-1.0 if k % 2 else 1.0) * s
         return sign, logmag
 
-    return _sum_k_series(term, int(n / nu) + 2, control, "sstfpp_pmf")
+    return _sum_k_series(term, int(n / nu) + 2, "sstfpp_pmf")

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from fracpois.adm import (
     PowerSeries,
     PowerTerm,
-    SeriesControl,
     adm_solve_linear,
     rl_integrate,
 )
@@ -122,13 +121,12 @@ class TestAdmSolveLinear:
         # for the time-fractional cascade with nu = 1, p_0 iterates follow
         # (-lam)^k t^{k a} / Gamma(k a + 1)
         lam, alpha = 1.3, 0.7
-        control = SeriesControl(max_k=6)
         state = adm_solve_linear(
             lambda s: rl_integrate(s, alpha),
             stfpp_coupling(lam, 1.0),
             [1.0] + [0.0] * 6,
             n_max=6,
-            control=control,
+            max_k=6,
         )
         for k in range(7):
             (term,) = state.iterates[0][k].terms
@@ -139,13 +137,12 @@ class TestAdmSolveLinear:
     def test_space_fractional_coupling_iterate(self):
         # n=0, k=2 iterate of the space-time cascade: (lam^nu)^2 t^{2a}/Gamma(2a+1)
         lam, alpha, nu = 1.0, 0.7, 0.5
-        control = SeriesControl(max_k=2)
         state = adm_solve_linear(
             lambda s: rl_integrate(s, alpha),
             stfpp_coupling(lam, nu),
             [1.0, 0.0],
             n_max=1,
-            control=control,
+            max_k=2,
         )
         (term,) = state.iterates[0][2].terms
         assert term.exponent == pytest.approx(1.4)
@@ -158,7 +155,7 @@ class TestAdmSolveLinear:
             stfpp_coupling(1.0, 1.0),
             [1.0, 0.0, 0.0, 0.0],
             n_max=3,
-            control=SeriesControl(max_k=4),
+            max_k=4,
         )
         assert not state.iterates[1][0]
         assert not state.iterates[2][1]
@@ -172,7 +169,14 @@ class TestAdmSolveLinear:
             initial=[1.0],
             n_max=0,
         )
-        loose = adm_solve_linear(control=SeriesControl(max_k=2), **args)
-        tight = adm_solve_linear(control=SeriesControl(max_k=40), **args)
+        loose = adm_solve_linear(max_k=2, **args)
+        tight = adm_solve_linear(max_k=40, **args)
         assert loose.truncation_warning
         assert not tight.truncation_warning
+
+    def test_rejects_nonpositive_max_k(self):
+        with pytest.raises(ParameterError, match="max_k"):
+            adm_solve_linear(
+                lambda s: rl_integrate(s, 0.7), stfpp_coupling(1.0, 1.0), [1.0],
+                n_max=0, max_k=0,
+            )

@@ -1,5 +1,7 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -22,10 +24,22 @@ t,n,p,tail_mass
 """
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def rejected(capsys, *argv):
+    """Run argv, assert a parameter error (exit 2, nothing on stdout), return stderr."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "parameter error" in err
+    return err
 
 
 class TestPmfCommand:
@@ -104,6 +118,25 @@ class TestPmfCommand:
         assert out == ""
         assert "parameter error" in err
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("-t", "1", "--max-k", "0"), "--max-k"),
+            (("-t", "1", "--n-max", "-1"), "--n-max"),
+            (("--t-start", "1", "--t-count", "0"), "--t-count"),
+        ],
+    )
+    def test_bad_input_exits_2(self, capsys, argv, named):
+        assert named in rejected(capsys, "pmf", *argv)
+
+    @pytest.mark.parametrize("flag", ["--tol-abs", "--tol-rel", "--term-cap"])
+    def test_removed_series_flags_exit_2(self, capsys, flag):
+        # the series stop rule is fixed; its former flags are unknown options
+        with pytest.raises(SystemExit) as exc:
+            main(["pmf", flag, "1", "-t", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_unconvergeable_argument_exits_3(self, capsys):
         code, out, err = run(capsys, "pmf", "-t", "1e9")
         assert code == 3
@@ -129,6 +162,18 @@ class TestSurvivalAndPgf:
         _, out, _ = run(capsys, "pgf", "-u", "-0.25", "-t", "1.5")
         g = float(out.strip().splitlines()[1].split(",")[2])
         assert g == sstfpp_pgf(FractionalParams(1.0, alpha=0.7, nu=0.6), -0.25, 1.5)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("survival", "-t", "-1"),
+            ("survival", "-t", "1", "--max-k", "0"),
+            ("pgf", "-u", "nan", "-t", "1"),
+            ("pgf", "-u", "0.5", "-t", "inf"),
+        ],
+    )
+    def test_bad_input_exits_2(self, capsys, argv):
+        rejected(capsys, *argv)
 
     def test_pgf_domain_error(self, capsys):
         code, _, err = run(capsys, "pgf", "-u", "1.5", "-t", "1")
@@ -164,6 +209,12 @@ class TestVerifyCommand:
         assert code == 0
         doc = json.loads(out)
         assert all(c["pass"] for c in doc["checks"])
+
+    @pytest.mark.parametrize(
+        "argv", [("--max-k", "0"), ("--n-max", "-1"), ("-t", "inf")]
+    )
+    def test_bad_input_exits_2(self, capsys, argv):
+        rejected(capsys, "verify", *argv)
 
     def test_starved_truncation_fails(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-k", "2")
@@ -208,6 +259,18 @@ class TestSimulateCommand:
         _, b, _ = run(capsys, *base, "--seed", "2")
         assert a != b
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("-t", "1", "--seed", "-1"), "--seed"),
+            (("--t-start", "1", "--t-stop", "2", "--t-count", "3"), "one time point"),
+            (("-t", "1", "--samples", "0"), "n_samples"),
+        ],
+    )
+    def test_bad_input_exits_2(self, capsys, argv, named):
+        err = rejected(capsys, "simulate", "--variant", "classical", *argv)
+        assert named in err
+
     def test_saigo_variant_exits_4(self, capsys):
         code, out, err = run(
             capsys, "simulate", "--variant", "sstfpp", "--beta", "-0.5", "-t", "1"
@@ -249,12 +312,37 @@ class TestConfigPrecedence:
         assert float(out.strip().splitlines()[1].split(",")[2]) == math.exp(-1.0)
 
     def test_unknown_config_key_rejected(self, tmp_path, monkeypatch, capsys):
+        # the series tolerances are fixed constants, not config keys
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"lam": 2.0, "bogus": 1}))
         monkeypatch.setenv("FRACPOIS_CONFIG", str(cfg))
-        code, _, err = run(capsys, "pmf", "-t", "1")
-        assert code == 2
-        assert "bogus" in err
+        for key in ("bogus", "tol_abs", "tol_rel", "term_cap"):
+            cfg.write_text(json.dumps({"lam": 2.0, key: 1}))
+            code, _, err = run(capsys, "pmf", "-t", "1")
+            assert code == 2
+            assert key in err
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"variant": "foo"},
+            {"format": "xml"},
+            {"n_max": "abc"},
+            {"n_max": 2.5},
+            {"alpha": "0.5"},
+            {"lam": True},
+            {"t": None},
+            {"seed": -1},
+        ],
+        ids=["variant-choice", "format-choice", "n_max-str", "n_max-float",
+             "alpha-str", "lam-bool", "t-null", "seed-negative"],
+    )
+    def test_bad_config_value_exits_2(self, tmp_path, monkeypatch, capsys, config):
+        # a config value must be what its flag would parse to
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        monkeypatch.setenv("FRACPOIS_CONFIG", str(cfg))
+        (key,) = config
+        assert key in rejected(capsys, "pmf", "--n-max", "1")
 
     def test_missing_config_file_rejected(self, monkeypatch, capsys):
         monkeypatch.setenv("FRACPOIS_CONFIG", "/nonexistent/cfg.json")
@@ -270,3 +358,14 @@ class TestConfigPrecedence:
         code, _, err = run(capsys, "pmf", "--variant", "classical", "-t", "1")
         assert code == 2
         assert "conflicts" in err
+
+
+def test_readme_cli_examples_run(monkeypatch, capsys):
+    # every command the README documents must still parse and succeed
+    monkeypatch.delenv("FRACPOIS_CONFIG", raising=False)
+    lines = [ln for ln in README.read_text().splitlines() if ln.startswith("fracpois ")]
+    assert len(lines) >= 5
+    for line in lines:
+        code, out, err = run(capsys, *shlex.split(line)[1:])
+        assert (code, err) == (0, ""), line
+        assert out, line

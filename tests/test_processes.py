@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from fracpois.adm import SeriesControl
 from fracpois.errors import ConvergenceError, ParameterError
 from fracpois.processes import (
     FractionalParams,
@@ -321,7 +320,8 @@ class TestPmfTable:
 
     def test_ln_ck_built_a_few_times_per_table(self, monkeypatch):
         # the 50 x 26 sstfpp table shares one ln C_k table across its
-        # 1,300 probabilities and 50 tails
+        # 1,300 probabilities and 50 tails; normalization_residual's one
+        # row and tail share one too
         calls = []
 
         def counting(sp, k_max):
@@ -330,8 +330,13 @@ class TestPmfTable:
 
         monkeypatch.setattr("fracpois.processes.ck_log_coefficients", counting)
         params = FractionalParams(1.0, alpha=0.8, nu=0.6, beta=-0.5, gamma_p=0.1)
-        pmf_table(params, [0.1 * i for i in range(1, 51)], 25)
-        assert 1 <= len(calls) <= 8
+        for build in (
+            lambda: pmf_table(params, [0.1 * i for i in range(1, 51)], 25),
+            lambda: normalization_residual(params, 1.0, 25),
+        ):
+            calls.clear()
+            build()
+            assert 1 <= len(calls) <= 8
 
 
 class TestPgf:
