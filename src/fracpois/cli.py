@@ -31,7 +31,7 @@ from .processes import (
     waiting_survival,
 )
 from .saigo import SaigoParams, semigroup_counterexample
-from .simulate import chi_square_gof, empirical_pmf
+from .simulate import _chi_square, empirical_pmf
 
 VARIANTS = ("classical", "tfpp", "sfpp", "stfpp", "sstfpp")
 
@@ -337,9 +337,12 @@ def _cmd_verify(cfg: RunConfig) -> tuple[str, int]:
 def _cmd_simulate(cfg: RunConfig) -> tuple[str, int]:
     t = cfg.times[0]
     emp = empirical_pmf(cfg.params, t, cfg.samples, cfg.n_max, cfg.seed)
-    stat, pvalue, dof = chi_square_gof(emp)
+    table = pmf_table(cfg.params, [t], cfg.n_max)
+    # Too few samples (or too little spread) to pool two bins is a property
+    # of the draws, not a bad parameter: the histogram still prints.
+    stat, pvalue, dof = _chi_square(emp, table) or (None, None, None)
     rows = []
-    for n, closed in enumerate(pmf_table(cfg.params, [t], cfg.n_max).probs[0]):
+    for n, closed in enumerate(table.probs[0]):
         freq = emp.frequency(n)
         rows.append((n, freq, closed, abs(freq - closed)))
     if cfg.format == "json":
@@ -361,9 +364,12 @@ def _cmd_simulate(cfg: RunConfig) -> tuple[str, int]:
         return body + "\n", 0
     lines = ["n,empirical,closed_form,abs_diff"]
     lines += [f"{n},{_fmt(e)},{_fmt(c)},{_fmt(d)}" for n, e, c, d in rows]
-    lines.append(f"# chi_square={_fmt(stat)}")
-    lines.append(f"# p_value={_fmt(pvalue)}")
-    lines.append(f"# dof={dof}")
+    if dof is None:
+        lines.append("# chi_square=not computable (fewer than two usable bins)")
+    else:
+        lines.append(f"# chi_square={_fmt(stat)}")
+        lines.append(f"# p_value={_fmt(pvalue)}")
+        lines.append(f"# dof={dof}")
     return "\n".join(lines) + "\n", 0
 
 

@@ -19,9 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from scipy import integrate as _integrate
-from scipy import special as _special
-
 from .adm import PowerSeries, PowerTerm
 from .errors import ConvergenceError, ParameterError
 from .specfun import log_abs_gamma, log_gamma
@@ -154,6 +151,10 @@ def saigo_integral_quadrature(p: SaigoParams, rho: float, t: float) -> float:
     :func:`saigo_integral_power`, which is the point: it is the oracle side
     of that pair.
     """
+    # scipy is imported here, not at module level, so that importing fracpois
+    # (and every series command of the CLI) does not pay for it.
+    from scipy import integrate, special
+
     _check_integral_domain(p.alpha, p.beta, p.gamma_p, rho, "saigo_integral_quadrature")
     if not (t > 0.0 and math.isfinite(t)):
         raise ParameterError(f"saigo_integral_quadrature: t must be > 0, got {t!r}")
@@ -161,9 +162,9 @@ def saigo_integral_quadrature(p: SaigoParams, rho: float, t: float) -> float:
     a, b, g = p.alpha, p.beta, p.gamma_p
 
     def kernel(u: float) -> float:
-        return float(_special.hyp2f1(a + b, -g, a, u))
+        return float(special.hyp2f1(a + b, -g, a, u))
 
-    value, abserr = _integrate.quad(
+    value, abserr = integrate.quad(
         kernel, 0.0, 1.0, weight="alg", wvar=(a - 1.0, rho - 1.0),
         epsabs=1e-12, epsrel=1e-9, limit=200,
     )

@@ -10,18 +10,22 @@ e^{-t s^nu} -- plus a Poisson draw at the randomized intensity.
 Empirical histograms feed a chi-square comparison against the closed-form
 pmf, with the (possibly heavy) tail above the histogram range accounted for
 by the exact tail mass.
+
+numpy and scipy are imported inside the functions that use them, so that
+importing fracpois, which loads this module, stays free of both.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy import stats as _stats
+from typing import TYPE_CHECKING
 
 from .errors import ParameterError, UnsupportedVariantError
-from .processes import FractionalParams, pmf_table
+from .processes import FractionalParams, PmfTable, pmf_table
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Poisson intensities beyond this land every draw far above any histogram
 # range we use; clamping keeps the generator in its supported domain without
@@ -33,6 +37,8 @@ _MIN_EXPECTED = 5.0
 
 
 def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
+    import numpy as np
+
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
@@ -40,6 +46,8 @@ def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
 
 def _uniform_open(rng: np.random.Generator, size: int) -> np.ndarray:
     """Uniform draws on the open interval (0, 1)."""
+    import numpy as np
+
     u = rng.random(size)
     bad = u == 0.0
     while np.any(bad):
@@ -55,6 +63,8 @@ def _stable_standard(nu: float, rng: np.random.Generator, size: int) -> np.ndarr
         A = [sin(nu U) / sin(U)^{1/nu}] * [sin((1-nu) U) / E]^{(1-nu)/nu}
     with U uniform on (0, pi) and E unit exponential.
     """
+    import numpy as np
+
     U = _uniform_open(rng, size) * np.pi
     E = rng.exponential(1.0, size)
     ratio = np.sin(nu * U) / np.sin(U) ** (1.0 / nu)
@@ -104,6 +114,8 @@ def sample_inverse_stable(
 
 
 def _poisson_counts(rng: np.random.Generator, lam_eff: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     lam_eff = np.minimum(np.nan_to_num(lam_eff, posinf=_LAM_CLAMP), _LAM_CLAMP)
     return rng.poisson(lam_eff)
 
@@ -120,6 +132,8 @@ def sample_process(
     stfpp: N(D_nu(E_alpha(t))).  The Saigo variant has no subordination
     representation and is rejected.
     """
+    import numpy as np
+
     variant = params.variant
     if variant == "sstfpp":
         raise UnsupportedVariantError(
@@ -173,6 +187,8 @@ def empirical_pmf(
     n_max: int,
     seed: int | np.random.Generator,
 ) -> EmpiricalPmf:
+    import numpy as np
+
     if n_samples < 1:
         raise ParameterError(f"empirical_pmf: n_samples must be >= 1, got {n_samples}")
     if n_max < 0:
@@ -192,9 +208,17 @@ def chi_square_gof(emp: EmpiricalPmf) -> tuple[float, float, int]:
     Expected counts come from the variant's pmf, with the overflow bin given
     the exact tail mass above n_max.  Bins are pooled from the right until
     every bin's expected count reaches ``_MIN_EXPECTED``.  Returns
-    (statistic, p_value, degrees_of_freedom).
+    (statistic, p_value, degrees_of_freedom); raises ``ParameterError`` when
+    pooling leaves fewer than two bins.
     """
-    table = pmf_table(emp.params, [emp.t], emp.n_max)
+    result = _chi_square(emp, pmf_table(emp.params, [emp.t], emp.n_max))
+    if result is None:
+        raise ParameterError("chi_square_gof: fewer than two usable bins")
+    return result
+
+
+def _chi_square(emp: EmpiricalPmf, table: PmfTable) -> tuple[float, float, int] | None:
+    """``chi_square_gof`` against a prebuilt one-time ``table``; None below two bins."""
     expected = [q * emp.sample_count for q in table.probs[0] + table.tail_mass]
     observed = [float(c) for c in emp.counts] + [float(emp.overflow)]
 
@@ -214,9 +238,13 @@ def chi_square_gof(emp: EmpiricalPmf) -> tuple[float, float, int]:
             del exp[i], obs[i]
         i -= 1
     if len(exp) < 2:
-        raise ParameterError("chi_square_gof: fewer than two usable bins")
+        return None
 
     stat = sum((o - e) ** 2 / e for o, e in zip(obs, exp))
     dof = len(exp) - 1
-    pvalue = float(_stats.chi2.sf(stat, dof))
+    # The upper tail of the chi-square law; scipy.stats.chi2.sf calls the
+    # same function, and scipy.stats costs several times more to import.
+    from scipy.special import chdtrc
+
+    pvalue = float(chdtrc(dof, stat))
     return stat, pvalue, dof

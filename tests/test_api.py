@@ -2,11 +2,37 @@
 
 import importlib
 import importlib.util
+import json
+import os
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import fracpois
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
+
+# Run in a fresh interpreter: this one has numpy and scipy loaded already.
+HYGIENE_PROBE = """
+import json, sys
+import fracpois.cli
+tracer_modules = sorted(m for m in json.loads(sys.argv[1]) if m in sys.modules)
+import fracpois
+loaded = {}
+loaded["import"] = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+codes = [fracpois.cli.main(argv) for argv in json.loads(sys.argv[2])]
+loaded["run"] = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+print(json.dumps({"tracer_modules": tracer_modules, "codes": codes, "loaded": loaded}))
+"""
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
 
 
 def test_all_names_resolve():
@@ -16,9 +42,7 @@ def test_all_names_resolve():
 def test_traced_names_exist():
     # bench/tracer.py wraps these by (module, name); a deleted or renamed
     # function would otherwise only show up as a failed traced run
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_tracer()
     targets = [(module, name) for module, name, _ in tracer.SPAN_TARGETS]
     targets += [(module, name) for module, name, _ in tracer.COUNT_TARGETS]
     targets += [(module, f"{cls}.{method}") for module, cls, method in tracer.METHOD_TARGETS]
@@ -30,3 +54,36 @@ def test_traced_names_exist():
         if obj is None:
             missing.append(f"{module}.{dotted}")
     assert missing == []
+
+
+def test_series_commands_load_no_numpy_or_scipy():
+    # numpy and scipy belong to the samplers, the chi-square p-value and the
+    # quadrature oracle only; the tracer still finds every module it wraps
+    # after `import fracpois.cli` alone
+    tracer = load_tracer()
+    modules = {module for module, _, _ in tracer.SPAN_TARGETS}
+    modules |= {module for module, _, _ in tracer.METHOD_TARGETS}
+    for module, _, callers in tracer.COUNT_TARGETS:
+        modules |= {module, *callers}
+    readme = (ROOT / "README.md").read_text().splitlines()
+    examples = [
+        shlex.split(line)[1:] for line in readme
+        if line.startswith(("fracpois pmf ", "fracpois pgf ", "fracpois survival ",
+                            "fracpois verify "))
+    ]
+    assert sorted({argv[0] for argv in examples}) == ["pgf", "pmf", "survival", "verify"]
+
+    env = dict(os.environ)
+    env.pop("FRACPOIS_CONFIG", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", HYGIENE_PROBE, json.dumps(sorted(modules)), json.dumps(examples)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["tracer_modules"] == sorted(modules)
+    assert report["codes"] == [0] * len(examples)
+    assert report["loaded"] == {"import": [], "run": []}

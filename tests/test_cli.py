@@ -5,8 +5,16 @@ from pathlib import Path
 
 import pytest
 
+import fracpois.cli
+import fracpois.simulate
 from fracpois.cli import main
-from fracpois.processes import FractionalParams, pmf, pmf_tail_mass, sstfpp_pgf
+from fracpois.processes import (
+    FractionalParams,
+    pmf,
+    pmf_table,
+    pmf_tail_mass,
+    sstfpp_pgf,
+)
 
 CLASSICAL_PMF_GOLDEN = """\
 t,n,p,tail_mass
@@ -252,6 +260,47 @@ class TestSimulateCommand:
             "# chi_square", "# p_value", "# dof",
         ]
         assert float(footers[1].split("=")[1]) > 0.01
+
+    def test_closed_form_row_built_once(self, capsys, monkeypatch):
+        # the printed closed-form column and the chi-square share one table
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return pmf_table(*args)
+
+        monkeypatch.setattr(fracpois.cli, "pmf_table", counting)
+        monkeypatch.setattr(fracpois.simulate, "pmf_table", counting)
+        code, out, _ = run(
+            capsys, "simulate", "--variant", "tfpp", "--alpha", "0.6",
+            "--samples", "2000", "--seed", "42", "--n-max", "20",
+        )
+        assert code == 0
+        assert "# p_value=" in out
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--variant", "classical", "-t", "1", "--samples", "1"),
+            ("--variant", "tfpp", "--alpha", "0.5", "-t", "1e-300", "--samples", "100"),
+        ],
+        ids=["one-sample", "tiny-t"],
+    )
+    def test_chi_square_not_computable_still_prints(self, capsys, argv):
+        # legal input whose draws pool into one bin: histogram, exit 0
+        code, out, err = run(capsys, "simulate", *argv)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "n,empirical,closed_form,abs_diff"
+        assert [ln.split(",")[0] for ln in lines[1:-1]] == [str(n) for n in range(11)]
+        assert lines[-1] == "# chi_square=not computable (fewer than two usable bins)"
+
+        code, out, err = run(capsys, "simulate", *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert [row["n"] for row in doc["rows"]] == list(range(11))
+        assert (doc["chi_square"], doc["p_value"], doc["dof"]) == (None, None, None)
 
     def test_seed_changes_the_draws(self, capsys):
         base = ("simulate", "--variant", "classical", "-t", "1", "--samples", "5000")

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from fracpois.errors import ParameterError, UnsupportedVariantError
-from fracpois.processes import FractionalParams, pmf_tail_mass, waiting_survival
+from fracpois.processes import (
+    FractionalParams,
+    pmf_table,
+    pmf_tail_mass,
+    waiting_survival,
+)
 from fracpois.simulate import (
     EmpiricalPmf,
     chi_square_gof,
@@ -160,6 +165,32 @@ class TestChiSquare:
         emp = empirical_pmf(CLASSICAL, 1.0, 200, 30, 80)
         stat, pvalue, dof = chi_square_gof(emp)
         assert dof >= 1 and math.isfinite(stat)
+
+    def test_fewer_than_two_bins_rejected(self):
+        emp = empirical_pmf(CLASSICAL, 1.0, 1, 10, 2)
+        with pytest.raises(ParameterError, match="fewer than two usable bins"):
+            chi_square_gof(emp)
+
+    def test_p_value_matches_scipy_stats(self):
+        # the p-value is scipy.special.chdtrc; scipy.stats is the oracle
+        from scipy import stats
+
+        seen_dof = set()
+        for lam in (1.0, 4.0, 8.0):
+            params = FractionalParams(lam)
+            table = pmf_table(params, [1.0], 30)
+            base = [round(q * 100_000) for q in table.probs[0]]
+            mode = base.index(max(base))
+            base[mode] += 100_000 - sum(base)  # no overflow
+            for shift in (0, 30, 100, 300, 1000, 3000, 10_000):
+                counts = base[:]
+                counts[mode] -= shift
+                counts[mode + 1] += shift
+                emp = EmpiricalPmf(params, 1.0, 30, 100_000, tuple(counts), 0)
+                stat, pvalue, dof = chi_square_gof(emp)
+                seen_dof.add(dof)
+                assert pvalue == float(stats.chi2.sf(stat, dof)), (lam, shift)
+        assert len(seen_dof) == 3
 
     def test_tail_bin_uses_exact_mass(self):
         # with n_max = 0 everything beyond 0 is the overflow bin, whose
