@@ -25,6 +25,14 @@ the tail is instead computed exactly from partial sums of the generalized
 binomial series (see :func:`pmf_tail_mass`), which is what makes the
 normalization checks meaningful.
 
+Only k ln x in a term depends on the time; the rest of each term (the sign,
+ln C_k, ln Gamma(1 - k beta) and ln|f_k|) is kept per series key and k in a
+:class:`_SeriesTerms` object.  :func:`pmf_table` shares one across its
+times x states grid and its tails, so that work runs once per table; the
+single-value entry points build a fresh one per call.  A term is formed
+from the same floats in the same order whether its entry was just filled
+or read back, so sharing the cache changes no bit of any result.
+
 Every series stops by one fixed rule (``SERIES_TOL`` and ``TERM_CAP`` in
 :mod:`fracpois.specfun`); the only truncation a caller chooses is the
 decomposition order ``k_trunc``/``max_k`` of the cross-checks below.
@@ -124,31 +132,60 @@ def _check_state(t: float, n: int) -> None:
         raise ParameterError(f"state index must be >= 0, got {n}")
 
 
-class _LogCk:
-    """ln C_k for k = 0, 1, ... of one parameter set, built on demand.
+# The first ln C_k build covers k = 0 .. LNCK_FIRST_BUILD, after which the
+# table doubles.  On the benchmark's grid-table and lattice-sweep decks half
+# or more of the pmf series and every pgf series stop by k = 32, so one
+# build serves them where doubling up from one entry takes up to five.
+LNCK_FIRST_BUILD = 32
 
-    Off the sstfpp variant beta = -alpha makes every factor of the product
-    Gamma(1+g+j a)/Gamma(1+g+j a), so C_k is exactly 1 there and every
-    entry is 0.0.  Growth doubles the table, so a series that needs K terms
-    rebuilds it O(log K) times; sharing one table across a pmf_table keeps
-    the rebuilds to a handful per table.
+
+class _SeriesTerms:
+    """The time-independent part of every series term of one parameter set.
+
+    Term k of a series is sign_k exp(ln C_k + k ln x - ln Gamma(1 - k beta)
+    + ln|f_k| - s): only k ln x depends on the time.  Each series key (state
+    n, ("tail", N), or "pgf") owns a row that grows on demand; entry k is
+    (sign of f_k times (-1)^k, ln C_k, ln Gamma(1 - k beta), ln|f_k|), or
+    None where f_k vanishes at a gamma pole.  A pmf_table shares one object,
+    so the factor callables, the gamma functions and the tail's O(N) product
+    run once per key and k instead of once per time.  An entry holds the
+    same floats as forming term k afresh, and _saigo_series combines them in
+    the same order, so a cached term is bit-identical to a fresh one.
+
+    ln C_k is 0.0 off the sstfpp variant (beta = -alpha makes every factor of
+    the product Gamma(1+g+j a)/Gamma(1+g+j a)); on sstfpp its table is built
+    to LNCK_FIRST_BUILD and then doubled, entry k of the cumulative product
+    being the same whatever length it is built to.
     """
 
     def __init__(self, params: FractionalParams) -> None:
+        self.beta = params.beta
         self.saigo = params.saigo() if params.variant == "sstfpp" else None
-        self.values = [0.0]
+        self.lnck = [0.0]
+        self.rows: dict[object, list[tuple[float, float, float, float] | None]] = {}
 
-    def __getitem__(self, k: int) -> float:
-        if k >= len(self.values):
+    def log_ck(self, k: int) -> float:
+        if k >= len(self.lnck):
             if self.saigo is None:
                 return 0.0
-            self.values = ck_log_coefficients(self.saigo, max(2 * len(self.values), k + 1))
-        return self.values[k]
+            k_max = max(2 * len(self.lnck), k + 1, LNCK_FIRST_BUILD)
+            self.lnck = ck_log_coefficients(self.saigo, k_max)
+        return self.lnck[k]
+
+    def extend(self, row: list, factor: Callable[[int], tuple[float, float]]) -> None:
+        """Append entry k = len(row), calling factor(k) for the first time."""
+        k = len(row)
+        sign, lf = factor(k)
+        if sign == 0.0:
+            row.append(None)
+        else:
+            row.append((-sign if k % 2 else sign, self.log_ck(k),
+                        math.lgamma(1.0 - k * self.beta), lf))
 
 
 def _saigo_series(
-    params: FractionalParams,
-    lnck: _LogCk,
+    terms: _SeriesTerms,
+    key: object,
     x: float,
     factor: Callable[[int], tuple[float, float]],
     s: float,
@@ -158,13 +195,15 @@ def _saigo_series(
     """sum_k C_k (-x)^k / Gamma(1 - k beta) * f_k / e^s, the one k-series.
 
     factor(k) returns (sign, ln|f_k|) of the caller's k-dependent factor;
-    a zero sign drops the term (gamma poles).  Terms are formed in
-    log-magnitude/sign form, so huge gamma ratios never overflow, and summed
-    with compensation.  The stop requires two consecutive terms at most
-    SERIES_TOL * max(1, |partial sum|) past k_min: single terms can vanish
-    exactly at gamma poles, but (for nu < 1) two consecutive pole zeros are
-    impossible, so a pair of small terms really does mean the
-    superexponential decay regime has begun.  x = 0 (t = 0, or t^(-beta) underflowed) leaves the k = 0 term.
+    a zero sign drops the term (gamma poles).  It is called only for the
+    entries of key's row in terms that no earlier series has filled.  Terms
+    are formed in log-magnitude/sign form, so huge gamma ratios never
+    overflow, and summed with compensation.  The stop requires two
+    consecutive terms at most SERIES_TOL * max(1, |partial sum|) past k_min:
+    single terms can vanish exactly at gamma poles, but (for nu < 1) two
+    consecutive pole zeros are impossible, so a pair of small terms really
+    does mean the superexponential decay regime has begun.  x = 0 (t = 0, or
+    t^(-beta) underflowed) leaves the k = 0 term.
     """
     if x > ARG_GUARD:
         raise ConvergenceError(
@@ -175,19 +214,26 @@ def _saigo_series(
         sign, lf = factor(0)
         return sign * math.exp(lf - s)
     lx = math.log(x)
-    b = params.beta
+    row = terms.rows.setdefault(key, [])
     total, comp = 0.0, 0.0
     prev = math.inf
     for k in range(TERM_CAP):
-        sign, lf = factor(k)
-        if sign != 0.0:
-            logmag = lnck[k] + k * lx - math.lgamma(1.0 - k * b) + lf - s
+        if k == len(row):
+            terms.extend(row, factor)
+        entry = row[k]
+        if entry is not None:
+            sign, lnck, lg, lf = entry
+            logmag = lnck + k * lx - lg + lf - s
             if logmag > LOG_HUGE:
                 raise ConvergenceError(f"{label}: series term overflow at k = {k}")
-            value = (-sign if k % 2 else sign) * math.exp(logmag)
+            value = sign * math.exp(logmag)
         else:
             value = 0.0
-        total, comp = _kahan_add(total, comp, value)
+        # _kahan_add inlined: this loop runs once per term of every series
+        y = value - comp
+        moved = total + y
+        comp = (moved - total) - y
+        total = moved
         mag = abs(value)
         if k >= k_min:
             bound = SERIES_TOL * max(1.0, abs(total))
@@ -208,7 +254,7 @@ def poisson_pmf(lam: float, t: float, n: int) -> float:
     return math.exp(n * math.log(m) - m - math.lgamma(n + 1.0))
 
 
-def _pmf(params: FractionalParams, lnck: _LogCk, t: float, n: int) -> float:
+def _pmf(params: FractionalParams, terms: _SeriesTerms, t: float, n: int) -> float:
     if params.variant == "classical":
         return poisson_pmf(params.lam, t, n)
     _check_state(t, n)
@@ -223,7 +269,7 @@ def _pmf(params: FractionalParams, lnck: _LogCk, t: float, n: int) -> float:
         return sign_n * sign, math.lgamma(k * nu + 1.0) - l
 
     x = params.lam ** nu * t ** (-params.beta)
-    return _saigo_series(params, lnck, x, state_factor, math.lgamma(n + 1.0),
+    return _saigo_series(terms, n, x, state_factor, math.lgamma(n + 1.0),
                          int(n / nu) + 2, "pmf")
 
 
@@ -231,10 +277,10 @@ def pmf(params: FractionalParams, t: float, n: int) -> float:
     """State probability p_n(t): the Poisson pmf on the classical variant,
     (-1)^n/n! sum_k C_k (-lam^nu t^{-b})^k/G(1-k b) * G(k nu+1)/G(k nu+1-n)
     on every other, with C_k = 1 exactly unless the variant is sstfpp."""
-    return _pmf(params, _LogCk(params), t, n)
+    return _pmf(params, _SeriesTerms(params), t, n)
 
 
-def _tail_mass(params: FractionalParams, lnck: _LogCk, t: float, n_max: int) -> float:
+def _tail_mass(params: FractionalParams, terms: _SeriesTerms, t: float, n_max: int) -> float:
     _check_state(t, 0)
     if n_max < 0:
         raise ParameterError(f"pmf_tail_mass: n_max must be >= 0, got {n_max}")
@@ -257,8 +303,8 @@ def _tail_mass(params: FractionalParams, lnck: _LogCk, t: float, n_max: int) -> 
         return -sign_p, log_p
 
     x = params.lam ** nu * t ** (-params.beta)
-    return _saigo_series(params, lnck, x, binomial_factor, math.lgamma(n_max + 1.0),
-                         int(n_max / nu) + 2, "pmf_tail_mass")
+    return _saigo_series(terms, ("tail", n_max), x, binomial_factor,
+                         math.lgamma(n_max + 1.0), int(n_max / nu) + 2, "pmf_tail_mass")
 
 
 def pmf_tail_mass(params: FractionalParams, t: float, n_max: int) -> float:
@@ -275,7 +321,7 @@ def pmf_tail_mass(params: FractionalParams, t: float, n_max: int) -> float:
     space-fractional variants (whose state tails decay like N^{-k nu}) get
     an honest tail figure without summing billions of states.
     """
-    return _tail_mass(params, _LogCk(params), t, n_max)
+    return _tail_mass(params, _SeriesTerms(params), t, n_max)
 
 
 @dataclass(frozen=True)
@@ -290,13 +336,13 @@ class PmfTable:
 
 
 def pmf_table(params: FractionalParams, times: Sequence[float], n_max: int) -> PmfTable:
-    """pmf and pmf_tail_mass over times x states, sharing one ln C_k table."""
-    lnck = _LogCk(params)
+    """pmf and pmf_tail_mass over times x states, sharing one term cache."""
+    terms = _SeriesTerms(params)
     probs = []
     tails = []
     for t in times:
-        probs.append(tuple(_pmf(params, lnck, t, n) for n in range(n_max + 1)))
-        tails.append(_tail_mass(params, lnck, t, n_max))
+        probs.append(tuple(_pmf(params, terms, t, n) for n in range(n_max + 1)))
+        tails.append(_tail_mass(params, terms, t, n_max))
     return PmfTable(params, tuple(times), n_max, tuple(probs), tuple(tails))
 
 
@@ -351,7 +397,7 @@ def sstfpp_pgf(params: FractionalParams, u: float, t: float) -> float:
     _check_state(t, 0)
     nu = params.nu
     x = params.lam ** nu * (1.0 - u) ** nu * t ** (-params.beta)
-    return _saigo_series(params, _LogCk(params), x, lambda k: (1.0, 0.0), 0.0, 2,
+    return _saigo_series(_SeriesTerms(params), "pgf", x, lambda k: (1.0, 0.0), 0.0, 2,
                          "sstfpp_pgf")
 
 

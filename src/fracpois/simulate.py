@@ -173,6 +173,16 @@ class EmpiricalPmf:
     overflow: int
 
     def __post_init__(self) -> None:
+        if self.sample_count < 1:
+            raise ParameterError(
+                f"EmpiricalPmf: sample_count must be >= 1, got {self.sample_count}"
+            )
+        if len(self.counts) != self.n_max + 1:
+            raise ParameterError(
+                f"EmpiricalPmf: {len(self.counts)} counts for states 0..{self.n_max}"
+            )
+        if min(self.counts, default=0) < 0 or self.overflow < 0:
+            raise ParameterError("EmpiricalPmf: counts and overflow must be >= 0")
         if sum(self.counts) + self.overflow != self.sample_count:
             raise ParameterError("EmpiricalPmf: counts + overflow must equal sample_count")
 

@@ -23,7 +23,7 @@ from fracpois.processes import (
     waiting_survival,
 )
 from fracpois.saigo import ck_log_coefficients
-from fracpois.specfun import mittag_leffler
+from fracpois.specfun import log_abs_gamma, mittag_leffler
 from oracles import sfpp_pmf, sstfpp_pmf, stfpp_pmf, tfpp_pmf
 
 # Reference parameter points reused across tests.
@@ -33,6 +33,9 @@ TFPP = FractionalParams(1.3, alpha=0.6)
 SFPP = FractionalParams(1.0, nu=0.5, beta=-1.0)
 # beta = -alpha with gamma != 0: C_k = 1 whatever gamma is
 RL_GAMMA = FractionalParams(1.0, alpha=0.7, nu=0.6, beta=-0.7, gamma_p=0.4)
+CLASSICAL = FractionalParams(1.0)
+# nu = 0.5: Gamma(k nu + 1 - n) has poles at even k < 2n, so p_n skips terms
+NU_HALF = FractionalParams(1.0, alpha=0.8, nu=0.5, beta=-0.6, gamma_p=0.2)
 
 
 class TestFractionalParams:
@@ -304,19 +307,64 @@ class TestNormalization:
 
 class TestPmfTable:
     def test_shape_and_consistency(self):
-        times = [0.0, 0.5, 1.0]
-        for params in (SSTFPP, RL_GAMMA):
+        # t = 0, a repeated time (its series reuse the cached rows), and
+        # t = 1e-300, where t^1.5 underflows and x = 0 for the last set;
+        # NU_HALF's state factor has pole zeros, so its rows hold gaps
+        times = [0.0, 0.5, 1.0, 0.5, 1e-300]
+        beta_15 = FractionalParams(1.0, alpha=0.8, nu=0.6, beta=-1.5, gamma_p=0.1)
+        for params in (SSTFPP, RL_GAMMA, CLASSICAL, TFPP, SFPP, STFPP, NU_HALF, beta_15):
             table = pmf_table(params, times, 6)
-            assert table.times == (0.0, 0.5, 1.0)
-            assert len(table.probs) == 3
+            assert table.times == tuple(times)
+            assert len(table.probs) == len(times)
             assert all(len(row) == 7 for row in table.probs)
             assert table.probs[0] == (1.0,) + (0.0,) * 6
             assert table.tail_mass[0] == 0.0
+            assert table.probs[3] == table.probs[1]
+            assert table.tail_mass[3] == table.tail_mass[1]
             for t, row, tail in zip(times, table.probs, table.tail_mass):
                 assert row == tuple(pmf(params, t, n) for n in range(7))
                 assert tail == pmf_tail_mass(params, t, 6)
             for row, tail in zip(table.probs[1:], table.tail_mass[1:]):
                 assert sum(row) + tail == pytest.approx(1.0, abs=1e-9)
+        assert pmf_table(beta_15, [1e-300], 6).probs[0] == (1.0,) + (0.0,) * 6
+
+    def test_log_abs_gamma_calls_independent_of_time_count(self, monkeypatch):
+        # the state factor's gamma ratio is filled once per (state, k) of a
+        # table, whatever the number of times that read it
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return log_abs_gamma(x)
+
+        monkeypatch.setattr("fracpois.processes.log_abs_gamma", counting)
+        for params in (TFPP, SSTFPP):
+            calls.clear()
+            pmf_table(params, [1.0], 25)
+            once = len(calls)
+            calls.clear()
+            pmf_table(params, [1.0] * 50, 25)
+            assert once > 0
+            assert len(calls) == once
+
+    def test_argument_guard_in_a_later_time(self):
+        with pytest.raises(ConvergenceError) as exc:
+            pmf_table(TFPP, [0.5, 1.0, 1e6], 8)
+        assert str(exc.value) == (
+            "pmf: series argument 5175.39 exceeds 30.0; "
+            "double-precision cancellation would destroy the result"
+        )
+
+    def test_inadmissible_gamma_rejected(self):
+        # alpha = 0.8, beta = -0.5, gamma = -1.5: Gamma(1 + g - b) has
+        # argument 0 at j = 1; t = 0 needs no C_k, so the first row passes
+        bad = FractionalParams(1.0, alpha=0.8, nu=0.6, beta=-0.5, gamma_p=-1.5)
+        with pytest.raises(ParameterError) as exc:
+            pmf_table(bad, [0.0, 1.0], 5)
+        assert str(exc.value) == (
+            "ck_log_coefficients: gamma argument <= 0 at j = 1 "
+            "(num = 0.0, den = 0.30000000000000004); gamma_p out of admissible range"
+        )
 
     def test_ln_ck_built_a_few_times_per_table(self, monkeypatch):
         # the 50 x 26 sstfpp table shares one ln C_k table across its

@@ -131,6 +131,16 @@ class TestEmpiricalPmf:
     def test_invariant_enforced(self):
         with pytest.raises(ParameterError):
             EmpiricalPmf(STFPP, 1.0, 2, 100, (50, 30, 10), 5)
+        # each of these sums to its sample count: (n_max, samples, counts, overflow)
+        for n_max, sample_count, counts, overflow in (
+            (1, 10, (12, -2), 0),        # negative count
+            (1, 10, (6, 6), -2),         # negative overflow
+            (2, 10, (5, 3), 2),          # 2 counts for states 0..2
+            (2, 10, (5, 3, 1, 1), 0),    # 4 counts for states 0..2
+            (2, 0, (0, 0, 0), 0),        # no samples
+        ):
+            with pytest.raises(ParameterError):
+                EmpiricalPmf(STFPP, 1.0, n_max, sample_count, counts, overflow)
 
     def test_single_sample(self):
         emp = empirical_pmf(CLASSICAL, 1.0, 1, 3, 2)
