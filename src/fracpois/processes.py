@@ -27,11 +27,17 @@ normalization checks meaningful.
 
 Only k ln x in a term depends on the time; the rest of each term (the sign,
 ln C_k, ln Gamma(1 - k beta) and ln|f_k|) is kept per series key and k in a
-:class:`_SeriesTerms` object.  :func:`pmf_table` shares one across its
-times x states grid and its tails, so that work runs once per table; the
-single-value entry points build a fresh one per call.  A term is formed
-from the same floats in the same order whether its entry was just filled
-or read back, so sharing the cache changes no bit of any result.
+:class:`_SeriesTerms` object.  Each :class:`FractionalParams` owns one,
+created on first use, and every entry point evaluated on it (:func:`pmf`,
+:func:`pmf_tail_mass`, :func:`sstfpp_pgf`, :func:`waiting_survival` and
+:func:`pmf_table`) shares it, so that work runs once per parameter set.  The
+cache lives and dies with the params object; it grows with the set of
+states, tail cut-offs and the pgf evaluated on that object, one row each.
+It needs no lock: every store writes the value any thread would compute for
+that slot, and no list a reader holds ever shrinks (see
+:class:`_SeriesTerms`).  A term is formed from the same floats in the same
+order whether its entry was just filled or read back, so sharing the cache
+changes no bit of any result.
 
 Every series stops by one fixed rule (``SERIES_TOL`` and ``TERM_CAP`` in
 :mod:`fracpois.specfun`); the only truncation a caller chooses is the
@@ -41,7 +47,9 @@ decomposition order ``k_trunc``/``max_k`` of the cross-checks below.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .adm import (
@@ -82,6 +90,14 @@ class FractionalParams:
 
     ``beta`` defaults to -alpha, which selects the space-time-fractional
     sub-family; ``gamma_p`` only matters when beta != -alpha.
+
+    Each instance owns one term cache (``_terms``, a :class:`_SeriesTerms`)
+    that the series entry points evaluated on it share.  It is created on
+    first use, lives and dies with the instance, and is no part of its
+    equality, hash or repr; ``dataclasses.replace`` starts a fresh one.  It
+    grows with the set of states, tail cut-offs and the pgf evaluated on the
+    instance.  It needs no lock, because concurrent fills only repeat work
+    and store equal values (see :class:`_SeriesTerms`).
     """
 
     lam: float
@@ -95,8 +111,10 @@ class FractionalParams:
             object.__setattr__(self, "beta", -self.alpha)
         for name in ("lam", "alpha", "nu", "beta", "gamma_p"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise ParameterError(f"FractionalParams: {name} must be finite, got {v!r}")
+            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v)):
+                raise ParameterError(
+                    f"FractionalParams: {name} must be a finite real number, got {v!r}"
+                )
         if self.lam <= 0.0:
             raise ParameterError(f"FractionalParams: lambda must be > 0, got {self.lam}")
         if not (0.0 < self.alpha <= 1.0):
@@ -124,12 +142,29 @@ class FractionalParams:
     def saigo(self) -> SaigoParams:
         return SaigoParams(self.alpha, self.beta, self.gamma_p)
 
+    @cached_property
+    def _terms(self) -> _SeriesTerms:
+        return _SeriesTerms(self)
 
-def _check_state(t: float, n: int) -> None:
+
+def _index(value: object, name: str) -> int:
+    """value as an int >= 0; anything with __index__ (numpy ints) passes."""
+    try:
+        i = operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if i < 0:
+        raise ParameterError(f"{name} must be >= 0, got {i}")
+    return i
+
+
+def _check_state(t: float, n: int) -> int:
+    """Check the time and return the state index n as an int."""
     if not (math.isfinite(t) and t >= 0.0):
         raise ParameterError(f"t must be finite and >= 0, got {t!r}")
-    if n < 0:
-        raise ParameterError(f"state index must be >= 0, got {n}")
+    if type(n) is int and n >= 0:  # the common case, without a call
+        return n
+    return _index(n, "state index")
 
 
 # The first ln C_k build covers k = 0 .. LNCK_FIRST_BUILD, after which the
@@ -143,100 +178,141 @@ class _SeriesTerms:
     """The time-independent part of every series term of one parameter set.
 
     Term k of a series is sign_k exp(ln C_k + k ln x - ln Gamma(1 - k beta)
-    + ln|f_k| - s): only k ln x depends on the time.  Each series key (state
-    n, ("tail", N), or "pgf") owns a row that grows on demand; entry k is
-    (sign of f_k times (-1)^k, ln C_k, ln Gamma(1 - k beta), ln|f_k|), or
-    None where f_k vanishes at a gamma pole.  A pmf_table shares one object,
-    so the factor callables, the gamma functions and the tail's O(N) product
-    run once per key and k instead of once per time.  An entry holds the
-    same floats as forming term k afresh, and _saigo_series combines them in
-    the same order, so a cached term is bit-identical to a fresh one.
+    + ln|f_k| - s): only k ln x depends on the time.  The values no series
+    key changes are kept once per k in ``per_k``: (ln C_k,
+    ln Gamma(1 - k beta), ln Gamma(k nu + 1)), the last being the numerator
+    of the state factor.  Each series key (state n, ("tail", N), or "pgf")
+    owns a row that grows on demand and holds, flat at row[2k] and
+    row[2k+1], the sign of f_k times (-1)^k (0.0 where f_k vanishes at a
+    gamma pole) and ln|f_k|.  Filling an entry runs only the key's own
+    factor (for a state, one log_abs_gamma(k nu + 1 - n)); the flat pairs
+    keep a row to two list slots and one float per k.  The cached values
+    are the same floats as forming term k afresh, and _saigo_series
+    combines them in the same order, so a cached term is bit-identical to a
+    fresh one.
 
     ln C_k is 0.0 off the sstfpp variant (beta = -alpha makes every factor of
     the product Gamma(1+g+j a)/Gamma(1+g+j a)); on sstfpp its table is built
     to LNCK_FIRST_BUILD and then doubled, entry k of the cumulative product
     being the same whatever length it is built to.
+
+    One object is the ``_terms`` of one FractionalParams and lives as long as
+    it does.  It holds one row per key evaluated on it, each as long as the
+    longest series of that key so far, and ``per_k`` as long as the longest
+    row.  Threads share it without a lock.  Rows and ``per_k`` are filled by
+    slice stores, ``row[2k:2k+2] = [sign, lf]`` and ``per_k[k:k+1] =
+    [entry]``, which append when k is at the end and otherwise overwrite
+    the equal values another thread stored first (an append would put a
+    late duplicate at the wrong k).  The ln C_k table is replaced whole and
+    read through a local, so a racing rebuild to a shorter length can cost
+    a rebuild but never shrinks a list under a reader.  A race can only
+    repeat work; it never changes a value.
     """
 
     def __init__(self, params: FractionalParams) -> None:
         self.beta = params.beta
+        self.nu = params.nu
         self.saigo = params.saigo() if params.variant == "sstfpp" else None
         self.lnck = [0.0]
-        self.rows: dict[object, list[tuple[float, float, float, float] | None]] = {}
+        self.per_k: list[tuple[float, float, float]] = []
+        self.rows: dict[object, list[float]] = {}
 
     def log_ck(self, k: int) -> float:
-        if k >= len(self.lnck):
+        lnck = self.lnck
+        if k >= len(lnck):
             if self.saigo is None:
                 return 0.0
-            k_max = max(2 * len(self.lnck), k + 1, LNCK_FIRST_BUILD)
-            self.lnck = ck_log_coefficients(self.saigo, k_max)
-        return self.lnck[k]
+            k_max = max(2 * len(lnck), k + 1, LNCK_FIRST_BUILD)
+            lnck = ck_log_coefficients(self.saigo, k_max)
+            self.lnck = lnck
+        return lnck[k]
 
-    def extend(self, row: list, factor: Callable[[int], tuple[float, float]]) -> None:
-        """Append entry k = len(row), calling factor(k) for the first time."""
-        k = len(row)
-        sign, lf = factor(k)
-        if sign == 0.0:
-            row.append(None)
-        else:
-            row.append((-sign if k % 2 else sign, self.log_ck(k),
-                        math.lgamma(1.0 - k * self.beta), lf))
+    def shared(self, k: int) -> tuple[float, float, float]:
+        """(ln C_k, ln Gamma(1 - k beta), ln Gamma(k nu + 1)), filled up to k."""
+        per_k = self.per_k
+        while k >= len(per_k):
+            j = len(per_k)
+            per_k[j:j + 1] = [(self.log_ck(j), math.lgamma(1.0 - j * self.beta),
+                               math.lgamma(j * self.nu + 1.0))]
+        return per_k[k]
+
+    def extend(
+        self, row: list[float], k: int, factor: Callable[[int, float], tuple[float, float]]
+    ) -> None:
+        """Store entry k of row, calling factor(k, ln Gamma(k nu + 1))."""
+        sign, lf = factor(k, self.shared(k)[2])
+        if sign != 0.0:
+            # (-1)^k folded in, as one of two constants, not a new float
+            sign = 1.0 if (sign > 0.0) == (k % 2 == 0) else -1.0
+        row[2 * k:2 * k + 2] = [sign, lf]
+
+
+def _argument_error(x: float, label: str) -> ConvergenceError:
+    """The refusal of a series argument x > ARG_GUARD."""
+    return ConvergenceError(
+        f"{label}: series argument {x:.6g} exceeds {ARG_GUARD}; "
+        "double-precision cancellation would destroy the result"
+    )
 
 
 def _saigo_series(
     terms: _SeriesTerms,
     key: object,
     x: float,
-    factor: Callable[[int], tuple[float, float]],
+    factor: Callable[[int, float], tuple[float, float]],
     s: float,
     k_min: int,
     label: str,
 ) -> float:
     """sum_k C_k (-x)^k / Gamma(1 - k beta) * f_k / e^s, the one k-series.
 
-    factor(k) returns (sign, ln|f_k|) of the caller's k-dependent factor;
-    a zero sign drops the term (gamma poles).  It is called only for the
-    entries of key's row in terms that no earlier series has filled.  Terms
-    are formed in log-magnitude/sign form, so huge gamma ratios never
-    overflow, and summed with compensation.  The stop requires two
-    consecutive terms at most SERIES_TOL * max(1, |partial sum|) past k_min:
-    single terms can vanish exactly at gamma poles, but (for nu < 1) two
-    consecutive pole zeros are impossible, so a pair of small terms really
-    does mean the superexponential decay regime has begun.  x = 0 (t = 0, or
-    t^(-beta) underflowed) leaves the k = 0 term.
+    factor(k, ln Gamma(k nu + 1)) returns (sign, ln|f_k|) of the caller's
+    k-dependent factor; a zero sign drops the term (gamma poles).  It is
+    called only for the entries of key's row in terms that no earlier series
+    has filled.  Terms are formed in log-magnitude/sign form, so huge gamma
+    ratios never overflow, and summed with compensation.  The stop requires
+    two consecutive terms at most SERIES_TOL * max(1, |partial sum|) past
+    k_min: single terms can vanish exactly at gamma poles, but (for nu < 1)
+    two consecutive pole zeros are impossible, so a pair of small terms
+    really does mean the superexponential decay regime has begun.  x = 0
+    (t = 0, or t^(-beta) underflowed) leaves the k = 0 term.
     """
     if x > ARG_GUARD:
-        raise ConvergenceError(
-            f"{label}: series argument {x:.6g} exceeds {ARG_GUARD}; "
-            "double-precision cancellation would destroy the result"
-        )
+        raise _argument_error(x, label)
     if x == 0.0:
-        sign, lf = factor(0)
+        sign, lf = factor(0, 0.0)
         return sign * math.exp(lf - s)
     lx = math.log(x)
-    row = terms.rows.setdefault(key, [])
+    row = terms.rows.get(key)
+    if row is None:  # setdefault alone would build a list per call
+        row = terms.rows.setdefault(key, [])
+    per_k = terms.per_k
+    filled = len(row)  # rows only grow, so entries below it stay
     total, comp = 0.0, 0.0
     prev = math.inf
     for k in range(TERM_CAP):
-        if k == len(row):
-            terms.extend(row, factor)
-        entry = row[k]
-        if entry is not None:
-            sign, lnck, lg, lf = entry
-            logmag = lnck + k * lx - lg + lf - s
+        j = 2 * k
+        if j >= filled:
+            terms.extend(row, k, factor)
+            filled = len(row)
+        sign = row[j]
+        if sign != 0.0:
+            lnck, lg, _ = per_k[k]
+            logmag = lnck + k * lx - lg + row[j + 1] - s
             if logmag > LOG_HUGE:
                 raise ConvergenceError(f"{label}: series term overflow at k = {k}")
-            value = sign * math.exp(logmag)
+            mag = math.exp(logmag)
+            value = mag if sign > 0.0 else -mag  # sign * mag, exactly
         else:
-            value = 0.0
+            value = mag = 0.0
         # _kahan_add inlined: this loop runs once per term of every series
         y = value - comp
         moved = total + y
         comp = (moved - total) - y
         total = moved
-        mag = abs(value)
         if k >= k_min:
-            bound = SERIES_TOL * max(1.0, abs(total))
+            size = abs(total)  # bound = SERIES_TOL * max(1, size), without the call
+            bound = SERIES_TOL * size if size > 1.0 else SERIES_TOL
             if mag <= bound and prev <= bound:
                 return total
         prev = mag
@@ -247,29 +323,51 @@ def poisson_pmf(lam: float, t: float, n: int) -> float:
     """Classical Poisson pmf e^{-lam t} (lam t)^n / n!, in log space."""
     if lam <= 0.0:
         raise ParameterError(f"poisson_pmf: lambda must be > 0, got {lam}")
-    _check_state(t, n)
+    n = _check_state(t, n)
     if t == 0.0:
         return 1.0 if n == 0 else 0.0
     m = lam * t
     return math.exp(n * math.log(m) - m - math.lgamma(n + 1.0))
 
 
-def _pmf(params: FractionalParams, terms: _SeriesTerms, t: float, n: int) -> float:
+def _poisson_tail(m: float, n_max: int) -> float:
+    """sum_{n > n_max} e^{-m} m^n / n!, summed upward over positive terms.
+
+    m^n / n! is formed as a product of ratios m / j, which keeps it within
+    a few ulps where exp of its logarithm would lose the log's absolute
+    error; e^{-m} multiplies the sum once.  Past n = 2m each term is at most
+    half the one before, so the rest of the sum is below the last term,
+    which the loop runs on until it is below a quarter ulp of the sum.
+    """
+    term = 1.0
+    for j in range(1, n_max + 2):
+        term *= m / j
+    total, comp = 0.0, 0.0
+    n = n_max + 1
+    while True:
+        total, comp = _kahan_add(total, comp, term)
+        n += 1
+        term *= m / n
+        if n >= 2.0 * m and term <= math.ulp(total) / 4.0:
+            return math.exp(-m) * total
+
+
+def _pmf(params: FractionalParams, t: float, n: int) -> float:
     if params.variant == "classical":
         return poisson_pmf(params.lam, t, n)
-    _check_state(t, n)
+    n = _check_state(t, n)
     nu = params.nu
     sign_n = -1.0 if n % 2 else 1.0
 
-    def state_factor(k: int) -> tuple[float, float]:
+    def state_factor(k: int, lgk: float) -> tuple[float, float]:
         # (-1)^n Gamma(k nu + 1) / Gamma(k nu + 1 - n), zero at the poles
         sign, l = log_abs_gamma(k * nu + 1.0 - n)
         if sign == 0.0:
             return 0.0, -math.inf
-        return sign_n * sign, math.lgamma(k * nu + 1.0) - l
+        return sign_n * sign, lgk - l
 
     x = params.lam ** nu * t ** (-params.beta)
-    return _saigo_series(terms, n, x, state_factor, math.lgamma(n + 1.0),
+    return _saigo_series(params._terms, n, x, state_factor, math.lgamma(n + 1.0),
                          int(n / nu) + 2, "pmf")
 
 
@@ -277,16 +375,20 @@ def pmf(params: FractionalParams, t: float, n: int) -> float:
     """State probability p_n(t): the Poisson pmf on the classical variant,
     (-1)^n/n! sum_k C_k (-lam^nu t^{-b})^k/G(1-k b) * G(k nu+1)/G(k nu+1-n)
     on every other, with C_k = 1 exactly unless the variant is sstfpp."""
-    return _pmf(params, _SeriesTerms(params), t, n)
+    return _pmf(params, t, n)
 
 
-def _tail_mass(params: FractionalParams, terms: _SeriesTerms, t: float, n_max: int) -> float:
+def _tail_mass(params: FractionalParams, t: float, n_max: int) -> float:
     _check_state(t, 0)
-    if n_max < 0:
-        raise ParameterError(f"pmf_tail_mass: n_max must be >= 0, got {n_max}")
+    n_max = _index(n_max, "pmf_tail_mass: n_max")
+    if params.variant == "classical":
+        m = params.lam * t
+        if m > ARG_GUARD:
+            raise _argument_error(m, "pmf_tail_mass")
+        return _poisson_tail(m, n_max)
     nu = params.nu
 
-    def binomial_factor(k: int) -> tuple[float, float]:
+    def binomial_factor(k: int, lgk: float) -> tuple[float, float]:
         # The partial binomial sum factor -prod_{i<=N}(i - k nu), zero at k = 0.
         if k == 0:
             return 0.0, -math.inf
@@ -303,16 +405,17 @@ def _tail_mass(params: FractionalParams, terms: _SeriesTerms, t: float, n_max: i
         return -sign_p, log_p
 
     x = params.lam ** nu * t ** (-params.beta)
-    return _saigo_series(terms, ("tail", n_max), x, binomial_factor,
+    return _saigo_series(params._terms, ("tail", n_max), x, binomial_factor,
                          math.lgamma(n_max + 1.0), int(n_max / nu) + 2, "pmf_tail_mass")
 
 
 def pmf_tail_mass(params: FractionalParams, t: float, n_max: int) -> float:
     """Exact mass above state n_max: sum_{n > n_max} pmf(n, t).
 
-    Interchanging the (absolutely convergent) state and series sums, the
-    partial state sum against each series order k is a partial sum of the
-    generalized binomial expansion of (1-1)^{k nu}:
+    On the classical variant this is the Poisson tail, summed upward from
+    n_max + 1.  On every other, interchanging the (absolutely convergent)
+    state and series sums, the partial state sum against each series order
+    k is a partial sum of the generalized binomial expansion of (1-1)^{k nu}:
 
         sum_{n=0}^{N} (k nu)_n (-1)^n / n!  =  - prod_{i=1}^{N} (i - k nu) / N!
                                                + [1 if k = 0]
@@ -321,7 +424,7 @@ def pmf_tail_mass(params: FractionalParams, t: float, n_max: int) -> float:
     space-fractional variants (whose state tails decay like N^{-k nu}) get
     an honest tail figure without summing billions of states.
     """
-    return _tail_mass(params, _SeriesTerms(params), t, n_max)
+    return _tail_mass(params, t, n_max)
 
 
 @dataclass(frozen=True)
@@ -336,13 +439,13 @@ class PmfTable:
 
 
 def pmf_table(params: FractionalParams, times: Sequence[float], n_max: int) -> PmfTable:
-    """pmf and pmf_tail_mass over times x states, sharing one term cache."""
-    terms = _SeriesTerms(params)
+    """pmf and pmf_tail_mass over times x states, on params' term cache."""
+    n_max = _index(n_max, "pmf_table: n_max")
     probs = []
     tails = []
     for t in times:
-        probs.append(tuple(_pmf(params, terms, t, n) for n in range(n_max + 1)))
-        tails.append(_tail_mass(params, terms, t, n_max))
+        probs.append(tuple(_pmf(params, t, n) for n in range(n_max + 1)))
+        tails.append(_tail_mass(params, t, n_max))
     return PmfTable(params, tuple(times), n_max, tuple(probs), tuple(tails))
 
 
@@ -397,7 +500,7 @@ def sstfpp_pgf(params: FractionalParams, u: float, t: float) -> float:
     _check_state(t, 0)
     nu = params.nu
     x = params.lam ** nu * (1.0 - u) ** nu * t ** (-params.beta)
-    return _saigo_series(_SeriesTerms(params), "pgf", x, lambda k: (1.0, 0.0), 0.0, 2,
+    return _saigo_series(params._terms, "pgf", x, lambda k, lgk: (1.0, 0.0), 0.0, 2,
                          "sstfpp_pgf")
 
 

@@ -18,10 +18,10 @@ from fracpois.processes import (
 
 CLASSICAL_PMF_GOLDEN = """\
 t,n,p,tail_mass
-1,0,0.36787944117144233,0.018988156876153458
-1,1,0.36787944117144233,0.018988156876153458
-1,2,0.18393972058572122,0.018988156876153458
-1,3,0.061313240195240364,0.018988156876153458
+1,0,0.36787944117144233,0.018988156876153808
+1,1,0.36787944117144233,0.018988156876153808
+1,2,0.18393972058572122,0.018988156876153808
+1,3,0.061313240195240364,0.018988156876153808
 """
 
 STFPP_PMF_GOLDEN = """\

@@ -1,8 +1,14 @@
+import dataclasses
+import itertools
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from fracpois import processes
 from fracpois.errors import ConvergenceError, ParameterError
 from fracpois.processes import (
     FractionalParams,
@@ -64,9 +70,51 @@ class TestFractionalParams:
         with pytest.raises(ParameterError):
             FractionalParams(1.0, beta=0.5)
 
+    @pytest.mark.parametrize("field", ["lam", "alpha", "nu", "beta", "gamma_p"])
+    def test_rejects_bool_fields(self, field):
+        kwargs = {"lam": 1.0, "alpha": 0.8, "nu": 0.6, "beta": -0.5, "gamma_p": 0.1}
+        kwargs[field] = True
+        with pytest.raises(ParameterError):
+            FractionalParams(**kwargs)
+
     def test_saigo_projection(self):
         sp = SSTFPP.saigo()
         assert (sp.alpha, sp.beta, sp.gamma_p) == (0.8, -0.5, 0.1)
+
+    def test_term_cache_is_not_part_of_the_value(self):
+        p = FractionalParams(1.0, alpha=0.8, nu=0.6, beta=-0.5, gamma_p=0.1)
+        before = repr(p)
+        pmf(p, 1.0, 3)
+        q = dataclasses.replace(p)
+        assert q == p and hash(q) == hash(p)
+        assert repr(p) == before
+        assert q._terms is not p._terms
+        assert p._terms is p._terms
+
+
+class TestStateIndex:
+    # an index must be an int or have __index__; anything else is a
+    # parameter error, never a value or a bare TypeError (the classical
+    # pmf runs through poisson_pmf)
+    PARAMS = {"stfpp": STFPP, "sstfpp": SSTFPP, "classical": CLASSICAL}
+    CALLS = {
+        "pmf": lambda p, n: pmf(p, 1.0, n),
+        "pmf_tail_mass": lambda p, n: pmf_tail_mass(p, 1.0, n),
+        "pmf_table": lambda p, n: pmf_table(p, [1.0], n),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("variant", sorted(PARAMS))
+    @pytest.mark.parametrize("n", [2.5, 2.0, "2", None, -1], ids=repr)
+    def test_rejects_non_index(self, call, variant, n):
+        with pytest.raises(ParameterError):
+            self.CALLS[call](self.PARAMS[variant], n)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("variant", sorted(PARAMS))
+    def test_accepts_numpy_ints(self, call, variant):
+        params = self.PARAMS[variant]
+        assert self.CALLS[call](params, np.int64(3)) == self.CALLS[call](params, 3)
 
 
 class TestPoisson:
@@ -265,6 +313,27 @@ class TestTailMass:
             head = sum(poisson_pmf(1.0, 1.0, n) for n in range(n_max + 1))
             assert pmf_tail_mass(p, 1.0, n_max) == pytest.approx(1.0 - head, rel=1e-10)
 
+    @pytest.mark.parametrize("m", [1.0, 20.0, 30.0])
+    def test_classical_tail_is_exact(self, m):
+        # the upward Poisson sum against the exact tail; at m = 20 the
+        # cancelling k-series gave 0.0170 for N = 40 instead of 2.54e-05
+        mpmath = pytest.importorskip("mpmath")
+        p = FractionalParams(m)
+        with mpmath.workdps(50):
+            mm = mpmath.mpf(m)
+            for n_max in (0, 3, 10, 25, 40, 60, 100):
+                exact = mpmath.exp(-mm) * mpmath.fsum(
+                    mm ** n / mpmath.factorial(n) for n in range(n_max + 1, n_max + 400)
+                )
+                assert pmf_tail_mass(p, 1.0, n_max) == pytest.approx(float(exact), rel=1e-14)
+            # the CLI golden's tail, 1 - (8/3)/e, is the nearest double
+            if m == 1.0:
+                assert pmf_tail_mass(p, 1.0, 3) == float(1 - mpmath.mpf(8) / 3 / mpmath.e)
+
+    def test_classical_tail_keeps_the_argument_guard(self):
+        with pytest.raises(ConvergenceError):
+            pmf_tail_mass(FractionalParams(31.0), 1.0, 10)
+
     def test_monotone_in_cutoff(self):
         tails = [pmf_tail_mass(SSTFPP, 1.0, n) for n in range(0, 12)]
         assert all(b < a for a, b in zip(tails, tails[1:]))
@@ -339,13 +408,18 @@ class TestPmfTable:
 
         monkeypatch.setattr("fracpois.processes.log_abs_gamma", counting)
         for params in (TFPP, SSTFPP):
+            # each measurement starts on a fresh object, whose cache is empty
             calls.clear()
-            pmf_table(params, [1.0], 25)
+            pmf_table(dataclasses.replace(params), [1.0], 25)
             once = len(calls)
             calls.clear()
-            pmf_table(params, [1.0] * 50, 25)
+            fresh = dataclasses.replace(params)
+            pmf_table(fresh, [1.0] * 50, 25)
             assert once > 0
             assert len(calls) == once
+            calls.clear()
+            pmf_table(fresh, [1.0] * 50, 25)
+            assert len(calls) == 0
 
     def test_argument_guard_in_a_later_time(self):
         with pytest.raises(ConvergenceError) as exc:
@@ -377,14 +451,106 @@ class TestPmfTable:
             return ck_log_coefficients(sp, k_max)
 
         monkeypatch.setattr("fracpois.processes.ck_log_coefficients", counting)
-        params = FractionalParams(1.0, alpha=0.8, nu=0.6, beta=-0.5, gamma_p=0.1)
         for build in (
-            lambda: pmf_table(params, [0.1 * i for i in range(1, 51)], 25),
-            lambda: normalization_residual(params, 1.0, 25),
+            lambda params: pmf_table(params, [0.1 * i for i in range(1, 51)], 25),
+            lambda params: normalization_residual(params, 1.0, 25),
         ):
+            # a fresh object per measurement: the cache lives on the params
+            params = FractionalParams(1.0, alpha=0.8, nu=0.6, beta=-0.5, gamma_p=0.1)
             calls.clear()
-            build()
+            build(params)
             assert 1 <= len(calls) <= 8
+            calls.clear()
+            build(params)
+            assert len(calls) == 0
+
+
+class TestSharedTermCache:
+    PGF_U = (-0.5, 0.3, 0.7)
+
+    def test_ln_ck_built_once_across_separate_calls(self, monkeypatch):
+        # one parameter set evaluated call by call, as a caller sweeping a
+        # point would: every call reads the same ln C_k table
+        calls = []
+
+        def counting(sp, k_max):
+            calls.append(k_max)
+            return ck_log_coefficients(sp, k_max)
+
+        monkeypatch.setattr("fracpois.processes.ck_log_coefficients", counting)
+        params = FractionalParams(1.2, alpha=0.8, nu=0.6, beta=-0.5, gamma_p=0.1)
+        for n in range(26):
+            pmf(params, 1.0, n)
+        pmf_tail_mass(params, 1.0, 25)
+        waiting_survival(params, 1.0)
+        for u in self.PGF_U:
+            sstfpp_pgf(params, u, 1.0)
+        assert 1 <= len(calls) <= 2
+
+    @staticmethod
+    def _jobs(params):
+        # (kind, time, argument, call) in three groups, one per entry point
+        times = (0.5, 2.0)
+        return {
+            "pmf": [("pmf", t, n, lambda t=t, n=n: pmf(params, t, n))
+                    for t in times for n in range(26)],
+            "tail": [("tail", t, 25, lambda t=t: pmf_tail_mass(params, t, 25)) for t in times],
+            "pgf": [("pgf", t, u, lambda t=t, u=u: sstfpp_pgf(params, u, t))
+                    for t in times for u in TestSharedTermCache.PGF_U],
+        }
+
+    def test_threads_share_one_cache(self, monkeypatch):
+        def make():
+            return FractionalParams(1.2, alpha=0.8, nu=0.6, beta=-0.5, gamma_p=0.1)
+
+        expect = {
+            (kind, t, arg): call()
+            for group in self._jobs(make()).values()
+            for kind, t, arg, call in group
+        }
+        groups = self._jobs(make())
+        # each thread runs the three groups in its own order; pairs of
+        # threads share a first group, so they fill the same rows at once
+        orders = list(itertools.permutations(groups))
+
+        # Yield the GIL inside the fill of an entry, between reading a row's
+        # length and storing the entry, where an unsafe store would do harm;
+        # without it the threads barely interleave there.
+        def yielding(fn):
+            def wrapper(*args):
+                time.sleep(0)
+                return fn(*args)
+            return wrapper
+
+        for name in ("log_abs_gamma", "ck_log_coefficients"):
+            monkeypatch.setattr(f"fracpois.processes.{name}", yielding(getattr(processes, name)))
+        results: list[dict] = [{} for _ in range(8)]
+        errors: list[BaseException] = []
+        start = threading.Barrier(8, timeout=60.0)
+
+        def work(i):
+            try:
+                start.wait()
+                for name in orders[i % len(orders)]:
+                    for kind, t, arg, call in groups[name]:
+                        results[i][kind, t, arg] = call()
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60.0)
+            assert not any(th.is_alive() for th in threads)
+        finally:
+            sys.setswitchinterval(old)
+        assert errors == []
+        for got in results:
+            assert got == expect
 
 
 class TestPgf:
