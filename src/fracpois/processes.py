@@ -31,13 +31,17 @@ ln C_k, ln Gamma(1 - k beta) and ln|f_k|) is kept per series key and k in a
 created on first use, and every entry point evaluated on it (:func:`pmf`,
 :func:`pmf_tail_mass`, :func:`sstfpp_pgf`, :func:`waiting_survival` and
 :func:`pmf_table`) shares it, so that work runs once per parameter set.  The
-cache lives and dies with the params object; it grows with the set of
-states, tail cut-offs and the pgf evaluated on that object, one row each.
-It needs no lock: every store writes the value any thread would compute for
-that slot, and no list a reader holds ever shrinks (see
-:class:`_SeriesTerms`).  A term is formed from the same floats in the same
-order whether its entry was just filled or read back, so sharing the cache
-changes no bit of any result.
+cache lives and dies with the params object (a pickle or copy of it starts
+empty); it grows with the set of states, tail cut-offs and the pgf evaluated
+on that object, one row each.  Rows are filled in batches, one loop per
+kind of series over a run of k.  The k-part of a term, (ln C_k + k ln x) -
+ln Gamma(1 - k beta), is the same for every series at one x, so it is kept
+for the last x evaluated and shared by the states and the tail of one time.
+The cache needs no lock: every fill ends in one slice store of the values
+any thread would compute for those slots, and no list a reader holds ever
+shrinks (see :class:`_SeriesTerms`).  A term is formed from the same floats
+in the same order whether its entries were just filled or read back, so
+sharing the cache changes no bit of any result.
 
 Every series stops by one fixed rule (``SERIES_TOL`` and ``TERM_CAP`` in
 :mod:`fracpois.specfun`); the only truncation a caller chooses is the
@@ -48,9 +52,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .adm import (
     PowerSeries,
@@ -68,11 +72,11 @@ from .saigo import (
 )
 from .specfun import (
     LOG_HUGE,
+    POLE_TOL,
     SERIES_TOL,
     TERM_CAP,
     _kahan_add,
     falling_factorial,
-    log_abs_gamma,
 )
 
 # Beyond this value of lambda^nu * t^(-beta) (equivalently lambda t^alpha,
@@ -94,10 +98,11 @@ class FractionalParams:
     Each instance owns one term cache (``_terms``, a :class:`_SeriesTerms`)
     that the series entry points evaluated on it share.  It is created on
     first use, lives and dies with the instance, and is no part of its
-    equality, hash or repr; ``dataclasses.replace`` starts a fresh one.  It
-    grows with the set of states, tail cut-offs and the pgf evaluated on the
-    instance.  It needs no lock, because concurrent fills only repeat work
-    and store equal values (see :class:`_SeriesTerms`).
+    equality, hash, repr or pickle; ``dataclasses.replace``, ``copy`` and
+    unpickling start a fresh one.  It grows with the set of states, tail
+    cut-offs and the pgf evaluated on the instance.  It needs no lock,
+    because concurrent fills only repeat work and store equal values (see
+    :class:`_SeriesTerms`).
     """
 
     lam: float
@@ -124,7 +129,7 @@ class FractionalParams:
         if self.beta >= 0.0:
             raise ParameterError(f"FractionalParams: beta must be < 0, got {self.beta}")
 
-    @property
+    @cached_property
     def variant(self) -> str:
         rl = abs(self.beta + self.alpha) <= VARIANT_TOL
         a1 = abs(self.alpha - 1.0) <= VARIANT_TOL
@@ -145,6 +150,10 @@ class FractionalParams:
     @cached_property
     def _terms(self) -> _SeriesTerms:
         return _SeriesTerms(self)
+
+    def __getstate__(self) -> dict[str, object]:
+        # the fields alone: a pickle or copy starts without the caches
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _index(value: object, name: str) -> int:
@@ -173,23 +182,41 @@ def _check_state(t: float, n: int) -> int:
 # build serves them where doubling up from one entry takes up to five.
 LNCK_FIRST_BUILD = 32
 
+# Past k_min a series fills its row and its k-part this many entries at a
+# time: a larger chunk pays fewer fill calls, but fills more entries that
+# no term reads.  On the benchmark's lattice-sweep and grid-table decks
+# chunks of 4 to 12 ran within 5 % of each other, and 1 or 2 slower.
+FILL_CHUNK = 8
+
+# The entry of a term that vanishes: f_k = 0 (a gamma pole, a zero factor).
+_NO_TERM = (0.0, -math.inf)
+
 
 class _SeriesTerms:
     """The time-independent part of every series term of one parameter set.
 
     Term k of a series is sign_k exp(ln C_k + k ln x - ln Gamma(1 - k beta)
-    + ln|f_k| - s): only k ln x depends on the time.  The values no series
-    key changes are kept once per k in ``per_k``: (ln C_k,
-    ln Gamma(1 - k beta), ln Gamma(k nu + 1)), the last being the numerator
-    of the state factor.  Each series key (state n, ("tail", N), or "pgf")
-    owns a row that grows on demand and holds, flat at row[2k] and
-    row[2k+1], the sign of f_k times (-1)^k (0.0 where f_k vanishes at a
-    gamma pole) and ln|f_k|.  Filling an entry runs only the key's own
-    factor (for a state, one log_abs_gamma(k nu + 1 - n)); the flat pairs
-    keep a row to two list slots and one float per k.  The cached values
-    are the same floats as forming term k afresh, and _saigo_series
-    combines them in the same order, so a cached term is bit-identical to a
-    fresh one.
+    + ln|f_k| - s).  Three stores hold its parts:
+
+    * ``per_k[k]`` = (ln C_k, ln Gamma(1 - k beta), ln Gamma(k nu + 1)), the
+      values no series key changes, the last being the numerator of the
+      state factor;
+    * ``rows``: one row per series key (state n, ("tail", N), or "pgf"),
+      holding flat at row[2k] and row[2k+1] the sign of f_k times (-1)^k
+      (0.0 where f_k vanishes) and ln|f_k|;
+    * ``kpart`` = (x, its k-part) for the last x evaluated; k-part[k] =
+      (ln C_k + k ln x) - ln Gamma(1 - k beta) is the same float for every
+      key at one x, so the states and the tail of one time share it.
+
+    A term's log-magnitude is k-part[k] + ln|f_k| - s: the same floats added
+    in the same order as forming the whole sum afresh, so a cached term is
+    bit-identical to a fresh one.
+
+    Each store grows by batch fills of the entries [start, stop), start
+    being the store's length: :meth:`fill` for a key's row (one loop per
+    kind of key; the state loop inlines log_abs_gamma's rule for its
+    argument k nu + 1 - n), :meth:`fill_kpart` for a k-part and
+    :meth:`_per_k_to` for ``per_k``.
 
     ln C_k is 0.0 off the sstfpp variant (beta = -alpha makes every factor of
     the product Gamma(1+g+j a)/Gamma(1+g+j a)); on sstfpp its table is built
@@ -198,15 +225,18 @@ class _SeriesTerms:
 
     One object is the ``_terms`` of one FractionalParams and lives as long as
     it does.  It holds one row per key evaluated on it, each as long as the
-    longest series of that key so far, and ``per_k`` as long as the longest
-    row.  Threads share it without a lock.  Rows and ``per_k`` are filled by
-    slice stores, ``row[2k:2k+2] = [sign, lf]`` and ``per_k[k:k+1] =
-    [entry]``, which append when k is at the end and otherwise overwrite
-    the equal values another thread stored first (an append would put a
-    late duplicate at the wrong k).  The ln C_k table is replaced whole and
-    read through a local, so a racing rebuild to a shorter length can cost
-    a rebuild but never shrinks a list under a reader.  A race can only
-    repeat work; it never changes a value.
+    longest series of that key so far, ``per_k`` as long as the longest row
+    and one k-part.  Threads share it without a lock.  Every fill ends in
+    one slice store, ``store[start:stop] = entries`` (rows by pairs), which
+    the GIL makes one atomic step: it appends when no other thread got there
+    first and otherwise overwrites the equal values another thread stored
+    (an append would put a late duplicate at the wrong k).  The ln C_k table
+    and the (x, k-part) pair are replaced whole and read through a local: a
+    fill uses the table its own read or build returned, and a series fills
+    and reads the k-part of its own x.  So a racing rebuild to a shorter
+    table, or a series at another x, can cost repeated work but never
+    shrinks a list under a reader.  A race can only repeat work; it never
+    changes a value.
     """
 
     def __init__(self, params: FractionalParams) -> None:
@@ -216,35 +246,91 @@ class _SeriesTerms:
         self.lnck = [0.0]
         self.per_k: list[tuple[float, float, float]] = []
         self.rows: dict[object, list[float]] = {}
+        self.kpart: tuple[float, list[float]] = (0.0, [])  # x = 0 reads no k-part
 
-    def log_ck(self, k: int) -> float:
-        lnck = self.lnck
-        if k >= len(lnck):
-            if self.saigo is None:
-                return 0.0
-            k_max = max(2 * len(lnck), k + 1, LNCK_FIRST_BUILD)
-            lnck = ck_log_coefficients(self.saigo, k_max)
-            self.lnck = lnck
-        return lnck[k]
-
-    def shared(self, k: int) -> tuple[float, float, float]:
-        """(ln C_k, ln Gamma(1 - k beta), ln Gamma(k nu + 1)), filled up to k."""
+    def _per_k_to(self, stop: int) -> list[tuple[float, float, float]]:
+        """per_k, filled up to k = stop - 1."""
         per_k = self.per_k
-        while k >= len(per_k):
-            j = len(per_k)
-            per_k[j:j + 1] = [(self.log_ck(j), math.lgamma(1.0 - j * self.beta),
-                               math.lgamma(j * self.nu + 1.0))]
-        return per_k[k]
+        start = len(per_k)
+        if start < stop:
+            lnck = self.lnck
+            if len(lnck) < stop:
+                k_max = max(2 * len(lnck), stop, LNCK_FIRST_BUILD)
+                if self.saigo is None:
+                    lnck = [0.0] * (k_max + 1)
+                else:
+                    lnck = ck_log_coefficients(self.saigo, k_max)
+                self.lnck = lnck
+            beta, nu, lgamma = self.beta, self.nu, math.lgamma
+            per_k[start:stop] = [(lnck[k], lgamma(1.0 - k * beta), lgamma(k * nu + 1.0))
+                                 for k in range(start, stop)]
+        return per_k
 
-    def extend(
-        self, row: list[float], k: int, factor: Callable[[int, float], tuple[float, float]]
-    ) -> None:
-        """Store entry k of row, calling factor(k, ln Gamma(k nu + 1))."""
-        sign, lf = factor(k, self.shared(k)[2])
-        if sign != 0.0:
-            # (-1)^k folded in, as one of two constants, not a new float
-            sign = 1.0 if (sign > 0.0) == (k % 2 == 0) else -1.0
-        row[2 * k:2 * k + 2] = [sign, lf]
+    def fill_kpart(self, kpart: list[float], lx: float, stop: int) -> None:
+        """Fill the k-part of x = e^lx up to k = stop - 1."""
+        start = len(kpart)
+        per_k = self._per_k_to(stop)
+        kpart[start:stop] = [lnck + k * lx - lg
+                             for k, (lnck, lg, _) in enumerate(per_k[start:stop], start)]
+
+    def fill(self, key: object, row: list[float], stop: int) -> None:
+        """Fill key's row up to k = stop - 1."""
+        start = len(row) >> 1
+        if type(key) is int:
+            entries = self._state_entries(key, start, stop)
+        elif key == "pgf":  # f_k = 1
+            entries = []
+            for k in range(start, stop):
+                entries += (-1.0 if k & 1 else 1.0, 0.0)
+        else:
+            entries = self._tail_entries(key[1], start, stop)
+        row[2 * start:2 * stop] = entries
+
+    def _state_entries(self, n: int, start: int, stop: int) -> list[float]:
+        # f_k = (-1)^n Gamma(k nu + 1) / Gamma(a), a = k nu + 1 - n, zero at
+        # the poles of Gamma(a); log_abs_gamma's rule, inlined: Gamma(a) has
+        # the sign (-1)^floor(a) for a < 0 and a pole within POLE_TOL of
+        # every non-positive integer
+        per_k = self._per_k_to(stop)
+        nu = self.nu
+        lgamma, floor = math.lgamma, math.floor
+        entries: list[float] = []
+        for k in range(start, stop):
+            a = k * nu + 1.0 - n
+            if a > 0.0:
+                odd = n + k
+            elif abs(a - round(a)) <= POLE_TOL:
+                entries += _NO_TERM
+                continue
+            else:
+                odd = n + k + floor(a)
+            entries += (-1.0 if odd & 1 else 1.0, per_k[k][2] - lgamma(a))
+        return entries
+
+    def _tail_entries(self, n_max: int, start: int, stop: int) -> list[float]:
+        # f_k = -prod_{i<=N}(i - k nu), the partial binomial sum factor,
+        # zero at k = 0 and wherever a factor vanishes
+        nu, log = self.nu, math.log
+        entries: list[float] = []
+        for k in range(start, stop):
+            if k == 0:
+                entries += _NO_TERM
+                continue
+            knu = k * nu
+            neg, log_p = 0, 0.0
+            for i in range(1, n_max + 1):
+                f = i - knu
+                if f < 0.0:
+                    neg += 1
+                    f = -f
+                elif f == 0.0:
+                    entries += _NO_TERM
+                    break
+                log_p += log(f)
+            else:
+                # sign -(-1)^neg of f_k, times (-1)^k
+                entries += (1.0 if (neg + k) & 1 else -1.0, log_p)
+        return entries
 
 
 def _argument_error(x: float, label: str) -> ConvergenceError:
@@ -256,52 +342,65 @@ def _argument_error(x: float, label: str) -> ConvergenceError:
 
 
 def _saigo_series(
-    terms: _SeriesTerms,
-    key: object,
-    x: float,
-    factor: Callable[[int, float], tuple[float, float]],
-    s: float,
-    k_min: int,
-    label: str,
+    terms: _SeriesTerms, key: object, x: float, s: float, k_min: int, label: str
 ) -> float:
     """sum_k C_k (-x)^k / Gamma(1 - k beta) * f_k / e^s, the one k-series.
 
-    factor(k, ln Gamma(k nu + 1)) returns (sign, ln|f_k|) of the caller's
-    k-dependent factor; a zero sign drops the term (gamma poles).  It is
-    called only for the entries of key's row in terms that no earlier series
-    has filled.  Terms are formed in log-magnitude/sign form, so huge gamma
-    ratios never overflow, and summed with compensation.  The stop requires
-    two consecutive terms at most SERIES_TOL * max(1, |partial sum|) past
-    k_min: single terms can vanish exactly at gamma poles, but (for nu < 1)
-    two consecutive pole zeros are impossible, so a pair of small terms
-    really does mean the superexponential decay regime has begun.  x = 0
-    (t = 0, or t^(-beta) underflowed) leaves the k = 0 term.
+    key names the series and so its f_k: state n, ("tail", N) or "pgf" (see
+    :meth:`_SeriesTerms.fill`); a zero sign drops the term (gamma poles).
+    The loop reads key's row and the k-part of x from terms and fills what
+    no earlier series has: first k = 0 .. k_min, which it always reads, then
+    FILL_CHUNK entries at a time.  Terms are formed in log-magnitude/sign
+    form, so huge gamma ratios never overflow, and summed with
+    compensation.  The stop requires two consecutive terms at most
+    SERIES_TOL * max(1, |partial sum|) past k_min: single terms can vanish
+    exactly at gamma poles, but (for nu < 1) two consecutive pole zeros are
+    impossible, so a pair of small terms really does mean the
+    superexponential decay regime has begun.  x = 0 (t = 0, or t^(-beta)
+    underflowed) leaves the k = 0 term, and fills nothing past it, so it
+    builds no ln C_k.
     """
     if x > ARG_GUARD:
         raise _argument_error(x, label)
-    if x == 0.0:
-        sign, lf = factor(0, 0.0)
-        return sign * math.exp(lf - s)
-    lx = math.log(x)
     row = terms.rows.get(key)
     if row is None:  # setdefault alone would build a list per call
         row = terms.rows.setdefault(key, [])
-    per_k = terms.per_k
-    filled = len(row)  # rows only grow, so entries below it stay
+    if x == 0.0:
+        if not row:
+            terms.fill(key, row, 1)
+        return row[0] * math.exp(row[1] - s)
+    lx = math.log(x)
+    pair = terms.kpart
+    if pair[0] != x:
+        pair = (x, [])
+        terms.kpart = pair
+    kpart = pair[1]
+    exp, huge, tol = math.exp, LOG_HUGE, SERIES_TOL
+    filled = min(len(row) >> 1, len(kpart))  # both only grow
     total, comp = 0.0, 0.0
     prev = math.inf
     for k in range(TERM_CAP):
+        if k >= filled:
+            # the loop reads k = 0 .. max(k, k_min) in any case; a chunk
+            # past that stops where the ln C_k table does, so that it never
+            # builds a table for entries no term may read
+            need = max(k, k_min) + 1
+            stop = min(max(need, min(k + FILL_CHUNK, len(terms.lnck))), TERM_CAP)
+            if len(row) < 2 * stop:
+                terms.fill(key, row, stop)
+            if len(kpart) < stop:
+                # as far as the row goes: every row entry was filled for a
+                # series that filled per_k as far, so this builds no ln C_k,
+                # and the next series at this x may read on
+                terms.fill_kpart(kpart, lx, len(row) >> 1)
+            filled = min(len(row) >> 1, len(kpart))
         j = 2 * k
-        if j >= filled:
-            terms.extend(row, k, factor)
-            filled = len(row)
         sign = row[j]
         if sign != 0.0:
-            lnck, lg, _ = per_k[k]
-            logmag = lnck + k * lx - lg + row[j + 1] - s
-            if logmag > LOG_HUGE:
+            logmag = kpart[k] + row[j + 1] - s
+            if logmag > huge:
                 raise ConvergenceError(f"{label}: series term overflow at k = {k}")
-            mag = math.exp(logmag)
+            mag = exp(logmag)
             value = mag if sign > 0.0 else -mag  # sign * mag, exactly
         else:
             value = mag = 0.0
@@ -312,7 +411,7 @@ def _saigo_series(
         total = moved
         if k >= k_min:
             size = abs(total)  # bound = SERIES_TOL * max(1, size), without the call
-            bound = SERIES_TOL * size if size > 1.0 else SERIES_TOL
+            bound = tol * size if size > 1.0 else tol
             if mag <= bound and prev <= bound:
                 return total
         prev = mag
@@ -357,18 +456,8 @@ def _pmf(params: FractionalParams, t: float, n: int) -> float:
         return poisson_pmf(params.lam, t, n)
     n = _check_state(t, n)
     nu = params.nu
-    sign_n = -1.0 if n % 2 else 1.0
-
-    def state_factor(k: int, lgk: float) -> tuple[float, float]:
-        # (-1)^n Gamma(k nu + 1) / Gamma(k nu + 1 - n), zero at the poles
-        sign, l = log_abs_gamma(k * nu + 1.0 - n)
-        if sign == 0.0:
-            return 0.0, -math.inf
-        return sign_n * sign, lgk - l
-
     x = params.lam ** nu * t ** (-params.beta)
-    return _saigo_series(params._terms, n, x, state_factor, math.lgamma(n + 1.0),
-                         int(n / nu) + 2, "pmf")
+    return _saigo_series(params._terms, n, x, math.lgamma(n + 1.0), int(n / nu) + 2, "pmf")
 
 
 def pmf(params: FractionalParams, t: float, n: int) -> float:
@@ -387,26 +476,9 @@ def _tail_mass(params: FractionalParams, t: float, n_max: int) -> float:
             raise _argument_error(m, "pmf_tail_mass")
         return _poisson_tail(m, n_max)
     nu = params.nu
-
-    def binomial_factor(k: int, lgk: float) -> tuple[float, float]:
-        # The partial binomial sum factor -prod_{i<=N}(i - k nu), zero at k = 0.
-        if k == 0:
-            return 0.0, -math.inf
-        sign_p, log_p = 1.0, 0.0
-        knu = k * nu
-        for i in range(1, n_max + 1):
-            f = i - knu
-            if f == 0.0:
-                return 0.0, -math.inf
-            if f < 0.0:
-                sign_p = -sign_p
-                f = -f
-            log_p += math.log(f)
-        return -sign_p, log_p
-
     x = params.lam ** nu * t ** (-params.beta)
-    return _saigo_series(params._terms, ("tail", n_max), x, binomial_factor,
-                         math.lgamma(n_max + 1.0), int(n_max / nu) + 2, "pmf_tail_mass")
+    return _saigo_series(params._terms, ("tail", n_max), x, math.lgamma(n_max + 1.0),
+                         int(n_max / nu) + 2, "pmf_tail_mass")
 
 
 def pmf_tail_mass(params: FractionalParams, t: float, n_max: int) -> float:
@@ -500,8 +572,7 @@ def sstfpp_pgf(params: FractionalParams, u: float, t: float) -> float:
     _check_state(t, 0)
     nu = params.nu
     x = params.lam ** nu * (1.0 - u) ** nu * t ** (-params.beta)
-    return _saigo_series(params._terms, "pgf", x, lambda k, lgk: (1.0, 0.0), 0.0, 2,
-                         "sstfpp_pgf")
+    return _saigo_series(params._terms, "pgf", x, 0.0, 2, "sstfpp_pgf")
 
 
 def waiting_survival(params: FractionalParams, t: float) -> float:

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 import sys
 import threading
 import time
@@ -29,7 +31,7 @@ from fracpois.processes import (
     waiting_survival,
 )
 from fracpois.saigo import ck_log_coefficients
-from fracpois.specfun import log_abs_gamma, mittag_leffler
+from fracpois.specfun import mittag_leffler
 from oracles import sfpp_pmf, sstfpp_pmf, stfpp_pmf, tfpp_pmf
 
 # Reference parameter points reused across tests.
@@ -90,6 +92,17 @@ class TestFractionalParams:
         assert repr(p) == before
         assert q._terms is not p._terms
         assert p._terms is p._terms
+
+    def test_pickle_and_copy_drop_the_caches(self):
+        p = FractionalParams(1.0, alpha=0.8, nu=0.6, beta=-0.5, gamma_p=0.1)
+        size = len(pickle.dumps(p))
+        table = pmf_table(p, [0.1 * i for i in range(1, 51)], 25)
+        assert p.variant == "sstfpp"
+        assert len(pickle.dumps(p)) == size
+        for q in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert q == p and hash(q) == hash(p)
+            assert "_terms" not in vars(q) and "variant" not in vars(q)
+            assert pmf_table(q, table.times, 25) == table
 
 
 class TestStateIndex:
@@ -397,16 +410,17 @@ class TestPmfTable:
                 assert sum(row) + tail == pytest.approx(1.0, abs=1e-9)
         assert pmf_table(beta_15, [1e-300], 6).probs[0] == (1.0,) + (0.0,) * 6
 
-    def test_log_abs_gamma_calls_independent_of_time_count(self, monkeypatch):
-        # the state factor's gamma ratio is filled once per (state, k) of a
-        # table, whatever the number of times that read it
+    def test_row_fills_independent_of_time_count(self, monkeypatch):
+        # each row entry (state or tail, k) is filled once per table,
+        # whatever the number of times that read it
         calls = []
+        fill = processes._SeriesTerms.fill
 
-        def counting(x):
-            calls.append(x)
-            return log_abs_gamma(x)
+        def counting(terms, key, row, stop):
+            calls.extend(range(len(row) >> 1, stop))
+            fill(terms, key, row, stop)
 
-        monkeypatch.setattr("fracpois.processes.log_abs_gamma", counting)
+        monkeypatch.setattr(processes._SeriesTerms, "fill", counting)
         for params in (TFPP, SSTFPP):
             # each measurement starts on a fresh object, whose cache is empty
             calls.clear()
@@ -487,6 +501,37 @@ class TestSharedTermCache:
             sstfpp_pgf(params, u, 1.0)
         assert 1 <= len(calls) <= 2
 
+    def test_fills_survive_a_racing_shorter_ln_ck_table(self):
+        # The first read of lnck after each store returns the first build's
+        # table, as when a thread that began building earlier stores its
+        # shorter table last.  A fill must use the table its own build
+        # returned: one that read lnck again after its store would index
+        # past the end, or take ln C_k as 0.0 behind a length guard.
+        class RacedTerms(processes._SeriesTerms):
+            @property
+            def lnck(self):
+                raced, self._raced = self._raced, None
+                return self._lnck if raced is None else raced
+
+            @lnck.setter
+            def lnck(self, table):
+                self._lnck = table
+                self._raced = table[:processes.LNCK_FIRST_BUILD + 1]
+
+        def make():
+            return FractionalParams(1.2, alpha=0.8, nu=0.4, beta=-0.5, gamma_p=0.1)
+
+        plain, raced = make(), make()
+        vars(raced)["_terms"] = RacedTerms(raced)
+        for t in (0.5, 2.0):
+            # p_25 and p_40 first: their series start past the first build
+            for n in (25, 40, 0, 3):
+                assert pmf(raced, t, n) == pmf(plain, t, n)
+            assert pmf_tail_mass(raced, t, 25) == pmf_tail_mass(plain, t, 25)
+            for u in self.PGF_U:
+                assert sstfpp_pgf(raced, u, t) == sstfpp_pgf(plain, u, t)
+        assert len(raced._terms._lnck) > processes.LNCK_FIRST_BUILD + 1
+
     @staticmethod
     def _jobs(params):
         # (kind, time, argument, call) in three groups, one per entry point
@@ -513,8 +558,8 @@ class TestSharedTermCache:
         # threads share a first group, so they fill the same rows at once
         orders = list(itertools.permutations(groups))
 
-        # Yield the GIL inside the fill of an entry, between reading a row's
-        # length and storing the entry, where an unsafe store would do harm;
+        # Yield the GIL inside a fill, between reading a row's (or per_k's)
+        # length and its slice store, where an unsafe store would do harm;
         # without it the threads barely interleave there.
         def yielding(fn):
             def wrapper(*args):
@@ -522,8 +567,15 @@ class TestSharedTermCache:
                 return fn(*args)
             return wrapper
 
-        for name in ("log_abs_gamma", "ck_log_coefficients"):
-            monkeypatch.setattr(f"fracpois.processes.{name}", yielding(getattr(processes, name)))
+        class YieldingMath:
+            lgamma = staticmethod(yielding(math.lgamma))
+
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+        monkeypatch.setattr(processes, "math", YieldingMath())
+        monkeypatch.setattr(processes, "ck_log_coefficients",
+                            yielding(processes.ck_log_coefficients))
         results: list[dict] = [{} for _ in range(8)]
         errors: list[BaseException] = []
         start = threading.Barrier(8, timeout=60.0)
