@@ -25,12 +25,14 @@ the tail is instead computed exactly from partial sums of the generalized
 binomial series (see :func:`pmf_tail_mass`), which is what makes the
 normalization checks meaningful.
 
-Only k ln x in a term depends on the time; the rest of each term (the sign,
-ln C_k, ln Gamma(1 - k beta) and ln|f_k|) is kept per series key and k in a
-:class:`_SeriesTerms` object.  Each :class:`FractionalParams` owns one,
-created on first use, and every entry point evaluated on it (:func:`pmf`,
-:func:`pmf_tail_mass`, :func:`sstfpp_pgf`, :func:`waiting_survival` and
-:func:`pmf_table`) shares it, so that work runs once per parameter set.  The
+Only k ln x in a term depends on the time; the rest of each term is kept in
+a :class:`_SeriesTerms` object: ln C_k and ln Gamma(1 - k beta) once per k,
+in one per-k store whose ln C_k column grows by its running sum as far as a
+row needs, and the sign and ln|f_k| per series key and k.  Each
+:class:`FractionalParams` owns one, created on first use, and every entry
+point evaluated on it (:func:`pmf`, :func:`pmf_tail_mass`,
+:func:`sstfpp_pgf`, :func:`waiting_survival` and :func:`pmf_table`) shares
+it, so that work runs once per parameter set.  The
 cache lives and dies with the params object (a pickle or copy of it starts
 empty); it grows with the set of states, tail cut-offs and the pgf evaluated
 on that object, one row each.  Rows are filled in batches, one loop per
@@ -66,6 +68,7 @@ from .errors import ConvergenceError, ParameterError
 from .saigo import (
     SaigoParams,
     ck_log_coefficients,
+    ck_log_run,
     saigo_caputo_derivative_power,
     saigo_derivative_series,
     saigo_integrate,
@@ -157,7 +160,9 @@ class FractionalParams:
 
 
 def _index(value: object, name: str) -> int:
-    """value as an int >= 0; anything with __index__ (numpy ints) passes."""
+    """value as an int >= 0; anything with __index__ (numpy ints) but bool passes."""
+    if isinstance(value, bool):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
     try:
         i = operator.index(value)
     except TypeError:
@@ -176,15 +181,8 @@ def _check_state(t: float, n: int) -> int:
     return _index(n, "state index")
 
 
-# The first ln C_k build covers k = 0 .. LNCK_FIRST_BUILD, after which the
-# table doubles.  On the benchmark's grid-table and lattice-sweep decks half
-# or more of the pmf series and every pgf series stop by k = 32, so one
-# build serves them where doubling up from one entry takes up to five.
-LNCK_FIRST_BUILD = 32
-
-# Past k_min a series fills its row and its k-part this many entries at a
-# time: a larger chunk pays fewer fill calls, but fills more entries that
-# no term reads.  On the benchmark's lattice-sweep and grid-table decks
+# Past k_min a series fills its row this many entries at a time: a larger
+# chunk pays fewer fill calls, but fills more entries that no term reads.  On the benchmark's lattice-sweep and grid-table decks
 # chunks of 4 to 12 ran within 5 % of each other, and 1 or 2 slower.
 FILL_CHUNK = 8
 
@@ -216,12 +214,11 @@ class _SeriesTerms:
     being the store's length: :meth:`fill` for a key's row (one loop per
     kind of key; the state loop inlines log_abs_gamma's rule for its
     argument k nu + 1 - n), :meth:`fill_kpart` for a k-part and
-    :meth:`_per_k_to` for ``per_k``.
-
-    ln C_k is 0.0 off the sstfpp variant (beta = -alpha makes every factor of
-    the product Gamma(1+g+j a)/Gamma(1+g+j a)); on sstfpp its table is built
-    to LNCK_FIRST_BUILD and then doubled, entry k of the cumulative product
-    being the same whatever length it is built to.
+    :meth:`_per_k_to` for ``per_k``.  The ln C_k column continues the
+    running sum of :func:`fracpois.saigo.ck_log_run` from per_k[start - 1],
+    so each C_k factor is evaluated once per parameter set, and only as far
+    as a row needs; off the sstfpp variant it is 0.0 (beta = -alpha makes
+    every factor of the product Gamma(1+g+j a)/Gamma(1+g+j a)).
 
     One object is the ``_terms`` of one FractionalParams and lives as long as
     it does.  It holds one row per key evaluated on it, each as long as the
@@ -230,20 +227,16 @@ class _SeriesTerms:
     one slice store, ``store[start:stop] = entries`` (rows by pairs), which
     the GIL makes one atomic step: it appends when no other thread got there
     first and otherwise overwrites the equal values another thread stored
-    (an append would put a late duplicate at the wrong k).  The ln C_k table
-    and the (x, k-part) pair are replaced whole and read through a local: a
-    fill uses the table its own read or build returned, and a series fills
-    and reads the k-part of its own x.  So a racing rebuild to a shorter
-    table, or a series at another x, can cost repeated work but never
-    shrinks a list under a reader.  A race can only repeat work; it never
-    changes a value.
+    (an append would put a late duplicate at the wrong k).  The (x, k-part)
+    pair is replaced whole and read through a local, so a series fills and
+    reads the k-part of its own x.  No list a reader holds ever shrinks: a
+    race can only repeat work; it never changes a value.
     """
 
     def __init__(self, params: FractionalParams) -> None:
         self.beta = params.beta
         self.nu = params.nu
         self.saigo = params.saigo() if params.variant == "sstfpp" else None
-        self.lnck = [0.0]
         self.per_k: list[tuple[float, float, float]] = []
         self.rows: dict[object, list[float]] = {}
         self.kpart: tuple[float, list[float]] = (0.0, [])  # x = 0 reads no k-part
@@ -253,17 +246,13 @@ class _SeriesTerms:
         per_k = self.per_k
         start = len(per_k)
         if start < stop:
-            lnck = self.lnck
-            if len(lnck) < stop:
-                k_max = max(2 * len(lnck), stop, LNCK_FIRST_BUILD)
-                if self.saigo is None:
-                    lnck = [0.0] * (k_max + 1)
-                else:
-                    lnck = ck_log_coefficients(self.saigo, k_max)
-                self.lnck = lnck
+            if self.saigo is None:
+                lnck = [0.0] * (stop - start)
+            else:
+                lnck = ck_log_run(self.saigo, start, stop, per_k[start - 1][0] if start else 0.0)
             beta, nu, lgamma = self.beta, self.nu, math.lgamma
-            per_k[start:stop] = [(lnck[k], lgamma(1.0 - k * beta), lgamma(k * nu + 1.0))
-                                 for k in range(start, stop)]
+            per_k[start:stop] = [(c, lgamma(1.0 - k * beta), lgamma(k * nu + 1.0))
+                                 for k, c in enumerate(lnck, start)]
         return per_k
 
     def fill_kpart(self, kpart: list[float], lx: float, stop: int) -> None:
@@ -349,16 +338,16 @@ def _saigo_series(
     key names the series and so its f_k: state n, ("tail", N) or "pgf" (see
     :meth:`_SeriesTerms.fill`); a zero sign drops the term (gamma poles).
     The loop reads key's row and the k-part of x from terms and fills what
-    no earlier series has: first k = 0 .. k_min, which it always reads, then
-    FILL_CHUNK entries at a time.  Terms are formed in log-magnitude/sign
-    form, so huge gamma ratios never overflow, and summed with
-    compensation.  The stop requires two consecutive terms at most
-    SERIES_TOL * max(1, |partial sum|) past k_min: single terms can vanish
-    exactly at gamma poles, but (for nu < 1) two consecutive pole zeros are
-    impossible, so a pair of small terms really does mean the
-    superexponential decay regime has begun.  x = 0 (t = 0, or t^(-beta)
-    underflowed) leaves the k = 0 term, and fills nothing past it, so it
-    builds no ln C_k.
+    no earlier series has: the row first to k = k_min, which it always
+    reads, then FILL_CHUNK entries at a time, and the k-part as far as any
+    row goes.  Terms are formed in log-magnitude/sign form, so huge gamma
+    ratios never overflow, and summed with compensation.  The stop requires
+    two consecutive terms at most SERIES_TOL * max(1, |partial sum|) past
+    k_min: single terms can vanish exactly at gamma poles, but (for nu < 1)
+    two consecutive pole zeros are impossible, so a pair of small terms
+    really does mean the superexponential decay regime has begun.  x = 0
+    (t = 0, or t^(-beta) underflowed) leaves the k = 0 term, and fills
+    nothing past it, so it needs no C_k factor.
     """
     if x > ARG_GUARD:
         raise _argument_error(x, label)
@@ -381,18 +370,16 @@ def _saigo_series(
     prev = math.inf
     for k in range(TERM_CAP):
         if k >= filled:
-            # the loop reads k = 0 .. max(k, k_min) in any case; a chunk
-            # past that stops where the ln C_k table does, so that it never
-            # builds a table for entries no term may read
+            # the loop reads k = 0 .. max(k, k_min) in any case; a row too
+            # short for that grows by a chunk, so that repeating a series
+            # fills nothing
             need = max(k, k_min) + 1
-            stop = min(max(need, min(k + FILL_CHUNK, len(terms.lnck))), TERM_CAP)
-            if len(row) < 2 * stop:
-                terms.fill(key, row, stop)
-            if len(kpart) < stop:
-                # as far as the row goes: every row entry was filled for a
-                # series that filled per_k as far, so this builds no ln C_k,
-                # and the next series at this x may read on
-                terms.fill_kpart(kpart, lx, len(row) >> 1)
+            if len(row) < 2 * need:
+                terms.fill(key, row, min(max(need, k + FILL_CHUNK), TERM_CAP))
+            if len(kpart) < need:
+                # as far as any row goes, so that the next series at this x
+                # may read on without a C_k factor no row needed
+                terms.fill_kpart(kpart, lx, max(len(row) >> 1, len(terms.per_k)))
             filled = min(len(row) >> 1, len(kpart))
         j = 2 * k
         sign = row[j]
@@ -420,8 +407,8 @@ def _saigo_series(
 
 def poisson_pmf(lam: float, t: float, n: int) -> float:
     """Classical Poisson pmf e^{-lam t} (lam t)^n / n!, in log space."""
-    if lam <= 0.0:
-        raise ParameterError(f"poisson_pmf: lambda must be > 0, got {lam}")
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ParameterError(f"poisson_pmf: lambda must be finite and > 0, got {lam!r}")
     n = _check_state(t, n)
     if t == 0.0:
         return 1.0 if n == 0 else 0.0

@@ -62,8 +62,7 @@ def _integral_multiplier(alpha: float, beta: float, gamma_p: float, rho: float) 
     return s1 * s2 * math.exp(num - l1 - l2)
 
 
-def _check_integral_domain(p_alpha: float, p_beta: float, p_gamma: float, rho: float,
-                           who: str) -> None:
+def _check_integral_domain(p_beta: float, p_gamma: float, rho: float, who: str) -> None:
     if rho <= 0.0:
         raise ParameterError(f"{who}: requires rho > 0, got rho = {rho}")
     if rho <= p_beta - p_gamma:
@@ -75,7 +74,7 @@ def _check_integral_domain(p_alpha: float, p_beta: float, p_gamma: float, rho: f
 
 def saigo_integral_power(p: SaigoParams, rho: float) -> PowerTerm:
     """Image of t^{rho-1} under the Saigo integral, as multiplier * t^{rho-beta-1}."""
-    _check_integral_domain(p.alpha, p.beta, p.gamma_p, rho, "saigo_integral_power")
+    _check_integral_domain(p.beta, p.gamma_p, rho, "saigo_integral_power")
     mult = _integral_multiplier(p.alpha, p.beta, p.gamma_p, rho)
     return PowerTerm(mult, rho - p.beta - 1.0)
 
@@ -90,23 +89,18 @@ def saigo_integrate(p: SaigoParams, series: PowerSeries) -> PowerSeries:
     return series.map_terms(one)
 
 
-def saigo_caputo_derivative_power(p: SaigoParams, rho: float, m: int = 1) -> PowerTerm:
+def saigo_caputo_derivative_power(p: SaigoParams, rho: float) -> PowerTerm:
     """Image of t^rho under the corrected Caputo-type Saigo derivative.
 
     The operator is the Saigo integral with parameters
-    (m - alpha, -beta - m, alpha + gamma) applied to the m-th ordinary
-    derivative.  All process equations use m = 1 (0 < alpha <= 1); higher m
-    is accepted in the signature for completeness but rejected at runtime.
+    (1 - alpha, -beta - 1, alpha + gamma) applied to the first ordinary
+    derivative, the order every process equation uses (0 < alpha <= 1).
     On a power this collapses to
 
         Gamma(rho+1) Gamma(rho+alpha+beta+gamma+1)
         ------------------------------------------ * t^{rho+beta}.
         Gamma(rho+beta+1) Gamma(rho+gamma+1)
     """
-    if m != 1:
-        raise ParameterError(
-            f"saigo_caputo_derivative_power: only m = 1 is implemented, got m = {m}"
-        )
     if not (0.0 < p.alpha <= 1.0):
         raise ParameterError(
             f"saigo_caputo_derivative_power: requires 0 < alpha <= 1, got {p.alpha}"
@@ -155,7 +149,7 @@ def saigo_integral_quadrature(p: SaigoParams, rho: float, t: float) -> float:
     # (and every series command of the CLI) does not pay for it.
     from scipy import integrate, special
 
-    _check_integral_domain(p.alpha, p.beta, p.gamma_p, rho, "saigo_integral_quadrature")
+    _check_integral_domain(p.beta, p.gamma_p, rho, "saigo_integral_quadrature")
     if not (t > 0.0 and math.isfinite(t)):
         raise ParameterError(f"saigo_integral_quadrature: t must be > 0, got {t!r}")
 
@@ -229,20 +223,18 @@ def composition_check(p: SaigoParams, rho: float, t: float) -> float:
     return abs(recovered - 1.0) * t ** rho
 
 
-def ck_log_coefficients(p: SaigoParams, k_max: int) -> list[float]:
-    """ln C_k for k = 0 .. k_max, with C_k = prod_{j<=k} G(1+g-j b)/G(1+g+a-(j-1) b).
+def ck_log_run(p: SaigoParams, start: int, stop: int, ln_prev: float) -> list[float]:
+    """ln C_k for k = start .. stop - 1, continuing the running sum from
+    ln_prev = ln C_{start-1} (0.0 at start = 0, C_0 being the empty product).
 
-    Requires beta < 0 and every gamma argument positive; computed
-    cumulatively in log space so k_max in the hundreds stays exact.
+    Factor j of C_k = prod_{j<=k} G(1+g-j b)/G(1+g+a-(j-1) b) is added to
+    the sum once, so a table built by runs holds the same floats as one
+    built in one go.  Every gamma argument must be positive.
     """
-    if p.beta >= 0.0:
-        raise ParameterError(f"ck_log_coefficients: requires beta < 0, got {p.beta}")
-    if k_max < 0:
-        raise ParameterError(f"ck_log_coefficients: k_max must be >= 0, got {k_max}")
     a, b, g = p.alpha, p.beta, p.gamma_p
-    out = [0.0]
-    acc = 0.0
-    for j in range(1, k_max + 1):
+    out = [0.0] if start == 0 else []
+    acc = ln_prev
+    for j in range(max(start, 1), stop):
         num = 1.0 + g - j * b
         den = 1.0 + g + a - (j - 1) * b
         if num <= 0.0 or den <= 0.0:
@@ -253,3 +245,16 @@ def ck_log_coefficients(p: SaigoParams, k_max: int) -> list[float]:
         acc += log_gamma(num) - log_gamma(den)
         out.append(acc)
     return out
+
+
+def ck_log_coefficients(p: SaigoParams, k_max: int) -> list[float]:
+    """ln C_k for k = 0 .. k_max (see :func:`ck_log_run`).
+
+    Requires beta < 0 and every gamma argument positive; computed
+    cumulatively in log space so k_max in the hundreds stays exact.
+    """
+    if p.beta >= 0.0:
+        raise ParameterError(f"ck_log_coefficients: requires beta < 0, got {p.beta}")
+    if k_max < 0:
+        raise ParameterError(f"ck_log_coefficients: k_max must be >= 0, got {k_max}")
+    return ck_log_run(p, 0, k_max + 1, 0.0)

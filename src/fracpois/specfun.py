@@ -1,10 +1,13 @@
-"""Scalar special functions used by every distribution formula.
+"""Scalar special functions and the fixed series constants of the package.
 
-Everything here is plain-float and pure: log-gamma, falling factorials and
-the one-parameter Mittag-Leffler function.  The distribution series are built
-from *differences* of log-gamma values with explicit sign tracking, so the
-central helper is :func:`log_abs_gamma` which returns ``(sign, log|Gamma|)``
-for any finite real argument.
+Everything here is plain-float and pure: log-gamma, falling factorials, one
+compensated-summation step and the one-parameter Mittag-Leffler function,
+with the pole tolerance and the stop rule every k-series shares.
+:func:`log_gamma` takes positive arguments only, as the C_k products and the
+decomposition's power rule need.  :func:`log_abs_gamma` returns ``(sign,
+log|Gamma|)`` for any finite real argument; the Saigo operator multiplier
+calls it for denominators that may sit at a pole, while the distribution
+series inline its sign and pole rule in their batch fills.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from fracpois.processes import (
     truncated_normalization_residual,
     waiting_survival,
 )
-from fracpois.saigo import ck_log_coefficients
+from fracpois.saigo import ck_log_coefficients, ck_log_run
 from fracpois.specfun import mittag_leffler
 from oracles import sfpp_pmf, sstfpp_pmf, stfpp_pmf, tfpp_pmf
 
@@ -118,7 +118,7 @@ class TestStateIndex:
 
     @pytest.mark.parametrize("call", sorted(CALLS))
     @pytest.mark.parametrize("variant", sorted(PARAMS))
-    @pytest.mark.parametrize("n", [2.5, 2.0, "2", None, -1], ids=repr)
+    @pytest.mark.parametrize("n", [2.5, 2.0, "2", None, -1, True, False], ids=repr)
     def test_rejects_non_index(self, call, variant, n):
         with pytest.raises(ParameterError):
             self.CALLS[call](self.PARAMS[variant], n)
@@ -144,6 +144,11 @@ class TestPoisson:
     def test_normalizes(self):
         total = sum(poisson_pmf(1.5, 2.0, n) for n in range(80))
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan], ids=repr)
+    def test_rejects_bad_lambda(self, lam):
+        with pytest.raises(ParameterError):
+            poisson_pmf(lam, 1.0, 2)
 
 
 class TestTfpp:
@@ -455,28 +460,34 @@ class TestPmfTable:
         )
 
     def test_ln_ck_built_a_few_times_per_table(self, monkeypatch):
-        # the 50 x 26 sstfpp table shares one ln C_k table across its
-        # 1,300 probabilities and 50 tails; normalization_residual's one
-        # row and tail share one too
-        calls = []
-
-        def counting(sp, k_max):
-            calls.append(k_max)
-            return ck_log_coefficients(sp, k_max)
-
-        monkeypatch.setattr("fracpois.processes.ck_log_coefficients", counting)
+        # the 50 x 26 sstfpp table evaluates each C_k factor once across
+        # its 1,300 probabilities and 50 tails; normalization_residual's
+        # one row and tail do too
+        factors = _count_ck_factors(monkeypatch)
         for build in (
             lambda params: pmf_table(params, [0.1 * i for i in range(1, 51)], 25),
             lambda params: normalization_residual(params, 1.0, 25),
         ):
             # a fresh object per measurement: the cache lives on the params
             params = FractionalParams(1.0, alpha=0.8, nu=0.6, beta=-0.5, gamma_p=0.1)
-            calls.clear()
+            factors.clear()
             build(params)
-            assert 1 <= len(calls) <= 8
-            calls.clear()
+            assert factors and len(factors) == len(set(factors))
+            factors.clear()
             build(params)
-            assert len(calls) == 0
+            assert factors == []
+
+
+def _count_ck_factors(monkeypatch) -> list[int]:
+    """The j of every C_k factor the term cache evaluates, in call order."""
+    factors: list[int] = []
+
+    def counting(sp, start, stop, ln_prev):
+        factors.extend(range(max(start, 1), stop))
+        return ck_log_run(sp, start, stop, ln_prev)
+
+    monkeypatch.setattr(processes, "ck_log_run", counting)
+    return factors
 
 
 class TestSharedTermCache:
@@ -484,53 +495,23 @@ class TestSharedTermCache:
 
     def test_ln_ck_built_once_across_separate_calls(self, monkeypatch):
         # one parameter set evaluated call by call, as a caller sweeping a
-        # point would: every call reads the same ln C_k table
-        calls = []
-
-        def counting(sp, k_max):
-            calls.append(k_max)
-            return ck_log_coefficients(sp, k_max)
-
-        monkeypatch.setattr("fracpois.processes.ck_log_coefficients", counting)
+        # point would: every call reads the same ln C_k column
+        factors = _count_ck_factors(monkeypatch)
         params = FractionalParams(1.2, alpha=0.8, nu=0.6, beta=-0.5, gamma_p=0.1)
-        for n in range(26):
-            pmf(params, 1.0, n)
-        pmf_tail_mass(params, 1.0, 25)
-        waiting_survival(params, 1.0)
-        for u in self.PGF_U:
-            sstfpp_pgf(params, u, 1.0)
-        assert 1 <= len(calls) <= 2
 
-    def test_fills_survive_a_racing_shorter_ln_ck_table(self):
-        # The first read of lnck after each store returns the first build's
-        # table, as when a thread that began building earlier stores its
-        # shorter table last.  A fill must use the table its own build
-        # returned: one that read lnck again after its store would index
-        # past the end, or take ln C_k as 0.0 behind a length guard.
-        class RacedTerms(processes._SeriesTerms):
-            @property
-            def lnck(self):
-                raced, self._raced = self._raced, None
-                return self._lnck if raced is None else raced
-
-            @lnck.setter
-            def lnck(self, table):
-                self._lnck = table
-                self._raced = table[:processes.LNCK_FIRST_BUILD + 1]
-
-        def make():
-            return FractionalParams(1.2, alpha=0.8, nu=0.4, beta=-0.5, gamma_p=0.1)
-
-        plain, raced = make(), make()
-        vars(raced)["_terms"] = RacedTerms(raced)
-        for t in (0.5, 2.0):
-            # p_25 and p_40 first: their series start past the first build
-            for n in (25, 40, 0, 3):
-                assert pmf(raced, t, n) == pmf(plain, t, n)
-            assert pmf_tail_mass(raced, t, 25) == pmf_tail_mass(plain, t, 25)
+        def sweep():
+            for n in range(26):
+                pmf(params, 1.0, n)
+            pmf_tail_mass(params, 1.0, 25)
+            waiting_survival(params, 1.0)
             for u in self.PGF_U:
-                assert sstfpp_pgf(raced, u, t) == sstfpp_pgf(plain, u, t)
-        assert len(raced._terms._lnck) > processes.LNCK_FIRST_BUILD + 1
+                sstfpp_pgf(params, u, 1.0)
+
+        sweep()
+        assert factors and len(factors) == len(set(factors))
+        factors.clear()
+        sweep()
+        assert factors == []
 
     @staticmethod
     def _jobs(params):
@@ -574,8 +555,7 @@ class TestSharedTermCache:
                 return getattr(math, name)
 
         monkeypatch.setattr(processes, "math", YieldingMath())
-        monkeypatch.setattr(processes, "ck_log_coefficients",
-                            yielding(processes.ck_log_coefficients))
+        monkeypatch.setattr(processes, "ck_log_run", yielding(processes.ck_log_run))
         results: list[dict] = [{} for _ in range(8)]
         errors: list[BaseException] = []
         start = threading.Barrier(8, timeout=60.0)

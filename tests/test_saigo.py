@@ -8,6 +8,7 @@ from fracpois.errors import ParameterError
 from fracpois.saigo import (
     SaigoParams,
     ck_log_coefficients,
+    ck_log_run,
     composition_check,
     saigo_caputo_derivative_power,
     saigo_derivative_series,
@@ -106,10 +107,6 @@ class TestCaputoDerivative:
         out = saigo_derivative_series(p, s)
         assert len(out.terms) == 1
         assert out.terms[0].exponent == pytest.approx(0.7)
-
-    def test_only_first_order_supported(self):
-        with pytest.raises(ParameterError):
-            saigo_caputo_derivative_power(SaigoParams(0.5, -0.5, 0.0), 1.0, m=2)
 
     def test_rejects_alpha_above_one(self):
         with pytest.raises(ParameterError):
@@ -235,6 +232,14 @@ class TestCkCoefficients:
         for j in range(1, 9):
             direct += math.lgamma(1 + g - j * b) - math.lgamma(1 + g + a - (j - 1) * b)
             assert logs[j] == pytest.approx(direct, abs=1e-12)
+
+    def test_runs_continue_the_sum(self):
+        # a table grown run by run holds the same floats as one built whole
+        p = SaigoParams(0.6, -0.45, 0.2)
+        runs: list[float] = []
+        for start, stop in ((0, 1), (1, 8), (8, 9), (9, 21)):
+            runs += ck_log_run(p, start, stop, runs[-1] if runs else 0.0)
+        assert runs == ck_log_coefficients(p, 20)
 
     def test_requires_negative_beta(self):
         with pytest.raises(ParameterError):
