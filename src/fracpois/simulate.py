@@ -7,6 +7,14 @@ and the space-time one through both.  Sampling therefore needs exactly one
 nontrivial ingredient -- a one-sided stable variate with Laplace transform
 e^{-t s^nu} -- plus a Poisson draw at the randomized intensity.
 
+The samplers work in place.  The stable kernel draws its uniforms and
+exponentials whole, in that order, and forms each variate in the uniforms'
+own array one cache-sized block at a time; scaling, the clock and the
+Poisson clamp reuse that array.  ``empirical_pmf`` therefore holds about two
+float64 arrays of the sample size at its peak, three for stfpp.  The draws
+equal, bit for bit, the one-shot whole-array evaluation of the same formulas
+that ``tests/oracles.py`` keeps.
+
 Empirical histograms feed a chi-square comparison against the closed-form
 pmf, with the (possibly heavy) tail above the histogram range accounted for
 by the exact tail mass.
@@ -18,11 +26,12 @@ importing fracpois, which loads this module, stays free of both.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import ParameterError, UnsupportedVariantError
-from .processes import FractionalParams, PmfTable, pmf_table
+from .processes import FractionalParams, PmfTable, _index, pmf_table
 
 if TYPE_CHECKING:
     import numpy as np
@@ -31,6 +40,14 @@ if TYPE_CHECKING:
 # range we use; clamping keeps the generator in its supported domain without
 # touching the distribution of the recorded (clipped) counts.
 _LAM_CLAMP = 1e15
+
+# Draws per block of the in-place stable kernel, a multiple of 64 so that
+# every block starts where the SIMD lanes of one unblocked pass would.  Its
+# three 64 KiB slices (U, E, scratch) stay in L2.  Timing empirical_pmf at
+# 2e5 stfpp draws on a 2-vCPU AVX-512 Xeon (2 MiB L2 per core), blocks of
+# 4,096 to 16,384 ran within 1 % of each other (47 ms); 512 took 66 ms,
+# 65,536 took 49 ms and one unblocked pass 52 ms.
+_BLOCK = 8192
 
 # Smallest expected count a chi-square bin may have after pooling.
 _MIN_EXPECTED = 5.0
@@ -41,7 +58,14 @@ def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
 
     if isinstance(seed, np.random.Generator):
         return seed
+    if isinstance(seed, numbers.Integral) and seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(seed)
+
+
+def _size(size: int | None, caller: str) -> int:
+    """The number of draws: 1 for a scalar call, else size as an int >= 0."""
+    return 1 if size is None else _index(size, f"{caller}: size")
 
 
 def _uniform_open(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -62,13 +86,29 @@ def _stable_standard(nu: float, rng: np.random.Generator, size: int) -> np.ndarr
     Chambers-Mallows-Stuck in Kanter's one-sided form:
         A = [sin(nu U) / sin(U)^{1/nu}] * [sin((1-nu) U) / E]^{(1-nu)/nu}
     with U uniform on (0, pi) and E unit exponential.
+
+    U and E are drawn whole, in that order, which fixes the random stream;
+    A is then formed in U's own array, block by block, so the only further
+    memory is one block of scratch.
     """
     import numpy as np
 
-    U = _uniform_open(rng, size) * np.pi
+    U = _uniform_open(rng, size)
     E = rng.exponential(1.0, size)
-    ratio = np.sin(nu * U) / np.sin(U) ** (1.0 / nu)
-    return ratio * (np.sin((1.0 - nu) * U) / E) ** ((1.0 - nu) / nu)
+    scratch = np.empty(min(size, _BLOCK))
+    for lo in range(0, size, _BLOCK):
+        u, e = U[lo:lo + _BLOCK], E[lo:lo + _BLOCK]
+        x = scratch[:len(u)]
+        u *= np.pi
+        np.sin(np.multiply(u, 1.0 - nu, out=x), out=x)
+        np.divide(x, e, out=e)
+        e **= (1.0 - nu) / nu
+        np.sin(np.multiply(u, nu, out=x), out=x)
+        np.sin(u, out=u)
+        u **= 1.0 / nu
+        np.divide(x, u, out=u)
+        u *= e
+    return U
 
 
 def sample_stable(
@@ -87,8 +127,8 @@ def sample_stable(
         raise ParameterError(f"sample_stable: nu must be in (0, 1), got {nu}")
     if not (t > 0.0 and math.isfinite(t)):
         raise ParameterError(f"sample_stable: t must be > 0, got {t!r}")
-    rng = _as_rng(seed)
-    out = t ** (1.0 / nu) * _stable_standard(nu, rng, size if size is not None else 1)
+    out = _stable_standard(nu, _as_rng(seed), _size(size, "sample_stable"))
+    out *= t ** (1.0 / nu)
     return out if size is not None else float(out[0])
 
 
@@ -107,16 +147,18 @@ def sample_inverse_stable(
         raise ParameterError(f"sample_inverse_stable: alpha must be in (0, 1), got {alpha}")
     if not (t > 0.0 and math.isfinite(t)):
         raise ParameterError(f"sample_inverse_stable: t must be > 0, got {t!r}")
-    rng = _as_rng(seed)
-    a = _stable_standard(alpha, rng, size if size is not None else 1)
-    out = t ** alpha * a ** (-alpha)
+    out = _stable_standard(alpha, _as_rng(seed), _size(size, "sample_inverse_stable"))
+    out **= -alpha
+    out *= t ** alpha
     return out if size is not None else float(out[0])
 
 
 def _poisson_counts(rng: np.random.Generator, lam_eff: np.ndarray) -> np.ndarray:
+    """Poisson draws at the intensities lam_eff, which are clamped in place."""
     import numpy as np
 
-    lam_eff = np.minimum(np.nan_to_num(lam_eff, posinf=_LAM_CLAMP), _LAM_CLAMP)
+    np.nan_to_num(lam_eff, copy=False, posinf=_LAM_CLAMP)
+    np.minimum(lam_eff, _LAM_CLAMP, out=lam_eff)
     return rng.poisson(lam_eff)
 
 
@@ -143,7 +185,7 @@ def sample_process(
     if not (t >= 0.0 and math.isfinite(t)):
         raise ParameterError(f"sample_process: t must be >= 0, got {t!r}")
     rng = _as_rng(seed)
-    m = size if size is not None else 1
+    m = _size(size, "sample_process")
     if t == 0.0:
         counts = np.zeros(m, dtype=np.int64)
         return counts if size is not None else int(counts[0])
@@ -156,8 +198,12 @@ def sample_process(
         clock = sample_stable(params.nu, t, rng, m)
     else:  # stfpp: the stable subordinator run at an inverse-stable time
         inner = sample_inverse_stable(params.alpha, t, rng, m)
-        clock = inner ** (1.0 / params.nu) * _stable_standard(params.nu, rng, m)
-    counts = _poisson_counts(rng, params.lam * clock)
+        inner **= 1.0 / params.nu
+        clock = _stable_standard(params.nu, rng, m)
+        clock *= inner
+        del inner  # freed before the Poisson draw allocates the counts
+    clock *= params.lam
+    counts = _poisson_counts(rng, clock)
     return counts if size is not None else int(counts[0])
 
 
@@ -199,17 +245,15 @@ def empirical_pmf(
 ) -> EmpiricalPmf:
     import numpy as np
 
+    n_samples = _index(n_samples, "empirical_pmf: n_samples")
     if n_samples < 1:
         raise ParameterError(f"empirical_pmf: n_samples must be >= 1, got {n_samples}")
-    if n_max < 0:
-        raise ParameterError(f"empirical_pmf: n_max must be >= 0, got {n_max}")
+    n_max = _index(n_max, "empirical_pmf: n_max")
     draws = sample_process(params, t, seed, size=n_samples)
-    overflow = int(np.count_nonzero(draws > n_max))
-    clipped = draws[draws <= n_max]
-    counts = np.bincount(clipped, minlength=n_max + 1)
-    return EmpiricalPmf(
-        params, t, n_max, n_samples, tuple(int(c) for c in counts), overflow
-    )
+    # every draw above n_max is counted in one last bin, the overflow
+    np.minimum(draws, n_max + 1, out=draws)
+    *counts, overflow = np.bincount(draws, minlength=n_max + 2).tolist()
+    return EmpiricalPmf(params, t, n_max, n_samples, tuple(counts), overflow)
 
 
 def chi_square_gof(emp: EmpiricalPmf) -> tuple[float, float, int]:

@@ -6,6 +6,11 @@ variant, with their own term arithmetic and summation loop, so that tests can
 compare independent arithmetic against the production ``pmf``.  tfpp is the
 reindexed (k+n)!/k! form, algebraically distinct from the kernel's; sstfpp
 builds C_k from the Saigo product even on beta = -alpha.
+
+The one-shot subordination sampler is kept here too: every step of the
+stable draw, the clock and the histogram as one whole-array expression, the
+form the package had before its kernel ran in place block by block.  The
+package must reproduce its draws bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from fracpois.processes import (
     _check_state,
 )
 from fracpois.saigo import SaigoParams, ck_log_coefficients
+from fracpois.simulate import _LAM_CLAMP, _as_rng, _uniform_open
 from fracpois.specfun import LOG_HUGE, SERIES_TOL, TERM_CAP, _kahan_add, log_abs_gamma
 
 
@@ -188,3 +194,58 @@ def sstfpp_pmf(params: FractionalParams, t: float, n: int) -> float:
         return sign, logmag
 
     return _sum_k_series(term, int(n / nu) + 2, "sstfpp_pmf")
+
+
+def stable_standard(nu: float, rng, size: int):
+    """One-sided stable variates A with E[e^{-s A}] = e^{-s^nu} (Kanter/CMS)."""
+    import numpy as np
+
+    U = _uniform_open(rng, size) * np.pi
+    E = rng.exponential(1.0, size)
+    ratio = np.sin(nu * U) / np.sin(U) ** (1.0 / nu)
+    return ratio * (np.sin((1.0 - nu) * U) / E) ** ((1.0 - nu) / nu)
+
+
+def sample_stable(nu: float, t: float, seed, size: int):
+    return t ** (1.0 / nu) * stable_standard(nu, _as_rng(seed), size)
+
+
+def sample_inverse_stable(alpha: float, t: float, seed, size: int):
+    a = stable_standard(alpha, _as_rng(seed), size)
+    return t ** alpha * a ** (-alpha)
+
+
+def poisson_counts(rng, lam_eff):
+    import numpy as np
+
+    lam_eff = np.minimum(np.nan_to_num(lam_eff, posinf=_LAM_CLAMP), _LAM_CLAMP)
+    return rng.poisson(lam_eff)
+
+
+def sample_process(params: FractionalParams, t: float, seed, size: int):
+    """Counts of a simulable variant at t > 0."""
+    import numpy as np
+
+    rng = _as_rng(seed)
+    variant = params.variant
+    if variant == "classical":
+        clock = np.full(size, t)
+    elif variant == "tfpp":
+        clock = sample_inverse_stable(params.alpha, t, rng, size)
+    elif variant == "sfpp":
+        clock = sample_stable(params.nu, t, rng, size)
+    else:  # stfpp: the stable subordinator run at an inverse-stable time
+        inner = sample_inverse_stable(params.alpha, t, rng, size)
+        clock = inner ** (1.0 / params.nu) * stable_standard(params.nu, rng, size)
+    return poisson_counts(rng, params.lam * clock)
+
+
+def empirical_histogram(params: FractionalParams, t: float, n_samples: int, n_max: int, seed):
+    """(counts of states 0..n_max, overflow) of sample_process's draws."""
+    import numpy as np
+
+    draws = sample_process(params, t, seed, n_samples)
+    overflow = int(np.count_nonzero(draws > n_max))
+    clipped = draws[draws <= n_max]
+    counts = np.bincount(clipped, minlength=n_max + 1)
+    return tuple(int(c) for c in counts), overflow

@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 
 import numpy as np
+import oracles
 import pytest
 
 from fracpois.errors import ParameterError, UnsupportedVariantError
@@ -11,7 +13,10 @@ from fracpois.processes import (
     waiting_survival,
 )
 from fracpois.simulate import (
+    _BLOCK,
+    _LAM_CLAMP,
     EmpiricalPmf,
+    _poisson_counts,
     chi_square_gof,
     empirical_pmf,
     sample_inverse_stable,
@@ -36,6 +41,12 @@ class TestStableSampler:
     def test_rejects_bad_time(self):
         with pytest.raises(ParameterError):
             sample_stable(0.5, 0.0, 1)
+
+    @pytest.mark.parametrize("sampler", [sample_stable, sample_inverse_stable])
+    @pytest.mark.parametrize("seed, size", [(1, 2.5), (1, True), (1, -1), (-1, 10)])
+    def test_rejects_bad_size_and_seed(self, sampler, seed, size):
+        with pytest.raises(ParameterError):
+            sampler(0.5, 1.0, seed, size)
 
     def test_positive_draws(self):
         d = sample_stable(0.6, 1.0, 7, size=10_000)
@@ -103,6 +114,12 @@ class TestSampleProcess:
         with pytest.raises(ParameterError):
             sample_process(CLASSICAL, -1.0, 1)
 
+    @pytest.mark.parametrize("seed, size", [(1, 2.5), (1, True), (1, -1), (-1, 10), (-1, None)])
+    def test_rejects_bad_size_and_seed(self, seed, size):
+        for params in (CLASSICAL, STFPP):
+            with pytest.raises(ParameterError):
+                sample_process(params, 1.0, seed, size)
+
     def test_generator_instance_accepted(self):
         rng = np.random.default_rng(5)
         a = sample_process(CLASSICAL, 1.0, rng, size=10)
@@ -145,6 +162,106 @@ class TestEmpiricalPmf:
     def test_single_sample(self):
         emp = empirical_pmf(CLASSICAL, 1.0, 1, 3, 2)
         assert sum(emp.counts) + emp.overflow == 1
+
+    @pytest.mark.parametrize("n_samples, n_max, seed", [
+        (True, 5, 1), (2.5, 5, 1), (0, 5, 1), (-3, 5, 1),
+        (10, 2.0, 1), (10, True, 1), (10, -1, 1), (10, "3", 1),
+        (10, 5, -1),
+    ])
+    def test_rejects_bad_input(self, n_samples, n_max, seed):
+        with pytest.raises(ParameterError):
+            empirical_pmf(STFPP, 1.0, n_samples, n_max, seed)
+
+    def test_numpy_integers_accepted(self):
+        emp = empirical_pmf(TFPP, 1.0, np.int64(50), np.int32(4), np.uint8(3))
+        assert emp == empirical_pmf(TFPP, 1.0, 50, 4, 3)
+        assert type(emp.n_max) is int and type(emp.sample_count) is int
+
+    def test_transient_memory(self):
+        # numpy reports its buffers to tracemalloc; the sampler holds at most
+        # U and E (or the clock and the counts), the stfpp one also the
+        # inverse-stable time, plus one block of scratch
+        n = 200_000
+        for params, arrays in ((CLASSICAL, 2.25), (TFPP, 2.25), (SFPP, 2.25), (STFPP, 3.25)):
+            empirical_pmf(params, 1.0, n, 25, 6)
+            tracemalloc.start()
+            try:
+                empirical_pmf(params, 1.0, n, 25, 7)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= arrays * 8 * n, (params.variant, peak / (8 * n))
+
+
+class TestPoissonClamp:
+    def test_infinite_intensity_draws_at_the_clamp(self):
+        counts = _poisson_counts(np.random.default_rng(4), np.array([np.inf]))
+        assert counts[0] == np.random.default_rng(4).poisson(_LAM_CLAMP)
+        # lam * t overflows to inf: every draw lands in the overflow bin
+        with np.errstate(over="ignore"):
+            emp = empirical_pmf(FractionalParams(1e300), 1e300, 5, 10, 4)
+        assert emp.counts == (0,) * 11 and emp.overflow == 5
+
+    def test_nan_intensity_draws_zero(self):
+        counts = _poisson_counts(np.random.default_rng(4), np.array([np.nan, np.nan]))
+        assert counts.tolist() == [0, 0]
+
+    def test_clamps_the_intensities_in_place(self):
+        lam = np.array([0.5, np.inf, np.nan, 2e15, _LAM_CLAMP, 0.0, 3.0])
+        clamped = np.minimum(np.nan_to_num(lam, posinf=_LAM_CLAMP), _LAM_CLAMP)
+        counts = _poisson_counts(np.random.default_rng(9), lam)
+        assert np.array_equal(lam, clamped)
+        assert np.array_equal(counts, np.random.default_rng(9).poisson(clamped))
+
+
+# Sizes on both sides of each block edge of the in-place stable kernel.
+BIT_SIZES = (1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5, 100_000)
+BIT_SEEDS = (0, 1, 42)
+
+
+class TestOneShotBitIdentity:
+    """The in-place, blocked sampler draws exactly the one-shot oracle's bits."""
+
+    # nu = 1/2 and 2/3 give numpy's power its square, identity and square-root
+    # exponents, which it computes by other ufuncs
+    @pytest.mark.parametrize("size", BIT_SIZES)
+    def test_stable_draws(self, size):
+        for seed in BIT_SEEDS:
+            for nu, t in ((0.5, 1.0), (0.6, 0.3), (2.0 / 3.0, 4.0), (0.93, 1.0)):
+                got = sample_stable(nu, t, seed, size)
+                assert np.array_equal(got, oracles.sample_stable(nu, t, seed, size)), (seed, nu)
+                got = sample_inverse_stable(nu, t, seed, size)
+                want = oracles.sample_inverse_stable(nu, t, seed, size)
+                assert np.array_equal(got, want), (seed, nu)
+
+    @pytest.mark.parametrize("size", BIT_SIZES)
+    def test_process_draws(self, size):
+        for seed in BIT_SEEDS:
+            for params in (CLASSICAL, TFPP, SFPP, STFPP):
+                for t in (0.3, 1.0, 4.0):
+                    got = sample_process(params, t, seed, size)
+                    want = oracles.sample_process(params, t, seed, size)
+                    assert got.dtype == want.dtype, params.variant
+                    assert np.array_equal(got, want), (seed, params.variant, t)
+
+    def test_scalar_mode(self):
+        for seed in BIT_SEEDS:
+            assert sample_stable(0.6, 2.0, seed) == oracles.sample_stable(0.6, 2.0, seed, 1)[0]
+            x = sample_inverse_stable(0.7, 2.0, seed)
+            assert x == oracles.sample_inverse_stable(0.7, 2.0, seed, 1)[0]
+            for params in (CLASSICAL, TFPP, SFPP, STFPP):
+                n = sample_process(params, 2.0, seed)
+                assert type(n) is int
+                assert n == oracles.sample_process(params, 2.0, seed, 1)[0], params.variant
+
+    @pytest.mark.parametrize("n_samples", (1, 7, 3 * _BLOCK + 5))
+    def test_histogram(self, n_samples):
+        for seed in BIT_SEEDS:
+            for params in (CLASSICAL, TFPP, SFPP, STFPP):
+                for n_max in (0, 2, 25):
+                    emp = empirical_pmf(params, 1.5, n_samples, n_max, seed)
+                    counts, overflow = oracles.empirical_histogram(params, 1.5, n_samples, n_max, seed)
+                    assert (emp.counts, emp.overflow) == (counts, overflow), (seed, params.variant)
 
 
 class TestChiSquare:
