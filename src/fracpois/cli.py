@@ -244,6 +244,33 @@ def _params_dict(cfg: RunConfig) -> dict:
     }
 
 
+def _table(
+    cfg: RunConfig,
+    header: tuple[str, ...],
+    rows: list[tuple],
+    before: dict | None = None,
+    after: dict | None = None,
+    footer: tuple[str, ...] = (),
+) -> tuple[str, int]:
+    """rows under header as CSV (ints as they are, floats by _fmt, then the
+    footer lines) or as JSON (the params, before, the rows as objects keyed
+    by header, after)."""
+    if cfg.format == "json":
+        body = json.dumps(
+            {
+                "params": _params_dict(cfg),
+                **(before or {}),
+                "rows": [dict(zip(header, row)) for row in rows],
+                **(after or {}),
+            }
+        )
+        return body + "\n", 0
+    lines = [",".join(header)]
+    lines += [",".join(str(v) if isinstance(v, int) else _fmt(v) for v in row) for row in rows]
+    lines += footer
+    return "\n".join(lines) + "\n", 0
+
+
 def _cmd_pmf(cfg: RunConfig) -> tuple[str, int]:
     table = pmf_table(cfg.params, cfg.times, cfg.n_max)
     rows = [
@@ -251,47 +278,17 @@ def _cmd_pmf(cfg: RunConfig) -> tuple[str, int]:
         for t, row, tail in zip(table.times, table.probs, table.tail_mass)
         for n, p in enumerate(row)
     ]
-    if cfg.format == "json":
-        body = json.dumps(
-            {
-                "params": _params_dict(cfg),
-                "rows": [
-                    {"t": t, "n": n, "p": p, "tail_mass": m} for t, n, p, m in rows
-                ],
-            }
-        )
-        return body + "\n", 0
-    lines = ["t,n,p,tail_mass"]
-    lines += [f"{_fmt(t)},{n},{_fmt(p)},{_fmt(m)}" for t, n, p, m in rows]
-    return "\n".join(lines) + "\n", 0
+    return _table(cfg, ("t", "n", "p", "tail_mass"), rows)
 
 
 def _cmd_pgf(cfg: RunConfig) -> tuple[str, int]:
     rows = [(t, cfg.u, sstfpp_pgf(cfg.params, cfg.u, t)) for t in cfg.times]
-    if cfg.format == "json":
-        body = json.dumps(
-            {
-                "params": _params_dict(cfg),
-                "rows": [{"t": t, "u": u, "g": g} for t, u, g in rows],
-            }
-        )
-        return body + "\n", 0
-    lines = ["t,u,g"] + [f"{_fmt(t)},{_fmt(u)},{_fmt(g)}" for t, u, g in rows]
-    return "\n".join(lines) + "\n", 0
+    return _table(cfg, ("t", "u", "g"), rows)
 
 
 def _cmd_survival(cfg: RunConfig) -> tuple[str, int]:
     rows = [(t, waiting_survival(cfg.params, t)) for t in cfg.times]
-    if cfg.format == "json":
-        body = json.dumps(
-            {
-                "params": _params_dict(cfg),
-                "rows": [{"t": t, "survival": s} for t, s in rows],
-            }
-        )
-        return body + "\n", 0
-    lines = ["t,survival"] + [f"{_fmt(t)},{_fmt(s)}" for t, s in rows]
-    return "\n".join(lines) + "\n", 0
+    return _table(cfg, ("t", "survival"), rows)
 
 
 def _cmd_verify(cfg: RunConfig) -> tuple[str, int]:
@@ -345,32 +342,18 @@ def _cmd_simulate(cfg: RunConfig) -> tuple[str, int]:
     for n, closed in enumerate(table.probs[0]):
         freq = emp.frequency(n)
         rows.append((n, freq, closed, abs(freq - closed)))
-    if cfg.format == "json":
-        body = json.dumps(
-            {
-                "params": _params_dict(cfg),
-                "t": t,
-                "samples": cfg.samples,
-                "seed": cfg.seed,
-                "rows": [
-                    {"n": n, "empirical": e, "closed_form": c, "abs_diff": d}
-                    for n, e, c, d in rows
-                ],
-                "chi_square": stat,
-                "p_value": pvalue,
-                "dof": dof,
-            }
-        )
-        return body + "\n", 0
-    lines = ["n,empirical,closed_form,abs_diff"]
-    lines += [f"{n},{_fmt(e)},{_fmt(c)},{_fmt(d)}" for n, e, c, d in rows]
     if dof is None:
-        lines.append("# chi_square=not computable (fewer than two usable bins)")
+        footer = ("# chi_square=not computable (fewer than two usable bins)",)
     else:
-        lines.append(f"# chi_square={_fmt(stat)}")
-        lines.append(f"# p_value={_fmt(pvalue)}")
-        lines.append(f"# dof={dof}")
-    return "\n".join(lines) + "\n", 0
+        footer = (f"# chi_square={_fmt(stat)}", f"# p_value={_fmt(pvalue)}", f"# dof={dof}")
+    return _table(
+        cfg,
+        ("n", "empirical", "closed_form", "abs_diff"),
+        rows,
+        before={"t": t, "samples": cfg.samples, "seed": cfg.seed},
+        after={"chi_square": stat, "p_value": pvalue, "dof": dof},
+        footer=footer,
+    )
 
 
 _COMMANDS = {

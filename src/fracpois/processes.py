@@ -15,8 +15,10 @@ Every series here is one Saigo k-series,
 summed by :func:`_saigo_series` in log-magnitude/sign form so that huge
 numerators against huge denominators never overflow, with reciprocal gammas
 vanishing at poles.  The state probability takes f_k = (-1)^n
-Gamma(k nu + 1)/Gamma(k nu + 1 - n) and s = ln n!; the tail mass and the
-generating function take other f_k and s.  On beta = -alpha every C_k is
+Gamma(k nu + 1)/Gamma(k nu + 1 - n) and s = ln n!; the tail mass takes
+other f_k and s, and the generating function is the n = 0 series at
+x = lam^nu (1-u)^nu t^(-beta).  The cross-checks below read single terms
+(:meth:`_SeriesTerms.coefficients`).  On beta = -alpha every C_k is
 exactly 1, which yields the tfpp, sfpp and stfpp results; the classical
 variant uses the closed-form Poisson pmf.  The space-fractional variants
 have power-law state tails, so truncating the state index n at N leaves
@@ -34,8 +36,8 @@ point evaluated on it (:func:`pmf`, :func:`pmf_tail_mass`,
 :func:`sstfpp_pgf`, :func:`waiting_survival` and :func:`pmf_table`) shares
 it, so that work runs once per parameter set.  The
 cache lives and dies with the params object (a pickle or copy of it starts
-empty); it grows with the set of states, tail cut-offs and the pgf evaluated
-on that object, one row each.  Rows are filled in batches, one loop per
+empty); it grows with the set of states and tail cut-offs evaluated on
+that object, one row each.  Rows are filled in batches, one loop per
 kind of series over a run of k.  The k-part of a term, (ln C_k + k ln x) -
 ln Gamma(1 - k beta), is the same for every series at one x, so it is kept
 for the last x evaluated and shared by the states and the tail of one time.
@@ -67,7 +69,6 @@ from .adm import (
 from .errors import ConvergenceError, ParameterError
 from .saigo import (
     SaigoParams,
-    ck_log_coefficients,
     ck_log_run,
     saigo_caputo_derivative_power,
     saigo_derivative_series,
@@ -102,8 +103,8 @@ class FractionalParams:
     that the series entry points evaluated on it share.  It is created on
     first use, lives and dies with the instance, and is no part of its
     equality, hash, repr or pickle; ``dataclasses.replace``, ``copy`` and
-    unpickling start a fresh one.  It grows with the set of states, tail
-    cut-offs and the pgf evaluated on the instance.  It needs no lock,
+    unpickling start a fresh one.  It grows with the set of states and tail
+    cut-offs evaluated on the instance.  It needs no lock,
     because concurrent fills only repeat work and store equal values (see
     :class:`_SeriesTerms`).
     """
@@ -199,7 +200,7 @@ class _SeriesTerms:
     * ``per_k[k]`` = (ln C_k, ln Gamma(1 - k beta), ln Gamma(k nu + 1)), the
       values no series key changes, the last being the numerator of the
       state factor;
-    * ``rows``: one row per series key (state n, ("tail", N), or "pgf"),
+    * ``rows``: one row per series key (state n or ("tail", N)),
       holding flat at row[2k] and row[2k+1] the sign of f_k times (-1)^k
       (0.0 where f_k vanishes) and ln|f_k|;
     * ``kpart`` = (x, its k-part) for the last x evaluated; k-part[k] =
@@ -267,13 +268,24 @@ class _SeriesTerms:
         start = len(row) >> 1
         if type(key) is int:
             entries = self._state_entries(key, start, stop)
-        elif key == "pgf":  # f_k = 1
-            entries = []
-            for k in range(start, stop):
-                entries += (-1.0 if k & 1 else 1.0, 0.0)
         else:
             entries = self._tail_entries(key[1], start, stop)
         row[2 * start:2 * stop] = entries
+
+    def coefficients(self, key: object, lx: float, s: float, stop: int) -> list[float]:
+        """The terms k < stop of key's series at x = e^lx, unsummed: the floats
+        :func:`_saigo_series` adds (a vanishing term's ln|f_k| is -inf, so it
+        is 0.0); a term past LOG_HUGE raises ConvergenceError, as there."""
+        row = self.rows.setdefault(key, [])
+        if len(row) < 2 * stop:
+            self.fill(key, row, stop)
+        out: list[float] = []
+        for k, (lnck, lg, _) in enumerate(self._per_k_to(stop)[:stop]):
+            logmag = lnck + k * lx - lg + row[2 * k + 1] - s
+            if logmag > LOG_HUGE:
+                raise ConvergenceError(f"series coefficient overflow at k = {k}")
+            out.append(row[2 * k] * math.exp(logmag))
+        return out
 
     def _state_entries(self, n: int, start: int, stop: int) -> list[float]:
         # f_k = (-1)^n Gamma(k nu + 1) / Gamma(a), a = k nu + 1 - n, zero at
@@ -335,7 +347,7 @@ def _saigo_series(
 ) -> float:
     """sum_k C_k (-x)^k / Gamma(1 - k beta) * f_k / e^s, the one k-series.
 
-    key names the series and so its f_k: state n, ("tail", N) or "pgf" (see
+    key names the series and so its f_k: state n or ("tail", N) (see
     :meth:`_SeriesTerms.fill`); a zero sign drops the term (gamma poles).
     The loop reads key's row and the k-part of x from terms and fills what
     no earlier series has: the row first to k = k_min, which it always
@@ -559,7 +571,7 @@ def sstfpp_pgf(params: FractionalParams, u: float, t: float) -> float:
     _check_state(t, 0)
     nu = params.nu
     x = params.lam ** nu * (1.0 - u) ** nu * t ** (-params.beta)
-    return _saigo_series(params._terms, "pgf", x, 0.0, 2, "sstfpp_pgf")
+    return _saigo_series(params._terms, 0, x, 0.0, 2, "sstfpp_pgf")
 
 
 def waiting_survival(params: FractionalParams, t: float) -> float:
@@ -573,37 +585,25 @@ def waiting_survival(params: FractionalParams, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def closed_iterate_coefficient(
-    params: FractionalParams, logck: Sequence[float], n: int, k: int
-) -> float:
-    """Coefficient of t^{-k beta} in the k-th decomposition iterate of state n:
-
-        (-1)^n / n! * (k nu)_n * C_k * (-lam^nu)^k / Gamma(1 - k beta).
-    """
-    ff = falling_factorial(k * params.nu, n)
-    if ff == 0.0:
-        return 0.0
-    logmag = (
-        logck[k]
-        + k * params.nu * math.log(params.lam)
-        - math.lgamma(1.0 - k * params.beta)
-        - math.lgamma(n + 1.0)
+def _iterate_coefficients(params: FractionalParams, n: int, k_trunc: int) -> list[float]:
+    """c_{n,k} = (-1)^n/n! (k nu)_n C_k (-lam^nu)^k/Gamma(1 - k beta) for k <= k_trunc,
+    the t^{-k beta} coefficient of state n's k-th decomposition iterate: its
+    series terms at t = 1, x = lam^nu."""
+    return params._terms.coefficients(
+        n, params.nu * math.log(params.lam), math.lgamma(n + 1.0),
+        _index(k_trunc, "k_trunc") + 1,
     )
-    sign = -1.0 if (n + k) % 2 else 1.0
-    return sign * ff * math.exp(logmag)
 
 
 def state_series(
     params: FractionalParams, n: int, k_trunc: int
 ) -> PowerSeries:
     """Truncated power series sum_{k<=k_trunc} c_{n,k} t^{-k beta} for state n."""
-    logck = ck_log_coefficients(params.saigo(), k_trunc)
-    terms = []
-    for k in range(k_trunc + 1):
-        c = closed_iterate_coefficient(params, logck, n, k)
-        if c != 0.0:
-            terms.append(PowerTerm(c, -k * params.beta))
-    return PowerSeries(terms)
+    return PowerSeries(
+        PowerTerm(c, -k * params.beta)
+        for k, c in enumerate(_iterate_coefficients(params, n, k_trunc))
+        if c != 0.0
+    )
 
 
 def _coupling_weight(params: FractionalParams, r: int) -> float:
@@ -636,14 +636,13 @@ def kolmogorov_tail_bound(
 ) -> float:
     """Bound on the residual: the RHS's unmatched top-order term plus a
     float-evaluation floor proportional to the total evaluated magnitude."""
-    logck = ck_log_coefficients(params.saigo(), k_trunc)
     top = 0.0
     scale = 0.0
     for r in range(n + 1):
         w = abs(_coupling_weight(params, r))
-        top += w * abs(closed_iterate_coefficient(params, logck, n - r, k_trunc))
-        for k in range(k_trunc + 1):
-            c = closed_iterate_coefficient(params, logck, n - r, k)
+        coeffs = _iterate_coefficients(params, n - r, k_trunc)
+        top += w * abs(coeffs[k_trunc])
+        for k, c in enumerate(coeffs):
             scale += w * abs(c) * t ** (-k * params.beta)
     eps = math.ulp(1.0)
     return top * t ** (-k_trunc * params.beta) + 64.0 * eps * max(scale, 1.0)
@@ -669,11 +668,9 @@ def adm_closed_form_diff(params: FractionalParams, n_max: int, k_trunc: int) -> 
         n_max,
         k_trunc,
     )
-    logck = ck_log_coefficients(params.saigo(), k_trunc)
     worst = 0.0
     for n in range(n_max + 1):
-        for k in range(k_trunc + 1):
-            closed = closed_iterate_coefficient(params, logck, n, k)
+        for k, closed in enumerate(_iterate_coefficients(params, n, k_trunc)):
             it = state.iterates[n][k]
             if len(it) == 0:
                 got = 0.0
@@ -707,18 +704,13 @@ def pgf_cauchy_residual(
     if not (math.isfinite(u) and abs(u) < 1.0):
         raise ParameterError(f"pgf_cauchy_residual: requires |u| < 1, got {u!r}")
     sp = params.saigo()
-    logck = ck_log_coefficients(sp, k_trunc)
     z = params.lam ** params.nu * (1.0 - u) ** params.nu
-    lz = math.log(z)
-
-    def a(k: int) -> float:
-        sign = -1.0 if k % 2 else 1.0
-        return sign * math.exp(logck[k] + k * lz - math.lgamma(1.0 - k * params.beta))
-
+    # a_k: the pgf's series terms at t = 1, those of state 0 at x = z
+    a = params._terms.coefficients(0, math.log(z), 0.0, _index(k_trunc, "k_trunc") + 1)
     worst = 0.0
-    for k in range(1, k_trunc + 1):
+    for k in range(1, len(a)):
         dmult = saigo_caputo_derivative_power(sp, -k * params.beta).coeff
-        lhs = dmult * a(k)
-        rhs = -z * a(k - 1)
+        lhs = dmult * a[k]
+        rhs = -z * a[k - 1]
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     return worst

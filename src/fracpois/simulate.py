@@ -26,7 +26,6 @@ importing fracpois, which loads this module, stays free of both.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -58,9 +57,7 @@ def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
 
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, numbers.Integral) and seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_index(seed, "seed"))
 
 
 def _size(size: int | None, caller: str) -> int:
@@ -202,7 +199,8 @@ def sample_process(
         clock = _stable_standard(params.nu, rng, m)
         clock *= inner
         del inner  # freed before the Poisson draw allocates the counts
-    clock *= params.lam
+    with np.errstate(over="ignore"):  # an inf intensity is clamped below
+        clock *= params.lam
     counts = _poisson_counts(rng, clock)
     return counts if size is not None else int(counts[0])
 

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +36,7 @@ t,n,p,tail_mass
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src"
 
 
 def run(capsys, *argv):
@@ -165,6 +169,20 @@ class TestSurvivalAndPgf:
         code, out, _ = run(capsys, "pgf", "-u", "0.4", "-t", "1")
         assert code == 0
         assert out == "t,u,g\n1,0.40000000000000002,0.49253358589299417\n"
+
+    def test_python_dash_m_runs_the_cli(self):
+        env = dict(os.environ)
+        env.pop("FRACPOIS_CONFIG", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracpois", "pgf", "-u", "0.4", "-t", "1"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        # the bytes of test_pgf_golden
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "t,u,g\n1,0.40000000000000002,0.49253358589299417\n"
 
     def test_pgf_matches_library(self, capsys):
         _, out, _ = run(capsys, "pgf", "-u", "-0.25", "-t", "1.5")
@@ -418,3 +436,18 @@ def test_readme_cli_examples_run(monkeypatch, capsys):
         code, out, err = run(capsys, *shlex.split(line)[1:])
         assert (code, err) == (0, ""), line
         assert out, line
+
+
+def test_readme_table_commands_json_golden_bytes(monkeypatch, capsys):
+    # the --format json stdout of the README's pmf, survival, pgf and
+    # simulate commands, byte for byte: each command line of the golden file
+    # is followed by its one line of output
+    monkeypatch.delenv("FRACPOIS_CONFIG", raising=False)
+    readme = README.read_text().splitlines()
+    golden = (Path(__file__).with_name("readme_json_golden.txt")
+              .read_text().splitlines(keepends=True))
+    assert len(golden) == 8
+    for command, expected in zip(golden[::2], golden[1::2]):
+        assert command.removesuffix(" --format json\n") in readme, command
+        code, out, err = run(capsys, *shlex.split(command)[1:])
+        assert (code, err, out) == (0, "", expected), command

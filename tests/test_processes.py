@@ -15,7 +15,6 @@ from fracpois.errors import ConvergenceError, ParameterError
 from fracpois.processes import (
     FractionalParams,
     adm_closed_form_diff,
-    closed_iterate_coefficient,
     composition_tuples_residual,
     kolmogorov_residual,
     kolmogorov_tail_bound,
@@ -30,7 +29,7 @@ from fracpois.processes import (
     truncated_normalization_residual,
     waiting_survival,
 )
-from fracpois.saigo import ck_log_coefficients, ck_log_run
+from fracpois.saigo import ck_log_run
 from fracpois.specfun import mittag_leffler
 from oracles import sfpp_pmf, sstfpp_pmf, stfpp_pmf, tfpp_pmf
 
@@ -440,6 +439,25 @@ class TestPmfTable:
             pmf_table(fresh, [1.0] * 50, 25)
             assert len(calls) == 0
 
+    def test_pgf_reads_the_survival_row(self, monkeypatch):
+        # G(u, t) is state 0's series at x = lam^nu (1-u)^nu t^(-beta): at
+        # u = 0 it is the survival function, read back from its row
+        calls = []
+        fill = processes._SeriesTerms.fill
+
+        def counting(terms, key, row, stop):
+            calls.extend(range(len(row) >> 1, stop))
+            fill(terms, key, row, stop)
+
+        monkeypatch.setattr(processes._SeriesTerms, "fill", counting)
+        for params in (TFPP, SSTFPP):
+            fresh = dataclasses.replace(params)
+            survival = waiting_survival(fresh, 1.5)
+            assert calls
+            calls.clear()
+            assert sstfpp_pgf(fresh, 0.0, 1.5) == survival
+            assert calls == []
+
     def test_argument_guard_in_a_later_time(self):
         with pytest.raises(ConvergenceError) as exc:
             pmf_table(TFPP, [0.5, 1.0, 1e6], 8)
@@ -654,18 +672,23 @@ class TestClosedIterates:
     def test_rl_zero_state_coefficients(self):
         # for beta = -alpha, C_k = 1 and the n = 0 coefficients are
         # (-lam^nu)^k / Gamma(k alpha + 1)
-        logck = ck_log_coefficients(STFPP.saigo(), 8)
-        for k in range(9):
+        series = state_series(STFPP, 0, 8)
+        assert len(series) == 9
+        for k, term in enumerate(series):
             expect = (-(STFPP.lam ** STFPP.nu)) ** k / math.gamma(k * STFPP.alpha + 1.0)
-            got = closed_iterate_coefficient(STFPP, logck, 0, k)
-            assert got == pytest.approx(expect, rel=1e-12)
+            assert term.exponent == k * STFPP.alpha
+            assert term.coeff == pytest.approx(expect, rel=1e-12)
 
     def test_integer_nu_triangularity(self):
         p = FractionalParams(1.0, alpha=0.7, nu=1.0)
-        logck = ck_log_coefficients(p.saigo(), 6)
         # (k)_n vanishes for k < n: state n gets no contribution before step n
-        assert closed_iterate_coefficient(p, logck, 3, 2) == 0.0
-        assert closed_iterate_coefficient(p, logck, 3, 3) != 0.0
+        exponents = [term.exponent for term in state_series(p, 3, 6)]
+        assert exponents == [-k * p.beta for k in range(3, 7)]
+
+    def test_coefficient_overflow_is_a_convergence_error(self):
+        # lam^nu = 1e12: the k = 40 coefficient is about 1e450
+        with pytest.raises(ConvergenceError):
+            state_series(FractionalParams(1e20, alpha=0.7, nu=0.6), 0, 40)
 
     def test_state_series_evaluates_to_pmf(self):
         s = state_series(SSTFPP, 2, 60)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import oracles
@@ -43,7 +44,10 @@ class TestStableSampler:
             sample_stable(0.5, 0.0, 1)
 
     @pytest.mark.parametrize("sampler", [sample_stable, sample_inverse_stable])
-    @pytest.mark.parametrize("seed, size", [(1, 2.5), (1, True), (1, -1), (-1, 10)])
+    @pytest.mark.parametrize(
+        "seed, size",
+        [(1, 2.5), (1, True), (1, -1), (-1, 10), (2.5, 10), ("3", 10), (True, 10), (None, 10)],
+    )
     def test_rejects_bad_size_and_seed(self, sampler, seed, size):
         with pytest.raises(ParameterError):
             sampler(0.5, 1.0, seed, size)
@@ -114,7 +118,11 @@ class TestSampleProcess:
         with pytest.raises(ParameterError):
             sample_process(CLASSICAL, -1.0, 1)
 
-    @pytest.mark.parametrize("seed, size", [(1, 2.5), (1, True), (1, -1), (-1, 10), (-1, None)])
+    @pytest.mark.parametrize(
+        "seed, size",
+        [(1, 2.5), (1, True), (1, -1), (-1, 10), (-1, None),
+         (2.5, 10), ("3", 10), (True, 10), (None, 10)],
+    )
     def test_rejects_bad_size_and_seed(self, seed, size):
         for params in (CLASSICAL, STFPP):
             with pytest.raises(ParameterError):
@@ -197,8 +205,9 @@ class TestPoissonClamp:
     def test_infinite_intensity_draws_at_the_clamp(self):
         counts = _poisson_counts(np.random.default_rng(4), np.array([np.inf]))
         assert counts[0] == np.random.default_rng(4).poisson(_LAM_CLAMP)
-        # lam * t overflows to inf: every draw lands in the overflow bin
-        with np.errstate(over="ignore"):
+        # lam * t overflows to inf, silently: every draw lands in the overflow bin
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             emp = empirical_pmf(FractionalParams(1e300), 1e300, 5, 10, 4)
         assert emp.counts == (0,) * 11 and emp.overflow == 5
 
