@@ -17,8 +17,10 @@ numerators against huge denominators never overflow, with reciprocal gammas
 vanishing at poles.  The state probability takes f_k = (-1)^n
 Gamma(k nu + 1)/Gamma(k nu + 1 - n) and s = ln n!; the tail mass takes
 other f_k and s, and the generating function is the n = 0 series at
-x = lam^nu (1-u)^nu t^(-beta).  The cross-checks below read single terms
-(:meth:`_SeriesTerms.coefficients`).  On beta = -alpha every C_k is
+x = lam^nu (1-u)^nu t^(-beta).  The decomposition cross-checks below
+evaluate the cache's truncated rows at each time, unsummed: term k of state
+n at t is the k-th iterate c_{n,k} t^{-k beta} (:func:`_state_terms`,
+:meth:`_SeriesTerms.coefficients`).  On beta = -alpha every C_k is
 exactly 1, which yields the tfpp, sfpp and stfpp results; the classical
 variant uses the closed-form Poisson pmf.  The space-fractional variants
 have power-law state tails, so truncating the state index n at N leaves
@@ -58,20 +60,14 @@ import math
 import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .adm import (
-    PowerSeries,
-    PowerTerm,
-    adm_solve_linear,
-    rl_integrate,
-)
+from .adm import adm_solve_linear
 from .errors import ConvergenceError, ParameterError
 from .saigo import (
     SaigoParams,
     ck_log_run,
     saigo_caputo_derivative_power,
-    saigo_derivative_series,
     saigo_integrate,
 )
 from .specfun import (
@@ -520,13 +516,18 @@ def pmf_table(params: FractionalParams, times: Sequence[float], n_max: int) -> P
     return PmfTable(params, tuple(times), n_max, tuple(probs), tuple(tails))
 
 
+def _kahan_sum(values: Iterable[float]) -> float:
+    """The compensated sum of values, in their order."""
+    total, comp = 0.0, 0.0
+    for v in values:
+        total, comp = _kahan_add(total, comp, v)
+    return total
+
+
 def normalization_residual(params: FractionalParams, t: float, n_max: int) -> float:
     """|sum_{n<=n_max} pmf + tail_mass - 1| at one time point."""
     table = pmf_table(params, [t], n_max)
-    total, comp = 0.0, 0.0
-    for p in table.probs[0] + table.tail_mass:
-        total, comp = _kahan_add(total, comp, p)
-    return abs(total - 1.0)
+    return abs(_kahan_sum(table.probs[0] + table.tail_mass) - 1.0)
 
 
 def truncated_normalization_residual(
@@ -544,11 +545,9 @@ def truncated_normalization_residual(
     _check_state(t, 0)
     if t == 0.0:
         return 0.0
-    total, comp = 0.0, 0.0
-    for n in range(n_max + 1):
-        total, comp = _kahan_add(total, comp, state_series(params, n, max_k).evaluate(t))
-    total, comp = _kahan_add(total, comp, pmf_tail_mass(params, t, n_max))
-    return abs(total - 1.0)
+    terms = [c for n in range(n_max + 1) for c in _state_terms(params, t, n, max_k)]
+    terms.append(pmf_tail_mass(params, t, n_max))
+    return abs(_kahan_sum(terms) - 1.0)
 
 
 def composition_tuples_residual(params: FractionalParams) -> float:
@@ -585,24 +584,19 @@ def waiting_survival(params: FractionalParams, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _iterate_coefficients(params: FractionalParams, n: int, k_trunc: int) -> list[float]:
-    """c_{n,k} = (-1)^n/n! (k nu)_n C_k (-lam^nu)^k/Gamma(1 - k beta) for k <= k_trunc,
-    the t^{-k beta} coefficient of state n's k-th decomposition iterate: its
-    series terms at t = 1, x = lam^nu."""
+def _state_terms(params: FractionalParams, t: float, n: int, k_trunc: int) -> list[float]:
+    """The terms k <= k_trunc of state n's series at time t > 0, unsummed.
+
+    Term k is the k-th decomposition iterate c_{n,k} t^{-k beta} at t, with
+    c_{n,k} = (-1)^n/n! (k nu)_n C_k (-lam^nu)^k/Gamma(1 - k beta): the
+    cache's row at ln x = nu ln lam - beta ln t, which never forms x (it may
+    underflow) and at t = 1 reads the coefficients themselves.
+    """
+    if not (t > 0.0 and math.isfinite(t)):
+        raise ParameterError(f"t must be finite and > 0, got {t!r}")
     return params._terms.coefficients(
-        n, params.nu * math.log(params.lam), math.lgamma(n + 1.0),
-        _index(k_trunc, "k_trunc") + 1,
-    )
-
-
-def state_series(
-    params: FractionalParams, n: int, k_trunc: int
-) -> PowerSeries:
-    """Truncated power series sum_{k<=k_trunc} c_{n,k} t^{-k beta} for state n."""
-    return PowerSeries(
-        PowerTerm(c, -k * params.beta)
-        for k, c in enumerate(_iterate_coefficients(params, n, k_trunc))
-        if c != 0.0
+        n, params.nu * math.log(params.lam) - params.beta * math.log(t),
+        math.lgamma(n + 1.0), _index(k_trunc, "k_trunc") + 1,
     )
 
 
@@ -616,18 +610,23 @@ def kolmogorov_residual(params: FractionalParams, t: float, n: int, k_trunc: int
     """Residual of the governing equation on truncated series at time t.
 
     LHS: the Caputo-type Saigo derivative applied term-wise to state n's
-    series.  RHS: the fractional-difference coupling of states n-r.  On
-    truncated series the two sides agree except for the RHS's top order,
-    so the residual is a pure truncation quantity, bounded by
-    :func:`kolmogorov_tail_bound`.
+    series; it maps term k, c t^{-k beta}, to D(-k beta) c t^{-(k-1) beta}
+    and annihilates the constant k = 0.  RHS: the fractional-difference
+    coupling of states n-r.  On truncated series the two sides agree except
+    for the RHS's top order, so the residual is a pure truncation quantity,
+    bounded by :func:`kolmogorov_tail_bound`.  A time with t^beta past
+    e^LOG_HUGE, where the terms have lost their digits to underflow, raises
+    ConvergenceError.
     """
-    if not (t > 0.0 and math.isfinite(t)):
-        raise ParameterError(f"kolmogorov_residual: t must be > 0, got {t!r}")
-    series = [state_series(params, m, k_trunc) for m in range(n + 1)]
-    lhs = saigo_derivative_series(params.saigo(), series[n]).evaluate(t)
-    rhs, comp = 0.0, 0.0
-    for r in range(n + 1):
-        rhs, comp = _kahan_add(rhs, comp, _coupling_weight(params, r) * series[n - r].evaluate(t))
+    sp, beta = params.saigo(), params.beta
+    rows = [_state_terms(params, t, m, k_trunc) for m in range(n + 1)]
+    if beta * math.log(t) > LOG_HUGE:
+        raise ConvergenceError(f"kolmogorov_residual: t^beta overflows at t = {t!r}")
+    lhs = t ** beta * _kahan_sum(
+        saigo_caputo_derivative_power(sp, -k * beta).coeff * c
+        for k, c in enumerate(rows[n]) if k and c != 0.0
+    )
+    rhs = _kahan_sum(_coupling_weight(params, r) * _kahan_sum(rows[n - r]) for r in range(n + 1))
     return abs(lhs - rhs)
 
 
@@ -640,29 +639,23 @@ def kolmogorov_tail_bound(
     scale = 0.0
     for r in range(n + 1):
         w = abs(_coupling_weight(params, r))
-        coeffs = _iterate_coefficients(params, n - r, k_trunc)
-        top += w * abs(coeffs[k_trunc])
-        for k, c in enumerate(coeffs):
-            scale += w * abs(c) * t ** (-k * params.beta)
-    eps = math.ulp(1.0)
-    return top * t ** (-k_trunc * params.beta) + 64.0 * eps * max(scale, 1.0)
+        terms = _state_terms(params, t, n - r, k_trunc)
+        top += w * abs(terms[-1])
+        scale += w * sum(abs(c) for c in terms)
+    return top + 64.0 * math.ulp(1.0) * max(scale, 1.0)
 
 
 def adm_closed_form_diff(params: FractionalParams, n_max: int, k_trunc: int) -> float:
     """Run the decomposition engine and compare every iterate coefficient
     against the closed-form term; returns the worst normalized discrepancy.
 
-    The engine route applies the fractional integral operator k times
-    (Riemann-Liouville when beta = -alpha, the Saigo integral otherwise),
-    so it shares no arithmetic with the closed-form coefficients.
+    The engine route applies the Saigo integral k times (the
+    Riemann-Liouville integral when beta = -alpha), so it shares no
+    arithmetic with the closed-form coefficients, the cache's terms at t = 1.
     """
-    if abs(params.beta + params.alpha) <= VARIANT_TOL:
-        integral_op = lambda s: rl_integrate(s, params.alpha)
-    else:
-        sp = params.saigo()
-        integral_op = lambda s: saigo_integrate(sp, s)
+    sp = params.saigo()
     state = adm_solve_linear(
-        integral_op,
+        lambda s: saigo_integrate(sp, s),
         lambda n, r: _coupling_weight(params, r),
         [1.0 if n == 0 else 0.0 for n in range(n_max + 1)],
         n_max,
@@ -670,7 +663,7 @@ def adm_closed_form_diff(params: FractionalParams, n_max: int, k_trunc: int) -> 
     )
     worst = 0.0
     for n in range(n_max + 1):
-        for k, closed in enumerate(_iterate_coefficients(params, n, k_trunc)):
+        for k, closed in enumerate(_state_terms(params, 1.0, n, k_trunc)):
             it = state.iterates[n][k]
             if len(it) == 0:
                 got = 0.0

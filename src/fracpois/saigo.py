@@ -3,7 +3,9 @@
 The Saigo integral generalizes Riemann-Liouville with a Gauss-hypergeometric
 kernel; on monomials it acts by a pure gamma-ratio multiplier, which is all
 the decomposition engine ever needs.  This module provides that multiplier,
-the corrected Caputo-type Saigo derivative built from it, a quadrature
+the corrected Caputo-type Saigo derivative of one power built from it
+(the governing-equation check in :mod:`fracpois.processes` applies it to
+each term of the term cache's truncated rows at a time), a quadrature
 evaluation of the defining integral (used as an independent cross-check),
 the composition identity check, the commutation counterexample, and the C_k
 coefficient products that appear in the general state-probability series.
@@ -118,18 +120,6 @@ def saigo_caputo_derivative_power(p: SaigoParams, rho: float) -> PowerTerm:
         )
     mult = rho * _integral_multiplier(ia, ib, ig, rho)
     return PowerTerm(mult, rho + p.beta)
-
-
-def saigo_derivative_series(p: SaigoParams, series: PowerSeries) -> PowerSeries:
-    """Term-wise Caputo-type Saigo derivative; constants are annihilated."""
-
-    def one(term: PowerTerm) -> PowerTerm | None:
-        if term.exponent == 0.0:
-            return None
-        image = saigo_caputo_derivative_power(p, term.exponent)
-        return PowerTerm(term.coeff * image.coeff, image.exponent)
-
-    return series.map_terms(one)
 
 
 def saigo_integral_quadrature(p: SaigoParams, rho: float, t: float) -> float:

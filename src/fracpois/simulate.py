@@ -117,15 +117,23 @@ def sample_stable(
     """Draws of the nu-stable subordinator D_nu(t), Laplace transform e^{-t s^nu}.
 
     Self-similarity gives D_nu(t) = t^{1/nu} * A in distribution with A the
-    standardized variate.  nu = 1 is degenerate (D(t) = t) and rejected here;
+    standardized variate.  A scale past the float range makes the draws
+    +inf, quietly.  nu = 1 is degenerate (D(t) = t) and rejected here;
     callers handle it directly.
     """
+    import numpy as np
+
     if not (0.0 < nu < 1.0):
         raise ParameterError(f"sample_stable: nu must be in (0, 1), got {nu}")
     if not (t > 0.0 and math.isfinite(t)):
         raise ParameterError(f"sample_stable: t must be > 0, got {t!r}")
     out = _stable_standard(nu, _as_rng(seed), _size(size, "sample_stable"))
-    out *= t ** (1.0 / nu)
+    try:
+        scale = t ** (1.0 / nu)
+    except OverflowError:
+        scale = math.inf
+    with np.errstate(over="ignore"):
+        out *= scale
     return out if size is not None else float(out[0])
 
 
@@ -195,7 +203,8 @@ def sample_process(
         clock = sample_stable(params.nu, t, rng, m)
     else:  # stfpp: the stable subordinator run at an inverse-stable time
         inner = sample_inverse_stable(params.alpha, t, rng, m)
-        inner **= 1.0 / params.nu
+        with np.errstate(over="ignore"):  # an inf clock is clamped below
+            inner **= 1.0 / params.nu
         clock = _stable_standard(params.nu, rng, m)
         clock *= inner
         del inner  # freed before the Poisson draw allocates the counts

@@ -47,14 +47,6 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def is_gamma_pole(x: float) -> bool:
-    """True when x is within POLE_TOL of a non-positive integer."""
-    if x > 0.5:
-        return False
-    n = round(x)
-    return n <= 0 and abs(x - n) <= POLE_TOL
-
-
 def log_abs_gamma(x: float) -> tuple[float, float]:
     """Return ``(sign, ln|Gamma(x)|)`` for any finite x.
 
@@ -68,7 +60,7 @@ def log_abs_gamma(x: float) -> tuple[float, float]:
         raise ParameterError(f"log_abs_gamma: argument must be finite, got {x!r}")
     if x > 0.0:
         return 1.0, math.lgamma(x)
-    if is_gamma_pole(x):
+    if abs(x - round(x)) <= POLE_TOL:  # within POLE_TOL of an integer <= 0
         return 0.0, math.inf
     sign = -1.0 if math.floor(x) % 2 else 1.0
     return sign, math.lgamma(x)

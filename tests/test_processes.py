@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from fracpois import processes
+from fracpois import adm, processes
 from fracpois.errors import ConvergenceError, ParameterError
 from fracpois.processes import (
     FractionalParams,
@@ -25,7 +25,6 @@ from fracpois.processes import (
     pmf_tail_mass,
     poisson_pmf,
     sstfpp_pgf,
-    state_series,
     truncated_normalization_residual,
     waiting_survival,
 )
@@ -672,27 +671,58 @@ class TestClosedIterates:
     def test_rl_zero_state_coefficients(self):
         # for beta = -alpha, C_k = 1 and the n = 0 coefficients are
         # (-lam^nu)^k / Gamma(k alpha + 1)
-        series = state_series(STFPP, 0, 8)
-        assert len(series) == 9
-        for k, term in enumerate(series):
+        terms = processes._state_terms(STFPP, 1.0, 0, 8)
+        assert len(terms) == 9
+        for k, c in enumerate(terms):
             expect = (-(STFPP.lam ** STFPP.nu)) ** k / math.gamma(k * STFPP.alpha + 1.0)
-            assert term.exponent == k * STFPP.alpha
-            assert term.coeff == pytest.approx(expect, rel=1e-12)
+            assert c == pytest.approx(expect, rel=1e-12)
 
     def test_integer_nu_triangularity(self):
         p = FractionalParams(1.0, alpha=0.7, nu=1.0)
         # (k)_n vanishes for k < n: state n gets no contribution before step n
-        exponents = [term.exponent for term in state_series(p, 3, 6)]
-        assert exponents == [-k * p.beta for k in range(3, 7)]
+        terms = processes._state_terms(p, 1.0, 3, 6)
+        assert [k for k, c in enumerate(terms) if c != 0.0] == [3, 4, 5, 6]
 
     def test_coefficient_overflow_is_a_convergence_error(self):
         # lam^nu = 1e12: the k = 40 coefficient is about 1e450
         with pytest.raises(ConvergenceError):
-            state_series(FractionalParams(1e20, alpha=0.7, nu=0.6), 0, 40)
+            processes._state_terms(FractionalParams(1e20, alpha=0.7, nu=0.6), 1.0, 0, 40)
 
-    def test_state_series_evaluates_to_pmf(self):
-        s = state_series(SSTFPP, 2, 60)
-        assert s.evaluate(1.0) == pytest.approx(pmf(SSTFPP, 1.0, 2), abs=1e-12)
+    def test_state_terms_sum_to_pmf(self):
+        terms = processes._state_terms(SSTFPP, 1.0, 2, 60)
+        assert math.fsum(terms) == pytest.approx(pmf(SSTFPP, 1.0, 2), abs=1e-12)
+
+    @pytest.mark.parametrize("params", [STFPP, SSTFPP], ids=lambda p: p.variant)
+    @pytest.mark.parametrize("t", [0.3, 2.5])
+    def test_terms_at_a_time_are_the_coefficients_times_powers(self, params, t):
+        # term k at t is c_{n,k} t^{-k beta}, c_{n,k} being the term at t = 1
+        for n in range(4):
+            at_t = processes._state_terms(params, t, n, 30)
+            at_one = processes._state_terms(params, 1.0, n, 30)
+            scaled = [c * t ** (-k * params.beta) for k, c in enumerate(at_one)]
+            tol = 1e-13 * max(1.0, math.fsum(abs(c) for c in at_t))
+            assert abs(math.fsum(at_t) - math.fsum(scaled)) <= tol, (n, t)
+
+    def test_rejects_a_nonpositive_time(self):
+        for t in (0.0, -1.0, math.inf):
+            with pytest.raises(ParameterError):
+                processes._state_terms(STFPP, t, 0, 5)
+
+    def test_residuals_build_no_power_series(self, monkeypatch):
+        # the checks read the cache's terms at each time directly
+        built = []
+        init = adm.PowerSeries.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(adm.PowerSeries, "__init__", counting)
+        for params in (STFPP, SSTFPP):
+            truncated_normalization_residual(params, 0.7, 5, 40)
+            for n in range(3):
+                kolmogorov_residual(params, 0.7, n, 40)
+        assert built == []
 
 
 class TestGoverningEquation:
@@ -710,6 +740,13 @@ class TestGoverningEquation:
         fine = kolmogorov_residual(SSTFPP, 1.0, 1, 40)
         assert rough > 1e3 * max(fine, 1e-18)
         assert rough > kolmogorov_tail_bound(SSTFPP, 1.0, 1, 40)
+
+    def test_refuses_a_time_whose_t_to_the_beta_overflows(self):
+        # beta = -2: t^beta = 1e302 is past LOG_HUGE, 1e298 is not
+        p = FractionalParams(1.0, alpha=0.7, nu=0.6, beta=-2.0, gamma_p=0.1)
+        assert kolmogorov_residual(p, 1e-149, 0, 10) <= 1e-12
+        with pytest.raises(ConvergenceError):
+            kolmogorov_residual(p, 1e-151, 0, 10)
 
 
 class TestEngineAgainstClosedForm:

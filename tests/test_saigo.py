@@ -11,7 +11,6 @@ from fracpois.saigo import (
     ck_log_run,
     composition_check,
     saigo_caputo_derivative_power,
-    saigo_derivative_series,
     saigo_integral_power,
     saigo_integral_quadrature,
     saigo_integrate,
@@ -100,13 +99,6 @@ class TestCaputoDerivative:
         )
         assert term.coeff == pytest.approx(expect, rel=1e-12)
         assert term.exponent == pytest.approx(rho - 0.5)
-
-    def test_series_form_annihilates_constants(self):
-        p = SaigoParams(0.7, -0.7, 0.0)
-        s = PowerSeries((PowerTerm(5.0, 0.0), PowerTerm(2.0, 1.4)))
-        out = saigo_derivative_series(p, s)
-        assert len(out.terms) == 1
-        assert out.terms[0].exponent == pytest.approx(0.7)
 
     def test_rejects_alpha_above_one(self):
         with pytest.raises(ParameterError):

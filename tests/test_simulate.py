@@ -211,6 +211,22 @@ class TestPoissonClamp:
             emp = empirical_pmf(FractionalParams(1e300), 1e300, 5, 10, 4)
         assert emp.counts == (0,) * 11 and emp.overflow == 5
 
+    @pytest.mark.parametrize("t", [1e300, 1e-300])
+    @pytest.mark.parametrize("params", [
+        FractionalParams(1e300),
+        FractionalParams(1e300, alpha=0.7),
+        FractionalParams(1e300, nu=0.6, beta=-1.0),
+        FractionalParams(1e300, alpha=0.7, nu=0.6),
+    ], ids=lambda p: p.variant)
+    def test_extreme_finite_times_draw_silently(self, params, t):
+        # a subordinator scale past the float range is an inf clock, which
+        # lands in the overflow bin: no OverflowError, no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            emp = empirical_pmf(params, t, 5, 3, 4)
+        if t > 1.0:
+            assert emp.overflow == 5
+
     def test_nan_intensity_draws_zero(self):
         counts = _poisson_counts(np.random.default_rng(4), np.array([np.nan, np.nan]))
         assert counts.tolist() == [0, 0]
