@@ -67,6 +67,7 @@ from .errors import ConvergenceError, ParameterError
 from .saigo import (
     SaigoParams,
     ck_log_run,
+    composition_check,
     saigo_caputo_derivative_power,
     saigo_integrate,
 )
@@ -275,9 +276,11 @@ class _SeriesTerms:
         row = self.rows.setdefault(key, [])
         if len(row) < 2 * stop:
             self.fill(key, row, stop)
+        kpart: list[float] = []
+        self.fill_kpart(kpart, lx, stop)
         out: list[float] = []
-        for k, (lnck, lg, _) in enumerate(self._per_k_to(stop)[:stop]):
-            logmag = lnck + k * lx - lg + row[2 * k + 1] - s
+        for k, part in enumerate(kpart):
+            logmag = part + row[2 * k + 1] - s
             if logmag > LOG_HUGE:
                 raise ConvergenceError(f"series coefficient overflow at k = {k}")
             out.append(row[2 * k] * math.exp(logmag))
@@ -543,6 +546,7 @@ def truncated_normalization_residual(
     command uses.
     """
     _check_state(t, 0)
+    n_max, max_k = _index(n_max, "n_max"), _index(max_k, "max_k")
     if t == 0.0:
         return 0.0
     terms = [c for n in range(n_max + 1) for c in _state_terms(params, t, n, max_k)]
@@ -553,8 +557,6 @@ def truncated_normalization_residual(
 def composition_tuples_residual(params: FractionalParams) -> float:
     """Worst composition-identity residual over a small deterministic grid
     built from the process's own Saigo parameters."""
-    from .saigo import composition_check
-
     sp = params.saigo()
     return max(
         composition_check(sp, rho, t)
@@ -584,19 +586,23 @@ def waiting_survival(params: FractionalParams, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _log_x(params: FractionalParams, t: float) -> float:
+    """ln x = nu ln lam - beta ln t at a time t > 0, formed without x (it may underflow)."""
+    if not (t > 0.0 and math.isfinite(t)):
+        raise ParameterError(f"t must be finite and > 0, got {t!r}")
+    return params.nu * math.log(params.lam) - params.beta * math.log(t)
+
+
 def _state_terms(params: FractionalParams, t: float, n: int, k_trunc: int) -> list[float]:
     """The terms k <= k_trunc of state n's series at time t > 0, unsummed.
 
     Term k is the k-th decomposition iterate c_{n,k} t^{-k beta} at t, with
     c_{n,k} = (-1)^n/n! (k nu)_n C_k (-lam^nu)^k/Gamma(1 - k beta): the
-    cache's row at ln x = nu ln lam - beta ln t, which never forms x (it may
-    underflow) and at t = 1 reads the coefficients themselves.
+    cache's row at ln x (:func:`_log_x`), which at t = 1 reads the
+    coefficients themselves.
     """
-    if not (t > 0.0 and math.isfinite(t)):
-        raise ParameterError(f"t must be finite and > 0, got {t!r}")
     return params._terms.coefficients(
-        n, params.nu * math.log(params.lam) - params.beta * math.log(t),
-        math.lgamma(n + 1.0), _index(k_trunc, "k_trunc") + 1,
+        n, _log_x(params, t), math.lgamma(n + 1.0), _index(k_trunc, "k_trunc") + 1
     )
 
 
@@ -618,6 +624,7 @@ def kolmogorov_residual(params: FractionalParams, t: float, n: int, k_trunc: int
     e^LOG_HUGE, where the terms have lost their digits to underflow, raises
     ConvergenceError.
     """
+    n = _index(n, "state index")
     sp, beta = params.saigo(), params.beta
     rows = [_state_terms(params, t, m, k_trunc) for m in range(n + 1)]
     if beta * math.log(t) > LOG_HUGE:
@@ -634,7 +641,12 @@ def kolmogorov_tail_bound(
     params: FractionalParams, t: float, n: int, k_trunc: int
 ) -> float:
     """Bound on the residual: the RHS's unmatched top-order term plus a
-    float-evaluation floor proportional to the total evaluated magnitude."""
+    float-evaluation floor, 64 ulp(1) max(1, scale) max(1, |ln x|), scale
+    being the total evaluated magnitude and x = lam^nu t^(-beta).  The
+    |ln x| factor covers the log-space rounding: each term is exp of a
+    log-magnitude holding k ln x, whose rounding becomes relative error
+    once the LHS multiplies by t^beta."""
+    n = _index(n, "state index")
     top = 0.0
     scale = 0.0
     for r in range(n + 1):
@@ -642,7 +654,7 @@ def kolmogorov_tail_bound(
         terms = _state_terms(params, t, n - r, k_trunc)
         top += w * abs(terms[-1])
         scale += w * sum(abs(c) for c in terms)
-    return top + 64.0 * math.ulp(1.0) * max(scale, 1.0)
+    return top + 64.0 * math.ulp(1.0) * max(scale, 1.0) * max(1.0, abs(_log_x(params, t)))
 
 
 def adm_closed_form_diff(params: FractionalParams, n_max: int, k_trunc: int) -> float:
@@ -653,6 +665,7 @@ def adm_closed_form_diff(params: FractionalParams, n_max: int, k_trunc: int) -> 
     Riemann-Liouville integral when beta = -alpha), so it shares no
     arithmetic with the closed-form coefficients, the cache's terms at t = 1.
     """
+    n_max, k_trunc = _index(n_max, "n_max"), _index(k_trunc, "k_trunc")
     sp = params.saigo()
     state = adm_solve_linear(
         lambda s: saigo_integrate(sp, s),

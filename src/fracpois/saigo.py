@@ -107,17 +107,9 @@ def saigo_caputo_derivative_power(p: SaigoParams, rho: float) -> PowerTerm:
         raise ParameterError(
             f"saigo_caputo_derivative_power: requires 0 < alpha <= 1, got {p.alpha}"
         )
-    if rho <= 0.0:
-        raise ParameterError(
-            f"saigo_caputo_derivative_power: requires rho > 0, got {rho}"
-        )
-    # Inner integral parameters and their domain condition on t^{rho-1}.
+    # The inner integral's parameters, and its domain condition on t^{rho-1}.
     ia, ib, ig = 1.0 - p.alpha, -p.beta - 1.0, p.alpha + p.gamma_p
-    if rho <= ib - ig:
-        raise ParameterError(
-            "saigo_caputo_derivative_power: inner Saigo-integral domain violated "
-            f"(rho = {rho} <= {ib - ig})"
-        )
+    _check_integral_domain(ib, ig, rho, "saigo_caputo_derivative_power")
     mult = rho * _integral_multiplier(ia, ib, ig, rho)
     return PowerTerm(mult, rho + p.beta)
 
@@ -172,27 +164,16 @@ def semigroup_counterexample(p1: SaigoParams, p2: SaigoParams, rho: float) -> Se
     Both orders produce t^{rho - beta1 - beta2 - 1}; only the multipliers can
     disagree.  Commutation holds in the Riemann-Liouville sub-family but is
     false for general Saigo parameters, and this function exhibits that.
+    Each order is two :func:`saigo_integral_power` steps, whose domain rule
+    refuses a rho outside either step's domain.
     """
-    if rho <= 0.0:
-        raise ParameterError(f"semigroup_counterexample: requires rho > 0, got {rho}")
-    b1, g1 = p1.beta, p1.gamma_p
-    b2, g2 = p2.beta, p2.gamma_p
-    bound = max(b1 - g1, b2 - g2, b1 - g1 + b2, b2 - g2 + b1)
-    if rho <= bound:
-        raise ParameterError(
-            f"semigroup_counterexample: requires rho > {bound} for both orders"
-        )
     # Order A: p2 first, then p1 (each application shifts rho by -beta).
-    if rho - b2 <= 0.0 or rho - b1 <= 0.0:
-        raise ParameterError("semigroup_counterexample: intermediate exponent not integrable")
-    lhs = _integral_multiplier(p2.alpha, b2, g2, rho) \
-        * _integral_multiplier(p1.alpha, b1, g1, rho - b2)
+    lhs = saigo_integral_power(p2, rho).coeff * saigo_integral_power(p1, rho - p2.beta).coeff
     # Order B: p1 first, then p2.
-    rhs = _integral_multiplier(p1.alpha, b1, g1, rho) \
-        * _integral_multiplier(p2.alpha, b2, g2, rho - b1)
+    rhs = saigo_integral_power(p1, rho).coeff * saigo_integral_power(p2, rho - p1.beta).coeff
     scale = max(abs(lhs), abs(rhs), 1e-300)
     differ = abs(lhs - rhs) > SEMIGROUP_REL_TOL * scale
-    return SemigroupCheck(lhs, rhs, rho - b1 - b2 - 1.0, differ)
+    return SemigroupCheck(lhs, rhs, rho - p1.beta - p2.beta - 1.0, differ)
 
 
 def composition_check(p: SaigoParams, rho: float, t: float) -> float:

@@ -283,26 +283,19 @@ def _chi_square(emp: EmpiricalPmf, table: PmfTable) -> tuple[float, float, int] 
     expected = [q * emp.sample_count for q in table.probs[0] + table.tail_mass]
     observed = [float(c) for c in emp.counts] + [float(emp.overflow)]
 
-    # Pool from the right so the (possibly tiny) overflow and tail bins merge
-    # into their neighbors until everything is comfortably populated.
-    obs, exp = observed[:], expected[:]
-    while len(exp) > 1 and exp[-1] < _MIN_EXPECTED:
-        exp[-2] += exp[-1]
-        obs[-2] += obs[-1]
-        del exp[-1], obs[-1]
-    # A second pass for any undersized interior bin (merges leftward).
-    i = len(exp) - 1
-    while i > 0:
-        if exp[i] < _MIN_EXPECTED:
-            exp[i - 1] += exp[i]
-            obs[i - 1] += obs[i]
-            del exp[i], obs[i]
-        i -= 1
-    if len(exp) < 2:
+    # Pool from the right: an undersized bin merges into its left neighbour,
+    # so the (possibly tiny) overflow and tail bins collect until the pooled
+    # bin is comfortably populated, and so does any undersized interior bin.
+    for i in range(len(expected) - 1, 0, -1):
+        if expected[i] < _MIN_EXPECTED:
+            expected[i - 1] += expected[i]
+            observed[i - 1] += observed[i]
+            del expected[i], observed[i]
+    if len(expected) < 2:
         return None
 
-    stat = sum((o - e) ** 2 / e for o, e in zip(obs, exp))
-    dof = len(exp) - 1
+    stat = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+    dof = len(expected) - 1
     # The upper tail of the chi-square law; scipy.stats.chi2.sf calls the
     # same function, and scipy.stats costs several times more to import.
     from scipy.special import chdtrc

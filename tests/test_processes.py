@@ -127,6 +127,24 @@ class TestStateIndex:
         params = self.PARAMS[variant]
         assert self.CALLS[call](params, np.int64(3)) == self.CALLS[call](params, 3)
 
+    # the decomposition cross-checks take n, n_max and k_trunc as indices too
+    @pytest.mark.parametrize("call, args", [
+        (kolmogorov_residual, (1.0, -1, 10)),
+        (kolmogorov_tail_bound, (1.0, -1, 10)),
+        (kolmogorov_residual, (1.0, 2.0, 10)),
+        (kolmogorov_tail_bound, (1.0, 2.0, 10)),
+        (kolmogorov_residual, (1.0, True, 10)),
+        (kolmogorov_tail_bound, (1.0, True, 10)),
+        (adm_closed_form_diff, (2.0, 5)),
+        (adm_closed_form_diff, (2, 5.0)),
+        (adm_closed_form_diff, (True, 5)),
+        (truncated_normalization_residual, (1.0, 2.0, 5)),
+        (truncated_normalization_residual, (0.0, 2.0, 5)),
+    ], ids=lambda v: v.__name__ if callable(v) else repr(v))
+    def test_cross_checks_reject_non_index(self, call, args):
+        with pytest.raises(ParameterError):
+            call(STFPP, *args)
+
 
 class TestPoisson:
     def test_values(self):
@@ -747,6 +765,15 @@ class TestGoverningEquation:
         assert kolmogorov_residual(p, 1e-149, 0, 10) <= 1e-12
         with pytest.raises(ConvergenceError):
             kolmogorov_residual(p, 1e-151, 0, 10)
+
+    def test_bound_covers_log_space_rounding_at_tiny_x(self):
+        # x = t^2 is far below 1: each term's log-magnitude holds k ln x,
+        # whose rounding t^beta turns into relative error of the LHS
+        p = FractionalParams(1.0, alpha=0.7, nu=0.6, beta=-2.0, gamma_p=0.1)
+        for t in (1e-149, 1e-120, 1e-50):
+            for n in (0, 1):
+                res = kolmogorov_residual(p, t, n, 10)
+                assert res <= kolmogorov_tail_bound(p, t, n, 10), (t, n, res)
 
 
 class TestEngineAgainstClosedForm:

@@ -107,6 +107,11 @@ class TestCaputoDerivative:
     def test_rejects_nonpositive_rho(self):
         with pytest.raises(ParameterError):
             saigo_caputo_derivative_power(SaigoParams(0.5, -0.5, 0.0), 0.0)
+        with pytest.raises(ParameterError):
+            saigo_caputo_derivative_power(SaigoParams(0.5, -0.5, 0.0), -0.5)
+        # the inner integral's domain: rho > -beta - 1 - alpha - gamma = 1
+        with pytest.raises(ParameterError):
+            saigo_caputo_derivative_power(SaigoParams(0.5, -2.5, 0.0), 0.5)
 
 
 class TestQuadratureCrossCheck:
@@ -198,6 +203,29 @@ class TestSemigroup:
             semigroup_counterexample(
                 SaigoParams(0.5, 0.8, 0.1), SaigoParams(0.7, -0.4, 0.1), 0.5
             )
+        # one input per condition of the two-step domain
+        general = SaigoParams(0.7, -0.4, 0.1)
+        outside = [
+            (SaigoParams(0.5, -0.2, 0.3), general, 0.0),  # rho <= 0
+            (SaigoParams(0.5, 0.8, 0.1), general, 0.5),  # rho <= beta1 - gamma1
+            (general, SaigoParams(0.5, 0.8, 0.1), 0.5),  # rho <= beta2 - gamma2
+            (SaigoParams(0.5, 0.8, 1.0), general, 0.5),  # rho - beta1 <= 0
+            # rho - beta2 <= beta1 - gamma1
+            (SaigoParams(0.5, 0.2, -0.6), SaigoParams(0.7, 0.3, 0.5), 1.0),
+        ]
+        for p1, p2, rho in outside:
+            with pytest.raises(ParameterError):
+                semigroup_counterexample(p1, p2, rho)
+        # just inside the last two boundaries: the multipliers, as float.hex
+        inside = [
+            ((SaigoParams(0.5, 0.8, 1.0), general, 0.8 + 1e-9),
+             ("0x1.3615059a3ca4ep-2", "0x1.5ea96d4ca4e76p-1")),
+            ((SaigoParams(0.5, 0.2, -0.6), SaigoParams(0.7, 0.3, 0.5), 1.1 + 1e-9),
+             ("0x1.6909d22ffba6cp+28", "0x1.bcc54f305b7e7p+0")),
+        ]
+        for args, pinned in inside:
+            chk = semigroup_counterexample(*args)
+            assert (chk.lhs.hex(), chk.rhs.hex()) == pinned
 
 
 class TestCkCoefficients:

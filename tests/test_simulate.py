@@ -9,6 +9,7 @@ import pytest
 from fracpois.errors import ParameterError, UnsupportedVariantError
 from fracpois.processes import (
     FractionalParams,
+    PmfTable,
     pmf_table,
     pmf_tail_mass,
     waiting_survival,
@@ -17,6 +18,7 @@ from fracpois.simulate import (
     _BLOCK,
     _LAM_CLAMP,
     EmpiricalPmf,
+    _chi_square,
     _poisson_counts,
     chi_square_gof,
     empirical_pmf,
@@ -317,6 +319,23 @@ class TestChiSquare:
         emp = empirical_pmf(CLASSICAL, 1.0, 200, 30, 80)
         stat, pvalue, dof = chi_square_gof(emp)
         assert dof >= 1 and math.isfinite(stat)
+        # The pooled (stat, p-value, dof), as float.hex, of inputs that pool
+        # a long run of tail bins; the last pools the tail bins and an
+        # undersized interior bin (expected 60, 0.2, 80, 50, 8, 1, 0.6 and
+        # an overflow of 0.2 pool to 60.2, 80, 50, 9.8).
+        table = PmfTable(CLASSICAL, (1.0,), 6,
+                         ((0.3, 0.001, 0.4, 0.25, 0.04, 0.005, 0.003),), (0.001,))
+        hand = EmpiricalPmf(CLASSICAL, 1.0, 6, 200, (57, 2, 83, 47, 6, 3, 1), 1)
+        cases = [
+            (chi_square_gof(emp), ("0x1.6a360e054f1ccp-1", "0x1.be2eec547db7fp-1", 3)),
+            (chi_square_gof(empirical_pmf(STFPP, 1.0, 200, 30, 3)),
+             ("0x1.12c957daa35e8p+3", "0x1.24b42f10eae77p-1", 10)),
+            (chi_square_gof(empirical_pmf(CLASSICAL, 1.0, 40, 12, 5)),
+             ("0x1.b052c66ed70b0p+0", "0x1.b8238cb78b3c2p-2", 2)),
+            (_chi_square(hand, table), ("0x1.da7acae29a173p-2", "0x1.da8df4dfca715p-1", 3)),
+        ]
+        for (stat, pvalue, dof), (stat_hex, pvalue_hex, want_dof) in cases:
+            assert (stat.hex(), pvalue.hex(), dof) == (stat_hex, pvalue_hex, want_dof)
 
     def test_fewer_than_two_bins_rejected(self):
         emp = empirical_pmf(CLASSICAL, 1.0, 1, 10, 2)
