@@ -7,13 +7,7 @@ closed-form series, the Adomian decomposition engine, and Monte-Carlo
 subordination.
 """
 
-from .adm import (
-    AdmState,
-    PowerSeries,
-    PowerTerm,
-    adm_solve_linear,
-    rl_integrate,
-)
+from .adm import PowerSeries, PowerTerm, adm_solve_linear
 from .errors import (
     ConvergenceError,
     FracpoisError,
@@ -60,7 +54,6 @@ from .specfun import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmState",
     "ConvergenceError",
     "EmpiricalPmf",
     "FracpoisError",
@@ -87,7 +80,6 @@ __all__ = [
     "pmf_table",
     "pmf_tail_mass",
     "poisson_pmf",
-    "rl_integrate",
     "saigo_caputo_derivative_power",
     "saigo_integral_power",
     "saigo_integral_quadrature",

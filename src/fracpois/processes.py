@@ -469,10 +469,15 @@ def _tail_mass(params: FractionalParams, t: float, n_max: int) -> float:
     _check_state(t, 0)
     n_max = _index(n_max, "pmf_tail_mass: n_max")
     if params.variant == "classical":
+        # The upward sum cancels nothing, but its terms reach about e^m,
+        # which nears overflow past LOG_HUGE; its rounding may pass 1.
         m = params.lam * t
-        if m > ARG_GUARD:
-            raise _argument_error(m, "pmf_tail_mass")
-        return _poisson_tail(m, n_max)
+        if m > LOG_HUGE:
+            raise ConvergenceError(
+                f"pmf_tail_mass: Poisson mean {m:.6g} exceeds {LOG_HUGE:.6g}; "
+                "the tail's terms would overflow"
+            )
+        return min(1.0, _poisson_tail(m, n_max))
     nu = params.nu
     x = params.lam ** nu * t ** (-params.beta)
     return _saigo_series(params._terms, ("tail", n_max), x, math.lgamma(n_max + 1.0),
@@ -483,9 +488,10 @@ def pmf_tail_mass(params: FractionalParams, t: float, n_max: int) -> float:
     """Exact mass above state n_max: sum_{n > n_max} pmf(n, t).
 
     On the classical variant this is the Poisson tail, summed upward from
-    n_max + 1.  On every other, interchanging the (absolutely convergent)
-    state and series sums, the partial state sum against each series order
-    k is a partial sum of the generalized binomial expansion of (1-1)^{k nu}:
+    n_max + 1 and clamped to 1.  On every other, interchanging the
+    (absolutely convergent) state and series sums, the partial state sum
+    against each series order k is a partial sum of the generalized
+    binomial expansion of (1-1)^{k nu}:
 
         sum_{n=0}^{N} (k nu)_n (-1)^n / n!  =  - prod_{i=1}^{N} (i - k nu) / N!
                                                + [1 if k = 0]
@@ -667,17 +673,15 @@ def adm_closed_form_diff(params: FractionalParams, n_max: int, k_trunc: int) -> 
     """
     n_max, k_trunc = _index(n_max, "n_max"), _index(k_trunc, "k_trunc")
     sp = params.saigo()
-    state = adm_solve_linear(
+    iterates = adm_solve_linear(
         lambda s: saigo_integrate(sp, s),
-        lambda n, r: _coupling_weight(params, r),
-        [1.0 if n == 0 else 0.0 for n in range(n_max + 1)],
-        n_max,
+        [_coupling_weight(params, r) for r in range(n_max + 1)],
         k_trunc,
     )
     worst = 0.0
     for n in range(n_max + 1):
         for k, closed in enumerate(_state_terms(params, 1.0, n, k_trunc)):
-            it = state.iterates[n][k]
+            it = iterates[n][k]
             if len(it) == 0:
                 got = 0.0
             elif len(it) == 1:

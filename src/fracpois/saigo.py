@@ -88,7 +88,7 @@ def saigo_integrate(p: SaigoParams, series: PowerSeries) -> PowerSeries:
         image = saigo_integral_power(p, term.exponent + 1.0)
         return PowerTerm(term.coeff * image.coeff, image.exponent)
 
-    return series.map_terms(one)
+    return PowerSeries(one(term) for term in series.terms)
 
 
 def saigo_caputo_derivative_power(p: SaigoParams, rho: float) -> PowerTerm:

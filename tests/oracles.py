@@ -7,6 +7,9 @@ compare independent arithmetic against the production ``pmf``.  tfpp is the
 reindexed (k+n)!/k! form, algebraically distinct from the kernel's; sstfpp
 builds C_k from the Saigo product even on beta = -alpha.
 
+The Riemann-Liouville integral of a power series is kept here too, as the
+oracle for the Saigo integral at beta = -alpha, from its own gamma ratio.
+
 The one-shot subordination sampler is kept here too: every step of the
 stable draw, the clock and the histogram as one whole-array expression, the
 form the package had before its kernel ran in place block by block.  The
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+from fracpois.adm import PowerSeries, PowerTerm
 from fracpois.errors import ConvergenceError, ParameterError
 from fracpois.processes import (
     ARG_GUARD,
@@ -27,7 +31,7 @@ from fracpois.processes import (
 )
 from fracpois.saigo import SaigoParams, ck_log_coefficients
 from fracpois.simulate import _LAM_CLAMP, _as_rng, _uniform_open
-from fracpois.specfun import LOG_HUGE, SERIES_TOL, TERM_CAP, _kahan_add, log_abs_gamma
+from fracpois.specfun import LOG_HUGE, SERIES_TOL, TERM_CAP, _kahan_add, log_abs_gamma, log_gamma
 
 
 def _guard_argument(x: float, label: str) -> None:
@@ -194,6 +198,23 @@ def sstfpp_pmf(params: FractionalParams, t: float, n: int) -> float:
         return sign, logmag
 
     return _sum_k_series(term, int(n / nu) + 2, "sstfpp_pmf")
+
+
+def rl_integrate(series: PowerSeries, alpha: float) -> PowerSeries:
+    """Riemann-Liouville fractional integral of order alpha on a power series.
+
+    Each monomial c * t^{rho-1} maps to c * Gamma(rho)/Gamma(rho+alpha) *
+    t^{rho+alpha-1}; with terms stored as c * t^e this reads rho = e + 1.
+    """
+    if not (0.0 < alpha <= 1.0):
+        raise ParameterError(f"rl_integrate: alpha must be in (0, 1], got {alpha}")
+
+    def one(p: PowerTerm) -> PowerTerm:
+        rho = p.exponent + 1.0
+        mult = math.exp(log_gamma(rho) - log_gamma(rho + alpha))
+        return PowerTerm(p.coeff * mult, p.exponent + alpha)
+
+    return PowerSeries(one(p) for p in series.terms)
 
 
 def stable_standard(nu: float, rng, size: int):

@@ -3,13 +3,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracpois.adm import (
-    PowerSeries,
-    PowerTerm,
-    adm_solve_linear,
-    rl_integrate,
-)
+from fracpois.adm import PowerSeries, PowerTerm, adm_solve_linear
 from fracpois.errors import ParameterError
+from fracpois.specfun import falling_factorial
+from oracles import rl_integrate
 
 
 def series(*pairs):
@@ -43,12 +40,6 @@ class TestPowerSeries:
         with pytest.raises(ParameterError):
             series((1.0, -0.5)).evaluate(0.0)
 
-    def test_algebra(self):
-        a = series((1.0, 0.0), (2.0, 1.0))
-        b = series((3.0, 1.0))
-        assert (a + b).evaluate(2.0) == pytest.approx(a.evaluate(2.0) + b.evaluate(2.0))
-        assert (2.0 * a).evaluate(1.5) == pytest.approx(2.0 * a.evaluate(1.5))
-
     @given(
         st.floats(-5, 5, allow_nan=False),
         st.floats(-5, 5, allow_nan=False),
@@ -58,7 +49,11 @@ class TestPowerSeries:
     def test_linearity_of_evaluation(self, ca, cb, t):
         a = series((1.0, 0.3), (-0.5, 1.1))
         b = series((2.0, 0.0), (1.0, 0.3))
-        lhs = (ca * a + cb * b).evaluate(t)
+        combo = PowerSeries(
+            [PowerTerm(ca * p.coeff, p.exponent) for p in a.terms]
+            + [PowerTerm(cb * p.coeff, p.exponent) for p in b.terms]
+        )
+        lhs = combo.evaluate(t)
         rhs = ca * a.evaluate(t) + cb * b.evaluate(t)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
@@ -107,13 +102,12 @@ class TestRlIntegrate:
             rl_integrate(PowerSeries.constant(1.0), 1.5)
 
 
-def stfpp_coupling(lam, nu):
-    def coupling(n, r):
-        from fracpois.specfun import falling_factorial
-
-        return -lam ** nu * (-1.0) ** r * falling_factorial(nu, r) / math.factorial(r)
-
-    return coupling
+def stfpp_weights(lam, nu, n_max):
+    # -lam^nu (-1)^r (nu)_r / r!, the coupling of state n to state n - r
+    return [
+        -lam ** nu * (-1.0) ** r * falling_factorial(nu, r) / math.factorial(r)
+        for r in range(n_max + 1)
+    ]
 
 
 class TestAdmSolveLinear:
@@ -121,15 +115,12 @@ class TestAdmSolveLinear:
         # for the time-fractional cascade with nu = 1, p_0 iterates follow
         # (-lam)^k t^{k a} / Gamma(k a + 1)
         lam, alpha = 1.3, 0.7
-        state = adm_solve_linear(
-            lambda s: rl_integrate(s, alpha),
-            stfpp_coupling(lam, 1.0),
-            [1.0] + [0.0] * 6,
-            n_max=6,
-            max_k=6,
+        iterates = adm_solve_linear(
+            lambda s: rl_integrate(s, alpha), stfpp_weights(lam, 1.0, 6), max_k=6
         )
+        assert len(iterates) == 7
         for k in range(7):
-            (term,) = state.iterates[0][k].terms
+            (term,) = iterates[0][k].terms
             expect = (-lam) ** k / math.gamma(k * alpha + 1.0)
             assert term.coeff == pytest.approx(expect, rel=1e-12)
             assert term.exponent == pytest.approx(k * alpha, abs=1e-12)
@@ -137,46 +128,25 @@ class TestAdmSolveLinear:
     def test_space_fractional_coupling_iterate(self):
         # n=0, k=2 iterate of the space-time cascade: (lam^nu)^2 t^{2a}/Gamma(2a+1)
         lam, alpha, nu = 1.0, 0.7, 0.5
-        state = adm_solve_linear(
-            lambda s: rl_integrate(s, alpha),
-            stfpp_coupling(lam, nu),
-            [1.0, 0.0],
-            n_max=1,
-            max_k=2,
+        iterates = adm_solve_linear(
+            lambda s: rl_integrate(s, alpha), stfpp_weights(lam, nu, 1), max_k=2
         )
-        (term,) = state.iterates[0][2].terms
+        (term,) = iterates[0][2].terms
         assert term.exponent == pytest.approx(1.4)
         assert term.coeff == pytest.approx(lam ** nu * lam ** nu / math.gamma(2.4), rel=1e-12)
 
     def test_integer_order_iterates_vanish_below_diagonal(self):
         # with nu = 1 the cascade is triangular: state n needs at least n steps
-        state = adm_solve_linear(
-            lambda s: rl_integrate(s, 0.6),
-            stfpp_coupling(1.0, 1.0),
-            [1.0, 0.0, 0.0, 0.0],
-            n_max=3,
-            max_k=4,
+        iterates = adm_solve_linear(
+            lambda s: rl_integrate(s, 0.6), stfpp_weights(1.0, 1.0, 3), max_k=4
         )
-        assert not state.iterates[1][0]
-        assert not state.iterates[2][1]
-        assert not state.iterates[3][2]
-        assert state.iterates[2][2]
-
-    def test_truncation_warning(self):
-        args = dict(
-            integral_op=lambda s: rl_integrate(s, 0.7),
-            coupling=stfpp_coupling(1.0, 1.0),
-            initial=[1.0],
-            n_max=0,
-        )
-        loose = adm_solve_linear(max_k=2, **args)
-        tight = adm_solve_linear(max_k=40, **args)
-        assert loose.truncation_warning
-        assert not tight.truncation_warning
+        assert not iterates[1][0]
+        assert not iterates[2][1]
+        assert not iterates[3][2]
+        assert iterates[2][2]
 
     def test_rejects_nonpositive_max_k(self):
         with pytest.raises(ParameterError, match="max_k"):
-            adm_solve_linear(
-                lambda s: rl_integrate(s, 0.7), stfpp_coupling(1.0, 1.0), [1.0],
-                n_max=0, max_k=0,
-            )
+            adm_solve_linear(lambda s: rl_integrate(s, 0.7), stfpp_weights(1.0, 1.0, 0), 0)
+        with pytest.raises(ParameterError, match="weight"):
+            adm_solve_linear(lambda s: rl_integrate(s, 0.7), [], 3)

@@ -149,6 +149,14 @@ class TestPmfCommand:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    def test_classical_tail_past_the_series_guard(self, capsys):
+        # the Poisson tail cancels nothing, so lambda t = 40 is answered
+        code, out, err = run(capsys, "pmf", "--variant", "classical", "-t", "40")
+        assert code == 0
+        assert err == ""
+        tails = {float(row.split(",")[3]) for row in out.strip().splitlines()[1:]}
+        assert len(tails) == 1 and 0.0 < tails.pop() <= 1.0
+
     def test_unconvergeable_argument_exits_3(self, capsys):
         code, out, err = run(capsys, "pmf", "-t", "1e9")
         assert code == 3

@@ -28,7 +28,7 @@ from fracpois.processes import (
     truncated_normalization_residual,
     waiting_survival,
 )
-from fracpois.saigo import ck_log_run
+from fracpois.saigo import ck_log_run, saigo_integrate
 from fracpois.specfun import mittag_leffler
 from oracles import sfpp_pmf, sstfpp_pmf, stfpp_pmf, tfpp_pmf
 
@@ -347,17 +347,20 @@ class TestTailMass:
             head = sum(poisson_pmf(1.0, 1.0, n) for n in range(n_max + 1))
             assert pmf_tail_mass(p, 1.0, n_max) == pytest.approx(1.0 - head, rel=1e-10)
 
-    @pytest.mark.parametrize("m", [1.0, 20.0, 30.0])
+    @pytest.mark.parametrize("m", [1.0, 20.0, 30.0, 40.0, 200.0, 650.0, 690.0])
     def test_classical_tail_is_exact(self, m):
         # the upward Poisson sum against the exact tail; at m = 20 the
-        # cancelling k-series gave 0.0170 for N = 40 instead of 2.54e-05
+        # cancelling k-series gave 0.0170 for N = 40 instead of 2.54e-05,
+        # and past m = 30 the sum's rounding passes 1 unless clamped
         mpmath = pytest.importorskip("mpmath")
         p = FractionalParams(m)
         with mpmath.workdps(50):
             mm = mpmath.mpf(m)
-            for n_max in (0, 3, 10, 25, 40, 60, 100):
+            for n_max in sorted({0, 3, 10, 25, 40, 60, 100, int(m), int(1.5 * m), int(2 * m)}):
+                # run well past both the cut-off and the mode m
                 exact = mpmath.exp(-mm) * mpmath.fsum(
-                    mm ** n / mpmath.factorial(n) for n in range(n_max + 1, n_max + 400)
+                    mm ** n / mpmath.factorial(n)
+                    for n in range(n_max + 1, max(n_max, int(2 * m)) + 400)
                 )
                 assert pmf_tail_mass(p, 1.0, n_max) == pytest.approx(float(exact), rel=1e-14)
             # the CLI golden's tail, 1 - (8/3)/e, is the nearest double
@@ -365,8 +368,11 @@ class TestTailMass:
                 assert pmf_tail_mass(p, 1.0, 3) == float(1 - mpmath.mpf(8) / 3 / mpmath.e)
 
     def test_classical_tail_keeps_the_argument_guard(self):
+        # the upward sum cancels nothing, so only a mean whose terms near
+        # overflow (past LOG_HUGE) is refused
+        assert 0.0 < pmf_tail_mass(FractionalParams(31.0), 1.0, 10) <= 1.0
         with pytest.raises(ConvergenceError):
-            pmf_tail_mass(FractionalParams(31.0), 1.0, 10)
+            pmf_tail_mass(FractionalParams(700.0), 1.0, 10)
 
     def test_monotone_in_cutoff(self):
         tails = [pmf_tail_mass(SSTFPP, 1.0, n) for n in range(0, 12)]
@@ -776,10 +782,46 @@ class TestGoverningEquation:
                 assert res <= kolmogorov_tail_bound(p, t, n, 10), (t, n, res)
 
 
+# float.hex of the engine's iterate coefficients c_{n,k}, one line per state
+# n = 0 .. 3, k = 0 .. 6; "-" marks an empty iterate (NU_HALF's pole zeros)
+ENGINE_PINS = {
+    SSTFPP: (
+        "0x1.0000000000000p+0 -0x1.0c5dba799e9a1p+0 0x1.90bbaaa5cadd3p-1 -0x1.d7ae3d71b9e3fp-2"
+        " 0x1.ce374284d6771p-3 -0x1.8636d3805c577p-4 0x1.2289753bddca7p-5",
+        "- 0x1.420a12f857ec1p-1 -0x1.e0e1332d59d63p-1 0x1.a883374cc0e6bp-1"
+        " -0x1.15545b1c80addp-1 0x1.24a91ea045419p-2 -0x1.057bb64f7acfdp-3",
+        "- 0x1.01a1a8c6acbcep-3 0x1.80b428f114ab3p-4 -0x1.539c2c3d671eep-2"
+        " 0x1.8442e5f4b4267p-2 -0x1.24a91ea045419p-2 0x1.53eda0341fa7bp-3",
+        "- 0x1.e0e97f50b9e90p-5 0x1.9a59c5456b619p-6 -0x1.6a402f306dff4p-6"
+        " -0x1.9e25398d8cf5bp-5 0x1.8636d3805c573p-4 -0x1.6a971148aa4c7p-4",
+    ),
+    NU_HALF: (
+        "0x1.0000000000000p+0 -0x1.0ad981b82e0fdp+0 0x1.780e97f5fa0d6p-1 -0x1.97d70a921c6c0p-2"
+        " 0x1.6b37521ed9e80p-3 -0x1.143612db52840p-4 0x1.7033bd95d6544p-6",
+        "- 0x1.0ad981b82e0fdp-1 -0x1.780e97f5fa0d6p-1 0x1.31e147ed9550fp-1"
+        " -0x1.6b37521ed9e7fp-2 0x1.594397922724fp-3 -0x1.1426ce3060bf2p-4",
+        "- 0x1.0ad981b82e0fdp-3 - -0x1.31e147ed9550fp-3"
+        " 0x1.6b37521ed9e7ep-3 -0x1.02f2b1ad9d5bbp-3 0x1.1426ce3060bf2p-4",
+        "- 0x1.0ad981b82e0fdp-4 - -0x1.97d70a921c6c0p-6"
+        " - 0x1.594397922724ep-6 -0x1.7033bd95d6541p-6",
+    ),
+}
+
+
 class TestEngineAgainstClosedForm:
     def test_reference_points(self):
         assert adm_closed_form_diff(STFPP, 5, 10) <= 1e-10
         assert adm_closed_form_diff(SSTFPP, 5, 10) <= 1e-10
+        for params, pins in ENGINE_PINS.items():
+            sp = params.saigo()
+            iterates = adm.adm_solve_linear(
+                lambda s: saigo_integrate(sp, s),
+                [processes._coupling_weight(params, r) for r in range(4)],
+                6,
+            )
+            for row, pin in zip(iterates, pins):
+                assert all(len(it) <= 1 for it in row)
+                assert [it.terms[0].coeff.hex() if it else "-" for it in row] == pin.split()
 
     def test_random_tuples(self):
         rng = np.random.default_rng(4177)
