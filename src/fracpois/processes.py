@@ -94,7 +94,9 @@ class FractionalParams:
     """Parameter tuple (lambda, alpha, nu, beta, gamma) of a process variant.
 
     ``beta`` defaults to -alpha, which selects the space-time-fractional
-    sub-family; ``gamma_p`` only matters when beta != -alpha.
+    sub-family; ``gamma_p`` only matters when beta != -alpha, and there it
+    must keep 1 + gamma - beta and 1 + gamma + alpha, the smallest gamma
+    arguments of C_k, positive.
 
     Each instance owns one term cache (``_terms``, a :class:`_SeriesTerms`)
     that the series entry points evaluated on it share.  It is created on
@@ -129,6 +131,15 @@ class FractionalParams:
             raise ParameterError(f"FractionalParams: nu must be in (0, 1], got {self.nu}")
         if self.beta >= 0.0:
             raise ParameterError(f"FractionalParams: beta must be < 0, got {self.beta}")
+        if self.variant == "sstfpp":
+            # the j = 1 factor of C_k holds its smallest gamma arguments
+            num = 1.0 + self.gamma_p - self.beta
+            den = 1.0 + self.gamma_p + self.alpha
+            if num <= 0.0 or den <= 0.0:
+                raise ParameterError(
+                    f"FractionalParams: gamma_p = {self.gamma_p} makes a C_k gamma argument "
+                    f"<= 0 (1 + gamma - beta = {num}, 1 + gamma + alpha = {den})"
+                )
 
     @cached_property
     def variant(self) -> str:

@@ -210,7 +210,7 @@ def ck_log_run(p: SaigoParams, start: int, stop: int, ln_prev: float) -> list[fl
         den = 1.0 + g + a - (j - 1) * b
         if num <= 0.0 or den <= 0.0:
             raise ParameterError(
-                f"ck_log_coefficients: gamma argument <= 0 at j = {j} "
+                f"ck_log_run: gamma argument <= 0 at j = {j} "
                 f"(num = {num}, den = {den}); gamma_p out of admissible range"
             )
         acc += log_gamma(num) - log_gamma(den)

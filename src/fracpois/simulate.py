@@ -7,13 +7,25 @@ and the space-time one through both.  Sampling therefore needs exactly one
 nontrivial ingredient -- a one-sided stable variate with Laplace transform
 e^{-t s^nu} -- plus a Poisson draw at the randomized intensity.
 
-The samplers work in place.  The stable kernel draws its uniforms and
-exponentials whole, in that order, and forms each variate in the uniforms'
-own array one cache-sized block at a time; scaling, the clock and the
-Poisson clamp reuse that array.  ``empirical_pmf`` therefore holds about two
-float64 arrays of the sample size at its peak, three for stfpp.  The draws
-equal, bit for bit, the one-shot whole-array evaluation of the same formulas
-that ``tests/oracles.py`` keeps.
+The samplers work in place, one cache-sized block at a time.  The stable
+kernel draws its uniforms whole, then its exponentials, then the Poisson
+counts, each block after block, and forms each variate in the uniforms' own
+array; scaling, the clock and the Poisson clamp reuse that array, and the
+counts reuse the exponentials', whose block the kernel has spent.
+``empirical_pmf`` therefore holds about two float64 arrays of the sample
+size at its peak, three for stfpp.
+
+With two or more blocks and usable CPUs, a call starts one helper thread
+that runs the kernel and the clock arithmetic on each block as soon as its
+exponentials are drawn, while the calling thread draws the next ones and
+then the counts of each finished block, in order; a kernel with no counts
+to draw (the stfpp inner clock, ``sample_stable``) splits its blocks between
+the two threads.  The thread adds one block of scratch and is joined before
+the call returns.  With one usable CPU or one block, the same steps run on
+the calling thread alone.  Only the calling thread draws random numbers, in
+the same order either way, so the draws equal, bit for bit, the one-shot
+whole-array evaluation of the same formulas that ``tests/oracles.py``
+keeps.
 
 Empirical histograms feed a chi-square comparison against the closed-form
 pmf, with the (possibly heavy) tail above the histogram range accounted for
@@ -26,8 +38,10 @@ importing fracpois, which loads this module, stays free of both.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .errors import ParameterError, UnsupportedVariantError
 from .processes import FractionalParams, PmfTable, _index, pmf_table
@@ -77,35 +91,168 @@ def _uniform_open(rng: np.random.Generator, size: int) -> np.ndarray:
     return u
 
 
-def _stable_standard(nu: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """One-sided stable variates A with E[e^{-s A}] = e^{-s^nu}.
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _stable_block(nu: float, u: np.ndarray, e: np.ndarray, x: np.ndarray) -> None:
+    """One block of the stable kernel, in place: u holds U on entry and A on
+    return, e (E on entry) is spent, x is scratch of u's length.
 
     Chambers-Mallows-Stuck in Kanter's one-sided form:
         A = [sin(nu U) / sin(U)^{1/nu}] * [sin((1-nu) U) / E]^{(1-nu)/nu}
     with U uniform on (0, pi) and E unit exponential.
+    """
+    import numpy as np
 
-    U and E are drawn whole, in that order, which fixes the random stream;
-    A is then formed in U's own array, block by block, so the only further
-    memory is one block of scratch.
+    u *= np.pi
+    np.sin(np.multiply(u, 1.0 - nu, out=x), out=x)
+    np.divide(x, e, out=e)
+    e **= (1.0 - nu) / nu
+    np.sin(np.multiply(u, nu, out=x), out=x)
+    np.sin(u, out=u)
+    u **= 1.0 / nu
+    np.divide(x, u, out=u)
+    u *= e
+
+
+def _in_blocks(size: int, feed: Callable, work: Callable, drain: Callable | None) -> None:
+    """Run feed(lo), then work(lo, scratch), then drain(lo) over the blocks.
+
+    Every feed runs first, in block order, on the calling thread; then every
+    work, each before its block's drain, and the drains in block order on
+    the calling thread.  With two or more blocks and CPUs, one helper thread
+    runs the works: each as soon as its block is fed, beside the caller's
+    feeds and drains, or, without drain, sharing the blocks with the caller.
+    The helper adopts the caller's numpy error state and is joined before
+    return; an exception in either thread reaches the caller and stops the
+    other thread at its next block.
+    """
+    import numpy as np
+
+    starts = range(0, size, _BLOCK)
+    if len(starts) < 2 or _usable_cpus() < 2:
+        for lo in starts:
+            feed(lo)
+        scratch = np.empty(min(size, _BLOCK))
+        for lo in starts:
+            work(lo, scratch)
+            if drain is not None:
+                drain(lo)
+        return
+
+    from queue import SimpleQueue
+
+    todo: SimpleQueue = SimpleQueue()  # fed blocks; None ends a worker
+    done: SimpleQueue = SimpleQueue()  # the helper's finished blocks; None on failure
+    stop = threading.Event()
+    failed: list[BaseException] = []
+    errors, errcall = np.geterr(), np.geterrcall()
+
+    def helper() -> None:
+        try:
+            scratch = np.empty(_BLOCK)
+            with np.errstate(call=errcall, **errors):
+                while (lo := todo.get()) is not None and not stop.is_set():
+                    work(lo, scratch)
+                    done.put(lo)
+        except BaseException as exc:  # handed to the caller, which raises it
+            failed.append(exc)
+            stop.set()
+            done.put(None)
+
+    thread = threading.Thread(target=helper, name="fracpois-sampler")
+    thread.start()
+    try:
+        for lo in starts:
+            if stop.is_set():
+                break
+            feed(lo)
+            todo.put(lo)
+        todo.put(None)
+        if drain is None:
+            todo.put(None)
+            scratch = np.empty(_BLOCK)
+            while (lo := todo.get()) is not None and not stop.is_set():
+                work(lo, scratch)
+        else:
+            for lo in starts:
+                if done.get() is None:
+                    break
+                drain(lo)
+    finally:
+        stop.set()
+        todo.put(None)
+        thread.join()
+    if failed:
+        raise failed[0]
+
+
+def _stable_sample(
+    nu: float, rng: np.random.Generator, size: int, finish: Callable, count: bool = False,
+) -> np.ndarray:
+    """Standard one-sided nu-stable variates A, each block passed through
+    finish(block, lo) after the kernel; with count, the Poisson counts drawn
+    at those finished values instead.
+
+    U is drawn whole, then E and then the counts block by block, which
+    consumes the random stream exactly as drawing each whole does.  A is
+    formed in U's own array and the counts in E's, whose block the kernel
+    has spent, so the only further memory is a block of scratch per thread
+    and one block of counts.
     """
     import numpy as np
 
     U = _uniform_open(rng, size)
-    E = rng.exponential(1.0, size)
-    scratch = np.empty(min(size, _BLOCK))
-    for lo in range(0, size, _BLOCK):
-        u, e = U[lo:lo + _BLOCK], E[lo:lo + _BLOCK]
-        x = scratch[:len(u)]
-        u *= np.pi
-        np.sin(np.multiply(u, 1.0 - nu, out=x), out=x)
-        np.divide(x, e, out=e)
-        e **= (1.0 - nu) / nu
-        np.sin(np.multiply(u, nu, out=x), out=x)
-        np.sin(u, out=u)
-        u **= 1.0 / nu
-        np.divide(x, u, out=u)
-        u *= e
-    return U
+    E = np.empty(size)
+    counts = E.view(np.int64)
+
+    def feed(lo: int) -> None:
+        rng.standard_exponential(out=E[lo:lo + _BLOCK])
+
+    def work(lo: int, scratch: np.ndarray) -> None:
+        u = U[lo:lo + _BLOCK]
+        _stable_block(nu, u, E[lo:lo + _BLOCK], scratch[:len(u)])
+        finish(u, lo)
+
+    def drain(lo: int) -> None:
+        counts[lo:lo + _BLOCK] = _poisson_counts(rng, U[lo:lo + _BLOCK])
+
+    _in_blocks(size, feed, work, drain if count else None)
+    return counts if count else U
+
+
+def _stable_scale(nu: float, t: float) -> Callable:
+    """The block step A -> t^{1/nu} A, which makes D_nu(t) of A.
+
+    A scale past the float range makes the draws +inf, quietly.
+    """
+    import numpy as np
+
+    try:
+        scale = t ** (1.0 / nu)
+    except OverflowError:
+        scale = math.inf
+
+    def step(a: np.ndarray, lo: int) -> None:
+        with np.errstate(over="ignore"):
+            a *= scale
+
+    return step
+
+
+def _inverse_stable_time(alpha: float, t: float) -> Callable:
+    """The block step A -> (t / A)^alpha, which makes E_alpha(t) of A."""
+    scale = t ** alpha
+
+    def step(a: np.ndarray, lo: int) -> None:
+        a **= -alpha
+        a *= scale
+
+    return step
 
 
 def sample_stable(
@@ -121,19 +268,12 @@ def sample_stable(
     +inf, quietly.  nu = 1 is degenerate (D(t) = t) and rejected here;
     callers handle it directly.
     """
-    import numpy as np
-
     if not (0.0 < nu < 1.0):
         raise ParameterError(f"sample_stable: nu must be in (0, 1), got {nu}")
     if not (t > 0.0 and math.isfinite(t)):
         raise ParameterError(f"sample_stable: t must be > 0, got {t!r}")
-    out = _stable_standard(nu, _as_rng(seed), _size(size, "sample_stable"))
-    try:
-        scale = t ** (1.0 / nu)
-    except OverflowError:
-        scale = math.inf
-    with np.errstate(over="ignore"):
-        out *= scale
+    rng, m = _as_rng(seed), _size(size, "sample_stable")
+    out = _stable_sample(nu, rng, m, _stable_scale(nu, t))
     return out if size is not None else float(out[0])
 
 
@@ -152,18 +292,18 @@ def sample_inverse_stable(
         raise ParameterError(f"sample_inverse_stable: alpha must be in (0, 1), got {alpha}")
     if not (t > 0.0 and math.isfinite(t)):
         raise ParameterError(f"sample_inverse_stable: t must be > 0, got {t!r}")
-    out = _stable_standard(alpha, _as_rng(seed), _size(size, "sample_inverse_stable"))
-    out **= -alpha
-    out *= t ** alpha
+    rng, m = _as_rng(seed), _size(size, "sample_inverse_stable")
+    out = _stable_sample(alpha, rng, m, _inverse_stable_time(alpha, t))
     return out if size is not None else float(out[0])
 
 
 def _poisson_counts(rng: np.random.Generator, lam_eff: np.ndarray) -> np.ndarray:
-    """Poisson draws at the intensities lam_eff, which are clamped in place."""
+    """Poisson draws at the intensities lam_eff, which are clamped in place:
+    +inf to ``_LAM_CLAMP`` and NaN to 0."""
     import numpy as np
 
-    np.nan_to_num(lam_eff, copy=False, posinf=_LAM_CLAMP)
     np.minimum(lam_eff, _LAM_CLAMP, out=lam_eff)
+    lam_eff[np.isnan(lam_eff)] = 0.0
     return rng.poisson(lam_eff)
 
 
@@ -191,26 +331,36 @@ def sample_process(
         raise ParameterError(f"sample_process: t must be >= 0, got {t!r}")
     rng = _as_rng(seed)
     m = _size(size, "sample_process")
+    lam = params.lam
     if t == 0.0:
         counts = np.zeros(m, dtype=np.int64)
-        return counts if size is not None else int(counts[0])
+    elif variant == "classical":
+        counts = rng.poisson(min(lam * t, _LAM_CLAMP), m)
+    else:
+        if variant == "tfpp":
+            nu, clock = params.alpha, _inverse_stable_time(params.alpha, t)
+        elif variant == "sfpp":
+            nu, clock = params.nu, _stable_scale(params.nu, t)
+        else:  # stfpp: the stable subordinator run at an inverse-stable time
+            inner_time = _inverse_stable_time(params.alpha, t)
 
-    if variant == "classical":
-        clock = np.full(m, t)
-    elif variant == "tfpp":
-        clock = sample_inverse_stable(params.alpha, t, rng, m)
-    elif variant == "sfpp":
-        clock = sample_stable(params.nu, t, rng, m)
-    else:  # stfpp: the stable subordinator run at an inverse-stable time
-        inner = sample_inverse_stable(params.alpha, t, rng, m)
-        with np.errstate(over="ignore"):  # an inf clock is clamped below
-            inner **= 1.0 / params.nu
-        clock = _stable_standard(params.nu, rng, m)
-        clock *= inner
-        del inner  # freed before the Poisson draw allocates the counts
-    with np.errstate(over="ignore"):  # an inf intensity is clamped below
-        clock *= params.lam
-    counts = _poisson_counts(rng, clock)
+            def inner_clock(a: np.ndarray, lo: int) -> None:
+                inner_time(a, lo)
+                with np.errstate(over="ignore"):  # an inf clock is clamped below
+                    a **= 1.0 / params.nu
+
+            inner = _stable_sample(params.alpha, rng, m, inner_clock)
+            nu = params.nu
+
+            def clock(a: np.ndarray, lo: int) -> None:
+                a *= inner[lo:lo + _BLOCK]
+
+        def intensity(a: np.ndarray, lo: int) -> None:
+            clock(a, lo)
+            with np.errstate(over="ignore"):  # an inf intensity is clamped below
+                a *= lam
+
+        counts = _stable_sample(nu, rng, m, intensity, count=True)
     return counts if size is not None else int(counts[0])
 
 

@@ -28,7 +28,7 @@ from fracpois.processes import (
     truncated_normalization_residual,
     waiting_survival,
 )
-from fracpois.saigo import ck_log_run, saigo_integrate
+from fracpois.saigo import SaigoParams, ck_log_run, saigo_integrate
 from fracpois.specfun import mittag_leffler
 from oracles import sfpp_pmf, sstfpp_pmf, stfpp_pmf, tfpp_pmf
 
@@ -491,14 +491,22 @@ class TestPmfTable:
 
     def test_inadmissible_gamma_rejected(self):
         # alpha = 0.8, beta = -0.5, gamma = -1.5: Gamma(1 + g - b) has
-        # argument 0 at j = 1; t = 0 needs no C_k, so the first row passes
-        bad = FractionalParams(1.0, alpha=0.8, nu=0.6, beta=-0.5, gamma_p=-1.5)
+        # argument 0 at j = 1, so the parameters are refused at construction,
+        # before a t = 0 row (which needs no C_k) could print p0 = 1
         with pytest.raises(ParameterError) as exc:
-            pmf_table(bad, [0.0, 1.0], 5)
+            FractionalParams(1.0, alpha=0.8, nu=0.6, beta=-0.5, gamma_p=-1.5)
         assert str(exc.value) == (
-            "ck_log_coefficients: gamma argument <= 0 at j = 1 "
-            "(num = 0.0, den = 0.30000000000000004); gamma_p out of admissible range"
+            "FractionalParams: gamma_p = -1.5 makes a C_k gamma argument <= 0 "
+            "(1 + gamma - beta = 0.0, 1 + gamma + alpha = 0.30000000000000004)"
         )
+        # the other smallest argument: 1 + gamma + alpha = -0.1 at beta = -3
+        with pytest.raises(ParameterError, match="1 \\+ gamma \\+ alpha = -0.1"):
+            FractionalParams(1.0, alpha=0.5, nu=0.6, beta=-3.0, gamma_p=-1.6)
+        # gamma only enters C_k off beta = -alpha, where any gamma is accepted
+        assert FractionalParams(1.0, alpha=0.8, nu=0.6, gamma_p=-1.5).variant == "stfpp"
+        # the kernel's own check names it, for Saigo parameters built directly
+        with pytest.raises(ParameterError, match="^ck_log_run: gamma argument <= 0 at j = 1 "):
+            ck_log_run(SaigoParams(0.8, -0.5, -1.5), 0, 3, 0.0)
 
     def test_ln_ck_built_a_few_times_per_table(self, monkeypatch):
         # the 50 x 26 sstfpp table evaluates each C_k factor once across

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -6,6 +8,7 @@ import numpy as np
 import oracles
 import pytest
 
+from fracpois import simulate
 from fracpois.errors import ParameterError, UnsupportedVariantError
 from fracpois.processes import (
     FractionalParams,
@@ -188,11 +191,12 @@ class TestEmpiricalPmf:
         assert type(emp.n_max) is int and type(emp.sample_count) is int
 
     def test_transient_memory(self):
-        # numpy reports its buffers to tracemalloc; the sampler holds at most
-        # U and E (or the clock and the counts), the stfpp one also the
-        # inverse-stable time, plus one block of scratch
+        # numpy reports its buffers to tracemalloc, from every thread; the
+        # sampler holds at most U and E (the counts reuse E), the stfpp one
+        # also the inverse-stable time, plus a few blocks of scratch; the
+        # classical one draws at a scalar intensity and holds the counts only
         n = 200_000
-        for params, arrays in ((CLASSICAL, 2.25), (TFPP, 2.25), (SFPP, 2.25), (STFPP, 3.25)):
+        for params, arrays in ((CLASSICAL, 1.25), (TFPP, 2.25), (SFPP, 2.25), (STFPP, 3.25)):
             empirical_pmf(params, 1.0, n, 25, 6)
             tracemalloc.start()
             try:
@@ -289,6 +293,97 @@ class TestOneShotBitIdentity:
                     emp = empirical_pmf(params, 1.5, n_samples, n_max, seed)
                     counts, overflow = oracles.empirical_histogram(params, 1.5, n_samples, n_max, seed)
                     assert (emp.counts, emp.overflow) == (counts, overflow), (seed, params.variant)
+
+
+class TestHelperThread:
+    """The helper thread that forms the stable variates beside the draws."""
+
+    N = 10 * _BLOCK + 5
+
+    @staticmethod
+    def fail_on_call(monkeypatch, name, k, fail):
+        # the k-th call of simulate.<name>, on whichever thread, runs fail()
+        real = getattr(simulate, name)
+        lock = threading.Lock()
+        calls = [0]
+
+        def wrapper(*args):
+            with lock:
+                calls[0] += 1
+                n = calls[0]
+            if n == k:
+                fail()
+            return real(*args)
+
+        monkeypatch.setattr(simulate, name, wrapper)
+
+    @staticmethod
+    def raise_error():
+        raise RuntimeError("third call")
+
+    @staticmethod
+    def warn():
+        warnings.warn("third call", RuntimeWarning)
+
+    @pytest.mark.parametrize("fail", ["raise_error", "warn"])
+    @pytest.mark.parametrize("name", ["_stable_block", "_poisson_counts"])
+    @pytest.mark.parametrize("params", [TFPP, STFPP], ids=lambda p: p.variant)
+    def test_error_reaches_the_caller(self, monkeypatch, params, name, fail):
+        # a kernel error is raised on the helper (or, for the stfpp inner
+        # clock, on either thread), a Poisson error on the caller; either
+        # way the call raises it and leaves no thread behind
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+        self.fail_on_call(monkeypatch, name, 3, getattr(self, fail))
+        baseline = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises((RuntimeError, RuntimeWarning), match="third call"):
+                empirical_pmf(params, 1.0, self.N, 25, 1)
+        assert threading.active_count() == baseline
+
+    def test_concurrent_calls(self, monkeypatch):
+        # four callers at once, each with its own seed and helper thread,
+        # under a short switch interval: each gets the oracle's histogram
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+        results = {}
+
+        def call(seed):
+            params = (TFPP, SFPP, STFPP, STFPP)[seed]
+            emp = empirical_pmf(params, 1.5, self.N, 25, seed)
+            want = oracles.empirical_histogram(params, 1.5, self.N, 25, seed)
+            results[seed] = (emp.counts, emp.overflow) == want
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call, args=(seed,)) for seed in range(4)]
+            for c in callers:
+                c.start()
+            for c in callers:
+                c.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(c.is_alive() for c in callers)
+        assert results == {0: True, 1: True, 2: True, 3: True}
+
+    def test_one_cpu_runs_inline(self, monkeypatch):
+        # with one usable CPU every block runs on the calling thread, and the
+        # draws are the oracle's
+        caller = threading.current_thread()
+        kernel = simulate._stable_block
+
+        def on_caller(*args):
+            assert threading.current_thread() is caller
+            kernel(*args)
+
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(simulate, "_stable_block", on_caller)
+        for seed in BIT_SEEDS:
+            for params in (TFPP, SFPP, STFPP):
+                got = sample_process(params, 1.5, seed, self.N)
+                assert np.array_equal(got, oracles.sample_process(params, 1.5, seed, self.N))
+            got = sample_stable(0.6, 2.0, seed, self.N)
+            assert np.array_equal(got, oracles.sample_stable(0.6, 2.0, seed, self.N))
 
 
 class TestChiSquare:
