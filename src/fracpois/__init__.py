@@ -3,8 +3,8 @@
 State probabilities, generating functions and waiting-time survival for the
 classical, time-fractional, space-fractional, space-time-fractional and
 Saigo space-time-fractional Poisson processes, cross-validated three ways:
-closed-form series, the Adomian decomposition engine, and Monte-Carlo
-subordination.
+closed-form series, the Adomian decomposition engine (one power series per
+state, term k being the k-th iterate), and Monte-Carlo subordination.
 """
 
 from .adm import PowerSeries, PowerTerm, adm_solve_linear
@@ -34,7 +34,6 @@ from .saigo import (
     composition_check,
     saigo_caputo_derivative_power,
     saigo_integral_power,
-    saigo_integral_quadrature,
     semigroup_counterexample,
 )
 from .simulate import (
@@ -82,7 +81,6 @@ __all__ = [
     "poisson_pmf",
     "saigo_caputo_derivative_power",
     "saigo_integral_power",
-    "saigo_integral_quadrature",
     "sample_inverse_stable",
     "sample_process",
     "sample_stable",

@@ -1,10 +1,11 @@
-"""Power series and the Adomian decomposition engine.
+"""Power terms and the Adomian decomposition engine.
 
-Every decomposition iterate in this project is a finite sum of c * t^rho
-terms, and fractional integrals act on such terms analytically.  The engine
-therefore never discretizes time: :func:`adm_solve_linear` produces the
-iterate series exactly (up to float rounding in the gamma-ratio
-multipliers), and evaluation at a time point happens only at the very end.
+In the paper's system every decomposition iterate is one monomial
+c_{n,k} t^{e_k}, and the Saigo integral maps a monomial to a monomial by a
+gamma-ratio multiplier.  The engine therefore never discretizes time:
+:func:`adm_solve_linear` forms the iterate coefficients exactly (up to float
+rounding in the multipliers), and each state's solution is one
+:class:`PowerSeries`, evaluated at a time point only at the very end.
 """
 
 from __future__ import annotations
@@ -15,13 +16,6 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import ConvergenceError, ParameterError
 from .specfun import _kahan_add
-
-# Exponents arise from repeated addition of fractional orders, so two terms
-# that should share an exponent can differ by accumulated rounding.
-EXPONENT_MERGE_TOL = 1e-12
-
-# Coefficients below this are numerically indistinguishable from zero.
-COEFF_DROP_TOL = 1e-300
 
 COEFF_OVERFLOW = 1e300
 
@@ -43,44 +37,16 @@ class PowerTerm:
 
 
 class PowerSeries:
-    """A finite sum of PowerTerm, normalized to strictly increasing exponents.
-
-    Instances are immutable in practice: build a new series from terms.
-    """
+    """A finite sum of PowerTerm, kept in the order given."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[PowerTerm] = ()) -> None:
-        self.terms: tuple[PowerTerm, ...] = _normalize(terms)
-
-    @classmethod
-    def constant(cls, c: float) -> "PowerSeries":
-        return cls((PowerTerm(c, 0.0),))
-
-    @classmethod
-    def zero(cls) -> "PowerSeries":
-        return cls(())
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(self.terms)
+        self.terms: tuple[PowerTerm, ...] = tuple(terms)
 
     def __repr__(self) -> str:
         body = " + ".join(f"{p.coeff!r}*t^{p.exponent!r}" for p in self.terms)
         return f"PowerSeries({body or '0'})"
-
-    def max_abs_coeff(self) -> float:
-        return max((abs(p.coeff) for p in self.terms), default=0.0)
 
     def evaluate(self, t: float) -> float:
         """sum c * t^rho with compensated summation; t >= 0 required."""
@@ -99,50 +65,41 @@ class PowerSeries:
         return total
 
 
-def _normalize(terms: Iterable[PowerTerm]) -> tuple[PowerTerm, ...]:
-    ordered = sorted(terms, key=lambda p: p.exponent)
-    out: list[PowerTerm] = []
-    for p in ordered:
-        if out and abs(p.exponent - out[-1].exponent) <= EXPONENT_MERGE_TOL:
-            merged = PowerTerm(out[-1].coeff + p.coeff, out[-1].exponent)
-            out[-1] = merged
-        else:
-            out.append(p)
-    return tuple(p for p in out if abs(p.coeff) >= COEFF_DROP_TOL)
-
-
 def adm_solve_linear(
-    integral_op: Callable[[PowerSeries], PowerSeries],
+    integral_power: Callable[[float], PowerTerm],
     weights: Sequence[float],
     max_k: int,
-) -> list[list[PowerSeries]]:
+) -> list[PowerSeries]:
     """Run the decomposition recursion of the fractional Kolmogorov system.
 
-    States n = 0 .. len(weights) - 1 start at p_n(0) = [n = 0].  The k-th
-    iterate of state n is the integral operator applied to
-    sum_{r=0}^{n} weights[r] * iterate_{k-1}(n - r).  Linearity means the
-    Adomian polynomials are the iterates themselves, so no polynomial
-    generation is needed here.  Returns iterates[n][k] for k = 0 .. max_k.
+    States n = 0 .. len(weights) - 1 start at p_n(0) = [n = 0].  Iterate k of
+    state n is the integral applied to sum_{r=0}^{n} weights[r] *
+    iterate_{k-1}(n - r); linearity means the Adomian polynomials are the
+    iterates themselves.  Every iterate k - 1 is a monomial of one shared
+    exponent e, so ``integral_power(e + 1)``, the image of t^e, is formed once
+    per order.  Returns one series per state, term k being iterate k; a
+    vanishing iterate has coefficient 0.0.
     """
     if max_k < 1:
         raise ParameterError(f"adm_solve_linear: max_k must be >= 1, got {max_k}")
     if len(weights) < 1:
         raise ParameterError("adm_solve_linear: need a weight per state")
 
-    iterates = [[PowerSeries.constant(1.0)]] + [[PowerSeries.zero()] for _ in weights[1:]]
+    coeffs = [[1.0]] + [[0.0] for _ in weights[1:]]
+    exponents = [0.0]
     for k in range(1, max_k + 1):
-        for n, row in enumerate(iterates):
-            # Every state's iterate k - 1 has the same exponent, so the
-            # stable sort adds the terms in the order r = 0, 1, ...
-            rhs = PowerSeries(
-                PowerTerm(w * p.coeff, p.exponent)
-                for r, w in enumerate(weights[: n + 1]) if w != 0.0
-                for p in iterates[n - r][k - 1].terms
-            )
-            nxt = integral_op(rhs)
-            if nxt.max_abs_coeff() > COEFF_OVERFLOW:
+        image = integral_power(exponents[-1] + 1.0)
+        exponents.append(image.exponent)
+        for n, row in enumerate(coeffs):
+            rhs = 0.0
+            for r, w in enumerate(weights[: n + 1]):
+                c = coeffs[n - r][k - 1]
+                if w != 0.0 and c != 0.0:
+                    rhs += w * c
+            nxt = rhs * image.coeff if rhs else 0.0
+            if not abs(nxt) <= COEFF_OVERFLOW:
                 raise ConvergenceError(
                     f"adm_solve_linear: coefficient overflow at iterate k={k}, state n={n}"
                 )
             row.append(nxt)
-    return iterates
+    return [PowerSeries(map(PowerTerm, row, exponents)) for row in coeffs]

@@ -30,7 +30,6 @@ from .processes import (
     truncated_normalization_residual,
     waiting_survival,
 )
-from .saigo import SaigoParams, semigroup_counterexample
 from .simulate import _chi_square, empirical_pmf
 
 VARIANTS = ("classical", "tfpp", "sfpp", "stfpp", "sstfpp")
@@ -62,13 +61,6 @@ PINNED = {
     "stfpp": {"gamma_p": 0.0},
     "sstfpp": {},
 }
-
-SEMIGROUP_TUPLE = (
-    SaigoParams(0.5, -0.2, 0.3),
-    SaigoParams(0.7, -0.4, 0.1),
-    1.0,
-)
-
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -310,21 +302,20 @@ def _cmd_verify(cfg: RunConfig) -> tuple[str, int]:
     r = adm_closed_form_diff(params, min(cfg.n_max, 5), min(max_k, 10))
     add("adm_closed_form", r, 1e-10, r <= 1e-10)
 
+    # At t = 0 every p_n(0) = [n = 0] holds exactly, and the equation's
+    # t^beta has no value: only positive times are checked.
     r = max(
-        kolmogorov_residual(params, t, n, max_k)
-        for t in times
-        for n in range(min(cfg.n_max, 5) + 1)
+        (
+            kolmogorov_residual(params, t, n, max_k)
+            for t in times if t > 0.0
+            for n in range(min(cfg.n_max, 5) + 1)
+        ),
+        default=0.0,
     )
     add("kolmogorov", r, 1e-8, r <= 1e-8)
 
     r = composition_tuples_residual(params)
     add("composition", r, 1e-10, r <= 1e-10)
-
-    check = semigroup_counterexample(*SEMIGROUP_TUPLE)
-    rel = abs(check.lhs - check.rhs) / max(abs(check.lhs), abs(check.rhs))
-    # This check passes when the residual EXCEEDS the threshold: the two
-    # operator orders are supposed to disagree.
-    add("semigroup_counterexample_differs", rel, 1e-3, rel > 1e-3)
 
     body = json.dumps({"checks": checks, "params": _params_dict(cfg)}, indent=2)
     ok = all(c["pass"] for c in checks)

@@ -69,7 +69,7 @@ from .saigo import (
     ck_log_run,
     composition_check,
     saigo_caputo_derivative_power,
-    saigo_integrate,
+    saigo_integral_power,
 )
 from .specfun import (
     LOG_HUGE,
@@ -684,31 +684,21 @@ def adm_closed_form_diff(params: FractionalParams, n_max: int, k_trunc: int) -> 
     """
     n_max, k_trunc = _index(n_max, "n_max"), _index(k_trunc, "k_trunc")
     sp = params.saigo()
-    iterates = adm_solve_linear(
-        lambda s: saigo_integrate(sp, s),
+    states = adm_solve_linear(
+        lambda rho: saigo_integral_power(sp, rho),
         [_coupling_weight(params, r) for r in range(n_max + 1)],
         k_trunc,
     )
     worst = 0.0
     for n in range(n_max + 1):
         for k, closed in enumerate(_state_terms(params, 1.0, n, k_trunc)):
-            it = iterates[n][k]
-            if len(it) == 0:
-                got = 0.0
-            elif len(it) == 1:
-                term = it.terms[0]
-                if abs(term.exponent - (-k * params.beta)) > 1e-9:
-                    raise ConvergenceError(
-                        f"adm_closed_form_diff: iterate (n={n}, k={k}) has exponent "
-                        f"{term.exponent}, expected {-k * params.beta}"
-                    )
-                got = term.coeff
-            else:
+            term = states[n].terms[k]
+            if abs(term.exponent - (-k * params.beta)) > 1e-9:
                 raise ConvergenceError(
-                    f"adm_closed_form_diff: iterate (n={n}, k={k}) is not a monomial"
+                    f"adm_closed_form_diff: iterate (n={n}, k={k}) has exponent "
+                    f"{term.exponent}, expected {-k * params.beta}"
                 )
-            diff = abs(got - closed) / max(1.0, abs(closed))
-            worst = max(worst, diff)
+            worst = max(worst, abs(term.coeff - closed) / max(1.0, abs(closed)))
     return worst
 
 

@@ -5,10 +5,11 @@ kernel; on monomials it acts by a pure gamma-ratio multiplier, which is all
 the decomposition engine ever needs.  This module provides that multiplier,
 the corrected Caputo-type Saigo derivative of one power built from it
 (the governing-equation check in :mod:`fracpois.processes` applies it to
-each term of the term cache's truncated rows at a time), a quadrature
-evaluation of the defining integral (used as an independent cross-check),
-the composition identity check, the commutation counterexample, and the C_k
-coefficient products that appear in the general state-probability series.
+each term of the term cache's truncated rows at a time), the composition
+identity check, the commutation counterexample, and the C_k coefficient
+products that appear in the general state-probability series.  The
+quadrature evaluation of the defining integral, the independent side of the
+power rule, is a test oracle (``tests/oracles.py``).
 
 Conventions: operators are written for f(t) = t^{rho-1} (integral) or t^rho
 (derivative); beta = -alpha recovers Riemann-Liouville and beta = 0 recovers
@@ -21,8 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .adm import PowerSeries, PowerTerm
-from .errors import ConvergenceError, ParameterError
+from .adm import PowerTerm
+from .errors import ParameterError
 from .specfun import log_abs_gamma, log_gamma
 
 SEMIGROUP_REL_TOL = 1e-9
@@ -81,16 +82,6 @@ def saigo_integral_power(p: SaigoParams, rho: float) -> PowerTerm:
     return PowerTerm(mult, rho - p.beta - 1.0)
 
 
-def saigo_integrate(p: SaigoParams, series: PowerSeries) -> PowerSeries:
-    """Term-wise Saigo integral of a power series (terms are c * t^e, rho = e + 1)."""
-
-    def one(term: PowerTerm) -> PowerTerm:
-        image = saigo_integral_power(p, term.exponent + 1.0)
-        return PowerTerm(term.coeff * image.coeff, image.exponent)
-
-    return PowerSeries(one(term) for term in series.terms)
-
-
 def saigo_caputo_derivative_power(p: SaigoParams, rho: float) -> PowerTerm:
     """Image of t^rho under the corrected Caputo-type Saigo derivative.
 
@@ -112,43 +103,6 @@ def saigo_caputo_derivative_power(p: SaigoParams, rho: float) -> PowerTerm:
     _check_integral_domain(ib, ig, rho, "saigo_caputo_derivative_power")
     mult = rho * _integral_multiplier(ia, ib, ig, rho)
     return PowerTerm(mult, rho + p.beta)
-
-
-def saigo_integral_quadrature(p: SaigoParams, rho: float, t: float) -> float:
-    """Saigo integral of t^{rho-1} straight from its defining integral.
-
-    Substituting s = t(1-u) turns the definition into
-
-        t^{rho-beta-1} / Gamma(alpha) *
-            int_0^1 u^{alpha-1} (1-u)^{rho-1} 2F1(alpha+beta, -gamma; alpha; u) du,
-
-    evaluated with an adaptive rule carrying the algebraic endpoint weights
-    exactly.  This route shares no gamma-ratio code with
-    :func:`saigo_integral_power`, which is the point: it is the oracle side
-    of that pair.
-    """
-    # scipy is imported here, not at module level, so that importing fracpois
-    # (and every series command of the CLI) does not pay for it.
-    from scipy import integrate, special
-
-    _check_integral_domain(p.beta, p.gamma_p, rho, "saigo_integral_quadrature")
-    if not (t > 0.0 and math.isfinite(t)):
-        raise ParameterError(f"saigo_integral_quadrature: t must be > 0, got {t!r}")
-
-    a, b, g = p.alpha, p.beta, p.gamma_p
-
-    def kernel(u: float) -> float:
-        return float(special.hyp2f1(a + b, -g, a, u))
-
-    value, abserr = integrate.quad(
-        kernel, 0.0, 1.0, weight="alg", wvar=(a - 1.0, rho - 1.0),
-        epsabs=1e-12, epsrel=1e-9, limit=200,
-    )
-    if not math.isfinite(value) or abserr > 1e-6 * max(1.0, abs(value)):
-        raise ConvergenceError(
-            f"saigo_integral_quadrature: estimated error {abserr:.3e} too large"
-        )
-    return t ** (rho - b - 1.0) / math.gamma(a) * value
 
 
 class SemigroupCheck(NamedTuple):

@@ -7,8 +7,10 @@ compare independent arithmetic against the production ``pmf``.  tfpp is the
 reindexed (k+n)!/k! form, algebraically distinct from the kernel's; sstfpp
 builds C_k from the Saigo product even on beta = -alpha.
 
-The Riemann-Liouville integral of a power series is kept here too, as the
-oracle for the Saigo integral at beta = -alpha, from its own gamma ratio.
+The Riemann-Liouville integral of a power is kept here too, as the oracle
+for the Saigo integral at beta = -alpha, from its own gamma ratio; so is the
+quadrature evaluation of the Saigo integral's defining integral (scipy), the
+oracle for its power rule.
 
 The one-shot subordination sampler is kept here too: every step of the
 stable draw, the clock and the histogram as one whole-array expression, the
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from fracpois.adm import PowerSeries, PowerTerm
+from fracpois.adm import PowerTerm
 from fracpois.errors import ConvergenceError, ParameterError
 from fracpois.processes import (
     ARG_GUARD,
@@ -29,7 +31,7 @@ from fracpois.processes import (
     FractionalParams,
     _check_state,
 )
-from fracpois.saigo import SaigoParams, ck_log_coefficients
+from fracpois.saigo import SaigoParams, _check_integral_domain, ck_log_coefficients
 from fracpois.simulate import _LAM_CLAMP, _as_rng, _uniform_open
 from fracpois.specfun import LOG_HUGE, SERIES_TOL, TERM_CAP, _kahan_add, log_abs_gamma, log_gamma
 
@@ -200,21 +202,48 @@ def sstfpp_pmf(params: FractionalParams, t: float, n: int) -> float:
     return _sum_k_series(term, int(n / nu) + 2, "sstfpp_pmf")
 
 
-def rl_integrate(series: PowerSeries, alpha: float) -> PowerSeries:
-    """Riemann-Liouville fractional integral of order alpha on a power series.
-
-    Each monomial c * t^{rho-1} maps to c * Gamma(rho)/Gamma(rho+alpha) *
-    t^{rho+alpha-1}; with terms stored as c * t^e this reads rho = e + 1.
-    """
+def rl_integral_power(alpha: float, rho: float) -> PowerTerm:
+    """Image of t^{rho-1} under the Riemann-Liouville integral of order alpha:
+    Gamma(rho)/Gamma(rho+alpha) * t^{rho+alpha-1}."""
     if not (0.0 < alpha <= 1.0):
-        raise ParameterError(f"rl_integrate: alpha must be in (0, 1], got {alpha}")
+        raise ParameterError(f"rl_integral_power: alpha must be in (0, 1], got {alpha}")
+    mult = math.exp(log_gamma(rho) - log_gamma(rho + alpha))
+    return PowerTerm(mult, rho + alpha - 1.0)
 
-    def one(p: PowerTerm) -> PowerTerm:
-        rho = p.exponent + 1.0
-        mult = math.exp(log_gamma(rho) - log_gamma(rho + alpha))
-        return PowerTerm(p.coeff * mult, p.exponent + alpha)
 
-    return PowerSeries(one(p) for p in series.terms)
+def saigo_integral_quadrature(p: SaigoParams, rho: float, t: float) -> float:
+    """Saigo integral of t^{rho-1} straight from its defining integral.
+
+    Substituting s = t(1-u) turns the definition into
+
+        t^{rho-beta-1} / Gamma(alpha) *
+            int_0^1 u^{alpha-1} (1-u)^{rho-1} 2F1(alpha+beta, -gamma; alpha; u) du,
+
+    evaluated with an adaptive rule carrying the algebraic endpoint weights
+    exactly.  This route shares no gamma-ratio code with
+    ``saigo_integral_power``, which is the point: it is the oracle side of
+    that pair.
+    """
+    from scipy import integrate, special
+
+    _check_integral_domain(p.beta, p.gamma_p, rho, "saigo_integral_quadrature")
+    if not (t > 0.0 and math.isfinite(t)):
+        raise ParameterError(f"saigo_integral_quadrature: t must be > 0, got {t!r}")
+
+    a, b, g = p.alpha, p.beta, p.gamma_p
+
+    def kernel(u: float) -> float:
+        return float(special.hyp2f1(a + b, -g, a, u))
+
+    value, abserr = integrate.quad(
+        kernel, 0.0, 1.0, weight="alg", wvar=(a - 1.0, rho - 1.0),
+        epsabs=1e-12, epsrel=1e-9, limit=200,
+    )
+    if not math.isfinite(value) or abserr > 1e-6 * max(1.0, abs(value)):
+        raise ConvergenceError(
+            f"saigo_integral_quadrature: estimated error {abserr:.3e} too large"
+        )
+    return t ** (rho - b - 1.0) / math.gamma(a) * value
 
 
 def stable_standard(nu: float, rng, size: int):

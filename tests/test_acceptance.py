@@ -24,10 +24,10 @@ from fracpois.processes import (
     waiting_survival,
 )
 from fracpois.saigo import SaigoParams, composition_check, saigo_integral_power, \
-    saigo_integral_quadrature, semigroup_counterexample
+    semigroup_counterexample
 from fracpois.simulate import chi_square_gof, empirical_pmf
 from fracpois.specfun import mittag_leffler
-from oracles import sfpp_pmf, sstfpp_pmf, stfpp_pmf, tfpp_pmf
+from oracles import saigo_integral_quadrature, sfpp_pmf, sstfpp_pmf, stfpp_pmf, tfpp_pmf
 
 
 def report(criterion: int, label: str, ok: bool, detail: str) -> None:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from fracpois.adm import PowerSeries, PowerTerm, adm_solve_linear
 from fracpois.errors import ParameterError
 from fracpois.specfun import falling_factorial
-from oracles import rl_integrate
+from oracles import rl_integral_power
 
 
 def series(*pairs):
@@ -20,19 +20,14 @@ class TestPowerSeries:
         with pytest.raises(ParameterError):
             PowerTerm(1.0, -1.5)
 
-    def test_normalization_merges_and_sorts(self):
-        s = series((2.0, 1.0), (3.0, 0.0), (0.5, 1.0))
-        assert [(t.coeff, t.exponent) for t in s.terms] == [(3.0, 0.0), (2.5, 1.0)]
-
-    def test_zero_coefficients_dropped(self):
-        s = series((1.0, 2.0), (-1.0, 2.0))
-        assert s.terms == ()
-        assert not s
+    def test_terms_keep_their_order(self):
+        s = series((2.0, 1.0), (3.0, 0.0), (0.0, 1.0))
+        assert [(t.coeff, t.exponent) for t in s.terms] == [(2.0, 1.0), (3.0, 0.0), (0.0, 1.0)]
 
     def test_evaluate(self):
-        assert PowerSeries.constant(1.0).evaluate(5.0) == 1.0
+        assert series((1.0, 0.0)).evaluate(5.0) == 1.0
         assert series((2.0, 1.0), (1.0, 2.0)).evaluate(2.0) == pytest.approx(8.0)
-        assert PowerSeries.zero().evaluate(3.0) == 0.0
+        assert PowerSeries().evaluate(3.0) == 0.0
 
     def test_evaluate_at_zero(self):
         assert series((4.0, 0.0), (7.0, 1.3)).evaluate(0.0) == 4.0
@@ -60,18 +55,17 @@ class TestPowerSeries:
 
 class TestRlIntegrate:
     def test_order_one_is_ordinary_integral(self):
-        out = rl_integrate(PowerSeries.constant(1.0), 1.0)
-        assert [(t.coeff, t.exponent) for t in out.terms] == [(1.0, 1.0)]
-        out = rl_integrate(series((2.0, 1.0), (3.0, 2.0)), 1.0)
-        assert [(t.coeff, t.exponent) for t in out.terms] == [
-            (pytest.approx(1.0), 2.0),
-            (pytest.approx(1.0), 3.0),
-        ]
+        term = rl_integral_power(1.0, 1.0)
+        assert (term.coeff, term.exponent) == (1.0, 1.0)
+        # I t = t^2 / 2, I t^2 = t^3 / 3
+        for rho, expect in ((2.0, 0.5), (3.0, 1.0 / 3.0)):
+            term = rl_integral_power(1.0, rho)
+            assert term.exponent == rho
+            assert term.coeff == pytest.approx(expect, rel=1e-13)
 
     def test_half_order_of_constant(self):
         # I^{1/2} 1 = t^{1/2} / Gamma(3/2)
-        out = rl_integrate(PowerSeries.constant(1.0), 0.5)
-        (term,) = out.terms
+        term = rl_integral_power(0.5, 1.0)
         assert term.exponent == pytest.approx(0.5)
         assert term.coeff == pytest.approx(1.0 / math.gamma(1.5), rel=1e-13)
         assert term.coeff == pytest.approx(1.1283791670955126, rel=1e-12)
@@ -80,26 +74,26 @@ class TestRlIntegrate:
         # I^alpha t^p = Gamma(p+1)/Gamma(p+1+alpha) t^{p+alpha}
         for alpha in (0.3, 0.75, 1.0):
             for p in (0.0, 0.5, 2.0):
-                out = rl_integrate(series((1.0, p)), alpha)
-                (term,) = out.terms
+                term = rl_integral_power(alpha, p + 1.0)
                 assert term.exponent == pytest.approx(p + alpha)
                 expect = math.gamma(p + 1.0) / math.gamma(p + 1.0 + alpha)
                 assert term.coeff == pytest.approx(expect, rel=1e-12)
 
     def test_semigroup(self):
-        s = series((1.0, 0.0), (2.0, 0.7))
-        for a, b in [(0.3, 0.4), (0.5, 0.5), (0.25, 0.6)]:
-            once = rl_integrate(rl_integrate(s, a), b)
-            joint = rl_integrate(s, a + b)
-            for u, v in zip(once.terms, joint.terms):
-                assert u.exponent == pytest.approx(v.exponent, abs=1e-12)
-                assert u.coeff == pytest.approx(v.coeff, rel=1e-12)
+        # I^b I^a t^{rho-1} = I^{a+b} t^{rho-1}
+        for rho in (1.0, 1.7):
+            for a, b in [(0.3, 0.4), (0.5, 0.5), (0.25, 0.6)]:
+                first = rl_integral_power(a, rho)
+                second = rl_integral_power(b, first.exponent + 1.0)
+                joint = rl_integral_power(a + b, rho)
+                assert second.exponent == pytest.approx(joint.exponent, abs=1e-12)
+                assert first.coeff * second.coeff == pytest.approx(joint.coeff, rel=1e-12)
 
     def test_rejects_bad_order(self):
         with pytest.raises(ParameterError):
-            rl_integrate(PowerSeries.constant(1.0), 0.0)
+            rl_integral_power(0.0, 1.0)
         with pytest.raises(ParameterError):
-            rl_integrate(PowerSeries.constant(1.0), 1.5)
+            rl_integral_power(1.5, 1.0)
 
 
 def stfpp_weights(lam, nu, n_max):
@@ -115,12 +109,12 @@ class TestAdmSolveLinear:
         # for the time-fractional cascade with nu = 1, p_0 iterates follow
         # (-lam)^k t^{k a} / Gamma(k a + 1)
         lam, alpha = 1.3, 0.7
-        iterates = adm_solve_linear(
-            lambda s: rl_integrate(s, alpha), stfpp_weights(lam, 1.0, 6), max_k=6
+        states = adm_solve_linear(
+            lambda rho: rl_integral_power(alpha, rho), stfpp_weights(lam, 1.0, 6), max_k=6
         )
-        assert len(iterates) == 7
-        for k in range(7):
-            (term,) = iterates[0][k].terms
+        assert len(states) == 7
+        assert all(len(s.terms) == 7 for s in states)
+        for k, term in enumerate(states[0].terms):
             expect = (-lam) ** k / math.gamma(k * alpha + 1.0)
             assert term.coeff == pytest.approx(expect, rel=1e-12)
             assert term.exponent == pytest.approx(k * alpha, abs=1e-12)
@@ -128,25 +122,39 @@ class TestAdmSolveLinear:
     def test_space_fractional_coupling_iterate(self):
         # n=0, k=2 iterate of the space-time cascade: (lam^nu)^2 t^{2a}/Gamma(2a+1)
         lam, alpha, nu = 1.0, 0.7, 0.5
-        iterates = adm_solve_linear(
-            lambda s: rl_integrate(s, alpha), stfpp_weights(lam, nu, 1), max_k=2
+        states = adm_solve_linear(
+            lambda rho: rl_integral_power(alpha, rho), stfpp_weights(lam, nu, 1), max_k=2
         )
-        (term,) = iterates[0][2].terms
+        term = states[0].terms[2]
         assert term.exponent == pytest.approx(1.4)
         assert term.coeff == pytest.approx(lam ** nu * lam ** nu / math.gamma(2.4), rel=1e-12)
 
     def test_integer_order_iterates_vanish_below_diagonal(self):
         # with nu = 1 the cascade is triangular: state n needs at least n steps
-        iterates = adm_solve_linear(
-            lambda s: rl_integrate(s, 0.6), stfpp_weights(1.0, 1.0, 3), max_k=4
+        states = adm_solve_linear(
+            lambda rho: rl_integral_power(0.6, rho), stfpp_weights(1.0, 1.0, 3), max_k=4
         )
-        assert not iterates[1][0]
-        assert not iterates[2][1]
-        assert not iterates[3][2]
-        assert iterates[2][2]
+        for n, s in enumerate(states):
+            coeffs = [term.coeff for term in s.terms]
+            assert coeffs[:n] == [0.0] * n, n
+            assert all(c != 0.0 for c in coeffs[n:]), n
+
+    def test_one_integral_call_per_order(self):
+        # every state's iterate k - 1 shares one exponent, so the image of
+        # that power is formed once per order, not once per state
+        rhos = []
+
+        def integral_power(rho):
+            rhos.append(rho)
+            return rl_integral_power(0.7, rho)
+
+        adm_solve_linear(integral_power, stfpp_weights(1.0, 0.6, 5), max_k=4)
+        assert rhos == pytest.approx([1.0, 1.7, 2.4, 3.1])
 
     def test_rejects_nonpositive_max_k(self):
         with pytest.raises(ParameterError, match="max_k"):
-            adm_solve_linear(lambda s: rl_integrate(s, 0.7), stfpp_weights(1.0, 1.0, 0), 0)
+            adm_solve_linear(
+                lambda rho: rl_integral_power(0.7, rho), stfpp_weights(1.0, 1.0, 0), 0
+            )
         with pytest.raises(ParameterError, match="weight"):
-            adm_solve_linear(lambda s: rl_integrate(s, 0.7), [], 3)
+            adm_solve_linear(lambda rho: rl_integral_power(0.7, rho), [], 3)

@@ -221,7 +221,6 @@ class TestVerifyCommand:
         "adm_closed_form",
         "kolmogorov",
         "composition",
-        "semigroup_counterexample_differs",
     ]
 
     def test_default_parameters_pass(self, capsys):
@@ -257,6 +256,28 @@ class TestVerifyCommand:
         by_name = {c["name"]: c for c in doc["checks"]}
         assert by_name["normalization"]["pass"] is False
         assert by_name["normalization"]["residual"] > 1e-6
+
+
+    @pytest.mark.parametrize(
+        "argv", [("-t", "0"), ("--t-start", "0", "--t-stop", "2", "--t-count", "3")]
+    )
+    def test_time_zero_passes(self, capsys, argv):
+        # p_n(0) = [n = 0] exactly; the equation is checked at positive times
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, err) == (0, "")
+        if len(argv) == 2:
+            by_name = {c["name"]: c for c in json.loads(out)["checks"]}
+            assert by_name["normalization"]["residual"] == 0.0
+            assert by_name["kolmogorov"]["residual"] == 0.0
+
+    def test_engine_overflow_exits_3(self, capsys):
+        # lam = 1e200 overflows the decomposition coefficients at order 2
+        code, out, err = run(
+            capsys, "verify", "--variant", "tfpp", "--alpha", "0.5", "--lam", "1e200", "-t", "0"
+        )
+        assert (code, out) == (3, "")
+        assert "convergence failure" in err
+        assert "coefficient overflow" in err
 
 
 class TestSimulateCommand:

@@ -28,7 +28,7 @@ from fracpois.processes import (
     truncated_normalization_residual,
     waiting_survival,
 )
-from fracpois.saigo import SaigoParams, ck_log_run, saigo_integrate
+from fracpois.saigo import SaigoParams, ck_log_run, saigo_integral_power
 from fracpois.specfun import mittag_leffler
 from oracles import sfpp_pmf, sstfpp_pmf, stfpp_pmf, tfpp_pmf
 
@@ -791,7 +791,7 @@ class TestGoverningEquation:
 
 
 # float.hex of the engine's iterate coefficients c_{n,k}, one line per state
-# n = 0 .. 3, k = 0 .. 6; "-" marks an empty iterate (NU_HALF's pole zeros)
+# n = 0 .. 3, k = 0 .. 6; "-" marks a vanishing iterate (NU_HALF's pole zeros)
 ENGINE_PINS = {
     SSTFPP: (
         "0x1.0000000000000p+0 -0x1.0c5dba799e9a1p+0 0x1.90bbaaa5cadd3p-1 -0x1.d7ae3d71b9e3fp-2"
@@ -822,14 +822,36 @@ class TestEngineAgainstClosedForm:
         assert adm_closed_form_diff(SSTFPP, 5, 10) <= 1e-10
         for params, pins in ENGINE_PINS.items():
             sp = params.saigo()
-            iterates = adm.adm_solve_linear(
-                lambda s: saigo_integrate(sp, s),
+            states = adm.adm_solve_linear(
+                lambda rho: saigo_integral_power(sp, rho),
                 [processes._coupling_weight(params, r) for r in range(4)],
                 6,
             )
-            for row, pin in zip(iterates, pins):
-                assert all(len(it) <= 1 for it in row)
-                assert [it.terms[0].coeff.hex() if it else "-" for it in row] == pin.split()
+            for state, pin in zip(states, pins):
+                coeffs = [term.coeff for term in state.terms]
+                assert [c.hex() if c else "-" for c in coeffs] == pin.split()
+
+    @pytest.mark.parametrize(
+        "params", [CLASSICAL, TFPP, SFPP, STFPP, SSTFPP], ids=lambda p: p.variant
+    )
+    def test_solution_evaluates_to_the_pmf(self, params):
+        # each state's series is its truncated decomposition solution: at
+        # x = lam^nu t^(-beta) <= 1.3 forty orders reach the kernel's pmf
+        sp = params.saigo()
+        states = adm.adm_solve_linear(
+            lambda rho: saigo_integral_power(sp, rho),
+            [processes._coupling_weight(params, r) for r in range(9)],
+            40,
+        )
+        for t in (0.25, 0.6, 1.0):
+            assert params.lam ** params.nu * t ** -params.beta <= 1.3
+            for n, state in enumerate(states):
+                assert abs(state.evaluate(t) - pmf(params, t, n)) <= 1e-11, (t, n)
+
+    def test_coefficient_overflow_is_a_convergence_failure(self):
+        # w * c overflows at order 2; that is no bad parameter
+        with pytest.raises(ConvergenceError, match="coefficient overflow at iterate k=2"):
+            adm_closed_form_diff(FractionalParams(1e200), 2, 3)
 
     def test_random_tuples(self):
         rng = np.random.default_rng(4177)

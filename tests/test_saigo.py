@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from fracpois.adm import PowerSeries, PowerTerm
 from fracpois.errors import ParameterError
 from fracpois.saigo import (
     SaigoParams,
@@ -12,11 +11,9 @@ from fracpois.saigo import (
     composition_check,
     saigo_caputo_derivative_power,
     saigo_integral_power,
-    saigo_integral_quadrature,
-    saigo_integrate,
     semigroup_counterexample,
 )
-from oracles import rl_integrate
+from oracles import saigo_integral_quadrature
 
 
 class TestSaigoParams:
@@ -47,15 +44,6 @@ class TestIntegralPowerRule:
                 expect = math.gamma(rho) / math.gamma(rho + 0.7)
                 assert term.coeff == pytest.approx(expect, rel=1e-12)
                 assert term.exponent == pytest.approx(rho - 0.3, abs=1e-12)
-
-    def test_matches_rl_integrate_on_series(self):
-        p = SaigoParams(0.6, -0.6, 0.25)
-        s = PowerSeries((PowerTerm(2.0, 0.0), PowerTerm(-1.5, 0.8)))
-        via_saigo = saigo_integrate(p, s)
-        via_rl = rl_integrate(s, 0.6)
-        for u, v in zip(via_saigo.terms, via_rl.terms):
-            assert u.coeff == pytest.approx(v.coeff, rel=1e-12)
-            assert u.exponent == pytest.approx(v.exponent, abs=1e-12)
 
     def test_erdelyi_kober_reduction(self):
         # beta = 0 keeps the exponent and multiplies by G(1+g)/G(1+a+g) at rho=1
