@@ -50,7 +50,8 @@ in the same order whether its entries were just filled or read back, so
 sharing the cache changes no bit of any result.
 
 Every series stops by one fixed rule (``SERIES_TOL`` and ``TERM_CAP`` in
-:mod:`fracpois.specfun`); the only truncation a caller chooses is the
+:mod:`fracpois.specfun`) and is refused by one measured rule, its rounding
+bound against ``ROUNDING_TOL``; the only truncation a caller chooses is the
 decomposition order ``k_trunc``/``max_k`` of the cross-checks below.
 """
 
@@ -76,15 +77,10 @@ from .specfun import (
     POLE_TOL,
     SERIES_TOL,
     TERM_CAP,
+    _check_rounding,
     _kahan_add,
     falling_factorial,
 )
-
-# Beyond this value of lambda^nu * t^(-beta) (equivalently lambda t^alpha,
-# lambda^nu t) the alternating series cancels away all double-precision
-# digits.  Digits are lost well inside it too, at small alpha and large n:
-# the guard does not make a returned value accurate.
-ARG_GUARD = 30.0
 
 VARIANT_TOL = 1e-12
 
@@ -344,18 +340,11 @@ class _SeriesTerms:
         return entries
 
 
-def _argument_error(x: float, label: str) -> ConvergenceError:
-    """The refusal of a series argument x > ARG_GUARD."""
-    return ConvergenceError(
-        f"{label}: series argument {x:.6g} exceeds {ARG_GUARD}; "
-        "double-precision cancellation would destroy the result"
-    )
-
-
 def _saigo_series(
-    terms: _SeriesTerms, key: object, x: float, s: float, k_min: int, label: str
+    terms: _SeriesTerms, key: object, scale: float, t: float, s: float, k_min: int, label: str
 ) -> float:
-    """sum_k C_k (-x)^k / Gamma(1 - k beta) * f_k / e^s, the one k-series.
+    """sum_k C_k (-x)^k / Gamma(1 - k beta) * f_k / e^s, the one k-series at
+    x = scale * t^(-beta); an x that overflows is refused.
 
     key names the series and so its f_k: state n or ("tail", N) (see
     :meth:`_SeriesTerms.fill`); a zero sign drops the term (gamma poles).
@@ -367,12 +356,18 @@ def _saigo_series(
     two consecutive terms at most SERIES_TOL * max(1, |partial sum|) past
     k_min: single terms can vanish exactly at gamma poles, but (for nu < 1)
     two consecutive pole zeros are impossible, so a pair of small terms
-    really does mean the superexponential decay regime has begun.  x = 0
+    really does mean the superexponential decay regime has begun.  There a
+    sum whose rounding bound, summed from the terms the loop formed, fails
+    :func:`fracpois.specfun._check_rounding` is refused.  x = 0
     (t = 0, or t^(-beta) underflowed) leaves the k = 0 term, and fills
     nothing past it, so it needs no C_k factor.
     """
-    if x > ARG_GUARD:
-        raise _argument_error(x, label)
+    try:
+        x = scale * t ** (-terms.beta)
+    except OverflowError:  # float pow raises where a product gives inf
+        x = math.inf
+    if not x < math.inf:  # inf, or nan from inf * 0
+        raise ConvergenceError(f"{label}: series argument overflows at t = {t!r}")
     row = terms.rows.get(key)
     if row is None:  # setdefault alone would build a list per call
         row = terms.rows.setdefault(key, [])
@@ -388,7 +383,7 @@ def _saigo_series(
     kpart = pair[1]
     exp, huge, tol = math.exp, LOG_HUGE, SERIES_TOL
     filled = min(len(row) >> 1, len(kpart))  # both only grow
-    total, comp = 0.0, 0.0
+    total, comp, err = 0.0, 0.0, 0.0
     prev = math.inf
     for k in range(TERM_CAP):
         if k >= filled:
@@ -410,6 +405,8 @@ def _saigo_series(
             if logmag > huge:
                 raise ConvergenceError(f"{label}: series term overflow at k = {k}")
             mag = exp(logmag)
+            if logmag > 0.0:
+                err += mag * (1.0 + logmag)
             value = mag if sign > 0.0 else -mag  # sign * mag, exactly
         else:
             value = mag = 0.0
@@ -422,6 +419,7 @@ def _saigo_series(
             size = abs(total)  # bound = SERIES_TOL * max(1, size), without the call
             bound = tol * size if size > 1.0 else tol
             if mag <= bound and prev <= bound:
+                _check_rounding(err, label)
                 return total
         prev = mag
     raise ConvergenceError(f"{label}: no convergence within {TERM_CAP} terms")
@@ -465,8 +463,8 @@ def _pmf(params: FractionalParams, t: float, n: int) -> float:
         return poisson_pmf(params.lam, t, n)
     n = _check_state(t, n)
     nu = params.nu
-    x = params.lam ** nu * t ** (-params.beta)
-    return _saigo_series(params._terms, n, x, math.lgamma(n + 1.0), int(n / nu) + 2, "pmf")
+    return _saigo_series(params._terms, n, params.lam ** nu, t, math.lgamma(n + 1.0),
+                         int(n / nu) + 2, "pmf")
 
 
 def pmf(params: FractionalParams, t: float, n: int) -> float:
@@ -490,9 +488,8 @@ def _tail_mass(params: FractionalParams, t: float, n_max: int) -> float:
             )
         return min(1.0, _poisson_tail(m, n_max))
     nu = params.nu
-    x = params.lam ** nu * t ** (-params.beta)
-    return _saigo_series(params._terms, ("tail", n_max), x, math.lgamma(n_max + 1.0),
-                         int(n_max / nu) + 2, "pmf_tail_mass")
+    return _saigo_series(params._terms, ("tail", n_max), params.lam ** nu, t,
+                         math.lgamma(n_max + 1.0), int(n_max / nu) + 2, "pmf_tail_mass")
 
 
 def pmf_tail_mass(params: FractionalParams, t: float, n_max: int) -> float:
@@ -588,8 +585,8 @@ def sstfpp_pgf(params: FractionalParams, u: float, t: float) -> float:
         raise ParameterError(f"sstfpp_pgf: requires |u| < 1, got {u!r}")
     _check_state(t, 0)
     nu = params.nu
-    x = params.lam ** nu * (1.0 - u) ** nu * t ** (-params.beta)
-    return _saigo_series(params._terms, 0, x, 0.0, 2, "sstfpp_pgf")
+    return _saigo_series(params._terms, 0, params.lam ** nu * (1.0 - u) ** nu, t, 0.0, 2,
+                         "sstfpp_pgf")
 
 
 def waiting_survival(params: FractionalParams, t: float) -> float:

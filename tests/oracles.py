@@ -7,6 +7,9 @@ compare independent arithmetic against the production ``pmf``.  tfpp is the
 reindexed (k+n)!/k! form, algebraically distinct from the kernel's; sstfpp
 builds C_k from the Saigo product even on beta = -alpha.
 
+``ml_half`` is a reference that cancels nothing: E_{1/2}(-x) = e^{x^2}
+erfc(x), the tfpp survival at alpha = 1/2, from ``math.erfc``.
+
 The Riemann-Liouville integral of a power is kept here too, as the oracle
 for the Saigo integral at beta = -alpha, from its own gamma ratio; so is the
 quadrature evaluation of the Saigo integral's defining integral (scipy), the
@@ -25,15 +28,15 @@ from typing import Callable
 
 from fracpois.adm import PowerTerm
 from fracpois.errors import ConvergenceError, ParameterError
-from fracpois.processes import (
-    ARG_GUARD,
-    VARIANT_TOL,
-    FractionalParams,
-    _check_state,
-)
+from fracpois.processes import VARIANT_TOL, FractionalParams, _check_state
 from fracpois.saigo import SaigoParams, _check_integral_domain, ck_log_coefficients
 from fracpois.simulate import _LAM_CLAMP, _as_rng, _uniform_open
 from fracpois.specfun import LOG_HUGE, SERIES_TOL, TERM_CAP, _kahan_add, log_abs_gamma, log_gamma
+
+# The printed formulas' own refusal: past this series argument their
+# alternating sums cancel away every double-precision digit.  Digits are lost
+# well inside it too; the kernel refuses by its measured rounding bound.
+ARG_GUARD = 30.0
 
 
 def _guard_argument(x: float, label: str) -> None:
@@ -42,6 +45,15 @@ def _guard_argument(x: float, label: str) -> None:
             f"series argument {label} = {x:.6g} exceeds {ARG_GUARD}; "
             "double-precision cancellation would destroy the result"
         )
+
+
+def ml_half(x: float) -> float:
+    """E_{1/2}(-x) = e^{x^2} erfc(x), finite and accurate for 0 <= x <= 26.
+
+    Both factors are positive, so nothing cancels: the relative error is a
+    few ulp of erfc and exp plus the rounding of x*x, at most eps * x^2.
+    """
+    return math.exp(x * x) * math.erfc(x)
 
 
 def _sum_k_series(

@@ -163,6 +163,33 @@ class TestPmfCommand:
         assert out == ""
         assert "convergence failure" in err
 
+    HUGE_T = ("--variant", "sstfpp", "--alpha", "0.8", "--nu", "0.6", "--beta", "-2",
+              "--gamma", "0.1", "-t", "1e200")
+
+    @pytest.mark.parametrize("argv", [
+        ("pmf", *HUGE_T, "--n-max", "2"),
+        ("pgf", *HUGE_T),
+        ("survival", *HUGE_T),
+    ])
+    def test_argument_overflow_exits_3(self, capsys, argv):
+        # t^2 overflows a double: a refusal, not a traceback
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "series argument overflows at t = 1e+200" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("pmf", "--variant", "sfpp", "--nu", "0.6", "-t", "20", "--n-max", "25"),
+        ("pmf", "--variant", "stfpp", "--alpha", "0.5", "--nu", "0.6", "-t", "400",
+         "--n-max", "25"),
+        # E_{1/2}(-6) = 0.0928, which the alternating series cannot deliver
+        ("survival", "--variant", "tfpp", "--alpha", "0.5", "--t-start", "36",
+         "--t-count", "1"),
+    ])
+    def test_cancelled_series_exits_3(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "rounding error bound" in err
+
 
 class TestSurvivalAndPgf:
     def test_survival_golden(self, capsys):

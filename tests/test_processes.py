@@ -30,7 +30,7 @@ from fracpois.processes import (
 )
 from fracpois.saigo import SaigoParams, ck_log_run, saigo_integral_power
 from fracpois.specfun import mittag_leffler
-from oracles import sfpp_pmf, sstfpp_pmf, stfpp_pmf, tfpp_pmf
+from oracles import ml_half, sfpp_pmf, sstfpp_pmf, stfpp_pmf, tfpp_pmf
 
 # Reference parameter points reused across tests.
 STFPP = FractionalParams(1.0, alpha=0.7, nu=0.6)
@@ -484,10 +484,9 @@ class TestPmfTable:
     def test_argument_guard_in_a_later_time(self):
         with pytest.raises(ConvergenceError) as exc:
             pmf_table(TFPP, [0.5, 1.0, 1e6], 8)
-        assert str(exc.value) == (
-            "pmf: series argument 5175.39 exceeds 30.0; "
-            "double-precision cancellation would destroy the result"
-        )
+        # x = 5175.39 at t = 1e6: the terms pass e^LOG_HUGE before the
+        # series could stop
+        assert str(exc.value) == "pmf: series term overflow at k = 104"
 
     def test_inadmissible_gamma_rejected(self):
         # alpha = 0.8, beta = -0.5, gamma = -1.5: Gamma(1 + g - b) has
@@ -697,6 +696,52 @@ class TestSurvival:
     def test_classical_is_exponential(self):
         p = FractionalParams(1.4)
         assert waiting_survival(p, 2.0) == pytest.approx(math.exp(-2.8), rel=1e-12)
+
+
+class TestRefusalRule:
+    """A series value is returned only within its rounding bound; else it is refused."""
+
+    # ROADMAP's accuracy sweep: alpha x nu x x at lam = 1, beta = -alpha
+    SWEEP = [(a, nu, x) for a in (0.3, 0.5, 0.7, 0.9, 1.0)
+             for nu in (0.4, 0.6, 0.8, 1.0) for x in (1.0, 2.0, 3.0, 4.0, 5.0)]
+
+    def test_accuracy_sweep_has_no_silent_value(self):
+        for alpha, nu, x in self.SWEEP:
+            params = FractionalParams(1.0, alpha=alpha, nu=nu)
+            try:
+                table = pmf_table(params, [x ** (1.0 / alpha)], 25)
+            except ConvergenceError:
+                # at x = 1 every point answers: a rule refusing all fails
+                assert x > 1.0, (alpha, nu)
+                continue
+            values = table.probs[0] + table.tail_mass
+            assert all(-1e-9 <= v <= 1.0 + 1e-9 for v in values), (alpha, nu, x)
+            assert abs(math.fsum(values) - 1.0) <= 1e-9, (alpha, nu, x)
+
+    def test_half_order_survival_matches_or_refuses(self):
+        # tfpp at alpha = 1/2, lam = 1: p_0(t) = E_{1/2}(-x), x = t^(1/2)
+        params = FractionalParams(1.0, alpha=0.5)
+        for i in range(1, 81):
+            x = 0.25 * i
+            calls = (lambda: pmf(params, x * x, 0), lambda: waiting_survival(params, x * x),
+                     lambda: mittag_leffler(0.5, -x))
+            for call in calls:
+                try:
+                    got = call()
+                except ConvergenceError:
+                    assert x > 3.0, x
+                    continue
+                assert abs(got - ml_half(x)) <= 1e-9, x
+
+    @pytest.mark.parametrize("params, t", [
+        (FractionalParams(1.0, alpha=0.8, nu=0.6, beta=-2.0, gamma_p=0.1), 1e200),  # pow overflows
+        (FractionalParams(1e300, alpha=0.9), 1e20),  # lam^nu t^(-beta) is inf
+    ])
+    def test_argument_overflow_is_a_refusal(self, params, t):
+        for call in (lambda: pmf(params, t, 0), lambda: pmf_tail_mass(params, t, 2),
+                     lambda: sstfpp_pgf(params, 0.4, t), lambda: waiting_survival(params, t)):
+            with pytest.raises(ConvergenceError, match="series argument overflows at t = "):
+                call()
 
 
 class TestClosedIterates:

@@ -6,13 +6,16 @@ pgf at u = -0.5 and 0.5 of six parameter sets, at x = lam^nu t^(-beta) from
 later times read rows that earlier ones cached.  The values are those of the
 kernel that filled its rows one entry at a time through log_abs_gamma; any
 change to the floats a term is formed from, or to the order they are added
-in, moves a bit here.
+in, moves a bit here.  An entry the kernel refuses (ConvergenceError: its
+rounding bound exceeds ROUNDING_TOL) is pinned as REFUSED; those are x = 5
+entries whose alternating series cancel more digits than the bound allows.
 """
 
 import math
 
 import pytest
 
+from fracpois.errors import ConvergenceError
 from fracpois.processes import FractionalParams, pmf, pmf_tail_mass, sstfpp_pgf
 from fracpois.specfun import POLE_TOL, log_abs_gamma
 
@@ -28,6 +31,7 @@ POINTS = {
 }
 N = 8
 PGF_U = (-0.5, 0.5)
+REFUSED = None
 
 DECK = {
     'tfpp': {
@@ -60,10 +64,10 @@ DECK = {
             '0x1.d71958417c2d0p-2',
         ),
         5.0: (
-            '0x1.859a4a6918d35p-4', '0x1.907a8c3608a5ep-4', '0x1.912bd5c4979a6p-4',
-            '0x1.87cb44b85b1c0p-4', '0x1.75105fd09a8a5p-4', '0x1.5bc0d5e821cedp-4',
-            '0x1.37d268c6412e6p-4', '0x1.2a8a58205acbbp-4', '0x1.94faab1cffd00p-5',
-            '-0x1.164d83cac0f0bp+13', '0x1.f796eaad77873p-3', '0x1.e62320a86e8aep-5',
+            REFUSED, REFUSED, REFUSED,
+            REFUSED, REFUSED, REFUSED,
+            REFUSED, REFUSED, REFUSED,
+            REFUSED, REFUSED, REFUSED,
             '0x1.86ff56b4633b2p-3',
         ),
     },
@@ -134,10 +138,10 @@ DECK = {
             '0x1.763c205e1e798p-2',
         ),
         5.0: (
-            '0x1.3db95deb8b9a8p-4', '0x1.ac5d31ce8b6fap-5', '0x1.6c323cc6b337ap-5',
-            '0x1.45a59efc98362p-5', '0x1.287562c81a354p-5', '0x1.0ffa8ac75ab55p-5',
-            '0x1.f4eca18003f9bp-6', '0x1.ce49c3a8f62cdp-6', '0x1.ab458a02ee94cp-6',
-            '0x1.18a9bab14dda5p-7', '0x1.436aa4eeb5265p-1', '0x1.e451223bde7dep-5',
+            '0x1.3db95deb8b9a8p-4', '0x1.ac5d31ce8b6fap-5', REFUSED,
+            REFUSED, REFUSED, REFUSED,
+            REFUSED, REFUSED, REFUSED,
+            '0x1.18a9bab14dda5p-7', REFUSED, REFUSED,
             '0x1.fbd7f5e721df3p-4',
         ),
     },
@@ -171,10 +175,10 @@ DECK = {
             '0x1.9782ab807c0fap-2',
         ),
         5.0: (
-            '0x1.acbd171f9a7acp-4', '0x1.fbce7b713d678p-5', '0x1.8f2e0aa106487p-5',
-            '0x1.528e260dead1ap-5', '0x1.29129bb687d56p-5', '0x1.0993630b11e40p-5',
-            '0x1.e04ee080a7a10p-6', '0x1.b5aa9a1dc13d1p-6', '0x1.90ff54e58c327p-6',
-            '0x1.0654988eff8dcp-7', '0x1.302d8bffe1104p-1', '0x1.50f2c7ede938cp-4',
+            '0x1.acbd171f9a7acp-4', '0x1.fbce7b713d678p-5', REFUSED,
+            REFUSED, REFUSED, REFUSED,
+            REFUSED, REFUSED, REFUSED,
+            '0x1.0654988eff8dcp-7', REFUSED, REFUSED,
             '0x1.41d1b82361b79p-3',
         ),
     },
@@ -258,11 +262,17 @@ DECK = {
 def _values(params, point, x):
     lam, _, nu, beta, _ = point
     t = (x / lam ** nu) ** (1.0 / -beta)
-    vals = [pmf(params, t, n) for n in range(N + 1)]
-    vals.append(pmf(params, t, 25))
-    vals.append(pmf_tail_mass(params, t, N))
-    vals += [sstfpp_pgf(params, u, t) for u in PGF_U]
-    return tuple(v.hex() for v in vals)
+    calls = [lambda n=n: pmf(params, t, n) for n in (*range(N + 1), 25)]
+    calls.append(lambda: pmf_tail_mass(params, t, N))
+    calls += [lambda u=u: sstfpp_pgf(params, u, t) for u in PGF_U]
+    out = []
+    for call in calls:
+        try:
+            out.append(call().hex())
+        except ConvergenceError as exc:
+            assert "rounding error bound" in str(exc)
+            out.append(REFUSED)
+    return tuple(out)
 
 
 @pytest.mark.parametrize("name", sorted(POINTS))

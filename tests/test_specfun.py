@@ -11,6 +11,7 @@ from fracpois.specfun import (
     log_gamma,
     mittag_leffler,
 )
+from oracles import ml_half
 
 
 class TestLogGamma:
@@ -98,14 +99,16 @@ class TestMittagLeffler:
 
     def test_deep_negative_arguments_degrade_gracefully(self):
         # alternating-series cancellation caps the attainable *absolute*
-        # accuracy near the -30 cutoff: the intermediate terms reach e^{|x|}
-        # so roughly eps * e^{|x|} is lost.  The value must stay finite and
-        # within a small multiple of that floor.
-        for x in (-10.0, -15.0, -20.0):
-            got = mittag_leffler(1.0, x)
-            assert math.isfinite(got)
-            floor = 64.0 * 2.3e-16 * math.exp(-x)
-            assert got == pytest.approx(math.exp(x), abs=floor)
+        # accuracy: the intermediate terms reach e^{|x|}, so roughly
+        # eps * e^{|x|} is lost.  A returned value stays within a small
+        # multiple of that floor; where the rounding bound passes
+        # ROUNDING_TOL (x = -15, -20) the sum is refused.
+        got = mittag_leffler(1.0, -10.0)
+        floor = 64.0 * 2.3e-16 * math.exp(10.0)
+        assert got == pytest.approx(math.exp(-10.0), abs=floor)
+        for x in (-15.0, -20.0):
+            with pytest.raises(ConvergenceError, match="^mittag_leffler: rounding error bound "):
+                mittag_leffler(1.0, x)
 
     def test_at_zero(self):
         assert mittag_leffler(0.7, 0.0) == 1.0
@@ -113,8 +116,7 @@ class TestMittagLeffler:
     def test_half_order_against_erfc_oracle(self):
         # E_{1/2}(-y) = e^{y^2} erfc(y)
         for y in [0.25, 1.0, 2.0]:
-            oracle = math.exp(y * y) * math.erfc(y)
-            assert mittag_leffler(0.5, -y) == pytest.approx(oracle, rel=1e-12)
+            assert mittag_leffler(0.5, -y) == pytest.approx(ml_half(y), rel=1e-12)
         assert mittag_leffler(0.5, -1.0) == pytest.approx(0.427583576155807, rel=1e-12)
 
     def test_monotone_in_x(self):
@@ -127,6 +129,14 @@ class TestMittagLeffler:
             mittag_leffler(0.0, 1.0)
         with pytest.raises(ParameterError):
             mittag_leffler(1.2, 1.0)
+
+    def test_ml_half_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for y in [0.1, 0.25, 1.0, 2.7, 3.3, 7.7, 13.1, 19.9, 25.3, 26.0]:
+                z = mpmath.mpf(y)
+                reference = float(mpmath.exp(z * z) * mpmath.erfc(z))
+                assert ml_half(y) == pytest.approx(reference, rel=1e-12)
 
     def test_cancellation_guard(self):
         with pytest.raises(ConvergenceError):
