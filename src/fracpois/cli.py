@@ -4,10 +4,11 @@ Output is CSV (default) or JSON, printed only after the whole computation
 succeeds, so a failure never leaves a partial table behind.  Configuration
 precedence: command-line flags > the JSON file named by FRACPOIS_CONFIG >
 built-in defaults; the config keys are the flags' destination names, and
-each value must have the type and choices its flag accepts.  The series
-stop rule is fixed (see fracpois.specfun.SERIES_TOL); --max-k is verify's
-decomposition truncation order.  Exit codes: 0 ok, 1 verification failed,
-2 bad parameters, 3 convergence failure, 4 unsupported variant.
+each value must have the type and choices its flag accepts.  A subcommand
+takes only the flags it reads, and no series option: every series stops by
+one fixed rule (fracpois.specfun.SERIES_TOL).  Exit codes: 0 ok, 1
+verification failed, 2 bad parameters, 3 convergence failure, 4 unsupported
+variant.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from .errors import ConvergenceError, ParameterError, UnsupportedVariantError
 from .processes import (
     FractionalParams,
+    _state_series,
     adm_closed_form_diff,
     composition_tuples_residual,
     kolmogorov_residual,
@@ -47,7 +49,6 @@ DEFAULTS = {
     "t_count": 1,
     "n_max": 10,
     "u": 0.5,
-    "max_k": 40,
     "format": "csv",
     "seed": 12345,
     "samples": 100_000,
@@ -74,7 +75,6 @@ class RunConfig:
     times: list[float]
     n_max: int
     u: float
-    max_k: int
     format: str
     seed: int
     samples: int
@@ -111,10 +111,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Action]
         add("--t-start", type=float, dest="t_start")
         add("--t-stop", type=float, dest="t_stop")
         add("--t-count", type=int, dest="t_count")
-        add("--n-max", type=int, dest="n_max")
-        add("--max-k", type=int, dest="max_k",
-            help="decomposition truncation order of verify's checks, >= 1")
-        add("--format", choices=("csv", "json"))
+        if name not in ("pgf", "survival"):
+            add("--n-max", type=int, dest="n_max")
+        if name != "verify":
+            add("--format", choices=("csv", "json"))
         if name == "pgf":
             add("-u", type=float, dest="u", help="pgf argument, |u| < 1")
         if name == "simulate":
@@ -204,9 +204,6 @@ def _resolve(args: argparse.Namespace, flags: dict[str, argparse.Action]) -> Run
     n_max = int(merged["n_max"])
     if n_max < 0:
         raise ParameterError(f"--n-max must be >= 0, got {n_max}")
-    max_k = int(merged["max_k"])
-    if max_k < 1:
-        raise ParameterError(f"--max-k must be >= 1, got {max_k}")
     seed = int(merged["seed"])
     if seed < 0:
         raise ParameterError(f"--seed must be >= 0, got {seed}")
@@ -217,7 +214,6 @@ def _resolve(args: argparse.Namespace, flags: dict[str, argparse.Action]) -> Run
         times=times,
         n_max=n_max,
         u=float(merged["u"]),
-        max_k=max_k,
         format=str(merged["format"]),
         seed=seed,
         samples=int(merged["samples"]),
@@ -284,42 +280,28 @@ def _cmd_survival(cfg: RunConfig) -> tuple[str, int]:
 
 
 def _cmd_verify(cfg: RunConfig) -> tuple[str, int]:
-    params, max_k = cfg.params, cfg.max_k
-    times = cfg.times
-    checks: list[dict] = []
-
-    def add(name: str, residual: float, threshold: float, passed: bool) -> None:
-        checks.append(
-            {"name": name, "residual": residual, "threshold": threshold, "pass": passed}
-        )
-
-    r = max(
-        truncated_normalization_residual(params, t, cfg.n_max, max_k)
-        for t in times
+    params, n_max = cfg.params, cfg.n_max
+    norm: list[float] = []
+    kolm: list[float] = []
+    for t in cfg.times:
+        # Iterate k of state n is term k of its series, so t is checked to
+        # the largest k at which the series of states 0..n_max stopped there.
+        k = max(_state_series(params, t, n, "verify")[1] for n in range(n_max + 1))
+        norm.append(truncated_normalization_residual(params, t, n_max, k))
+        # At t = 0 every p_n(0) = [n = 0] holds exactly, and the equation's
+        # t^beta has no value: only positive times are checked.
+        if t > 0.0:
+            kolm += (kolmogorov_residual(params, t, n, k) for n in range(min(n_max, 5) + 1))
+    residuals = (
+        ("normalization", max(norm), 1e-6),
+        ("adm_closed_form", adm_closed_form_diff(params, min(n_max, 5), 10), 1e-10),
+        ("kolmogorov", max(kolm, default=0.0), 1e-8),
+        ("composition", composition_tuples_residual(params), 1e-10),
     )
-    add("normalization", r, 1e-6, r <= 1e-6)
-
-    r = adm_closed_form_diff(params, min(cfg.n_max, 5), min(max_k, 10))
-    add("adm_closed_form", r, 1e-10, r <= 1e-10)
-
-    # At t = 0 every p_n(0) = [n = 0] holds exactly, and the equation's
-    # t^beta has no value: only positive times are checked.
-    r = max(
-        (
-            kolmogorov_residual(params, t, n, max_k)
-            for t in times if t > 0.0
-            for n in range(min(cfg.n_max, 5) + 1)
-        ),
-        default=0.0,
-    )
-    add("kolmogorov", r, 1e-8, r <= 1e-8)
-
-    r = composition_tuples_residual(params)
-    add("composition", r, 1e-10, r <= 1e-10)
-
+    checks = [{"name": name, "residual": r, "threshold": tol, "pass": r <= tol}
+              for name, r, tol in residuals]
     body = json.dumps({"checks": checks, "params": _params_dict(cfg)}, indent=2)
-    ok = all(c["pass"] for c in checks)
-    return body + "\n", 0 if ok else 1
+    return body + "\n", 0 if all(c["pass"] for c in checks) else 1
 
 
 def _cmd_simulate(cfg: RunConfig) -> tuple[str, int]:

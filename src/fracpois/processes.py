@@ -51,8 +51,8 @@ sharing the cache changes no bit of any result.
 
 Every series stops by one fixed rule (``SERIES_TOL`` and ``TERM_CAP`` in
 :mod:`fracpois.specfun`) and is refused by one measured rule, its rounding
-bound against ``ROUNDING_TOL``; the only truncation a caller chooses is the
-decomposition order ``k_trunc``/``max_k`` of the cross-checks below.
+bound against ``ROUNDING_TOL``.  The decomposition order a state needs in
+the cross-checks below is the k its series stopped at (:func:`_state_series`).
 """
 
 from __future__ import annotations
@@ -342,9 +342,9 @@ class _SeriesTerms:
 
 def _saigo_series(
     terms: _SeriesTerms, key: object, scale: float, t: float, s: float, k_min: int, label: str
-) -> float:
+) -> tuple[float, int]:
     """sum_k C_k (-x)^k / Gamma(1 - k beta) * f_k / e^s, the one k-series at
-    x = scale * t^(-beta); an x that overflows is refused.
+    x = scale * t^(-beta), and the k it stopped at; an x that overflows is refused.
 
     key names the series and so its f_k: state n or ("tail", N) (see
     :meth:`_SeriesTerms.fill`); a zero sign drops the term (gamma poles).
@@ -360,7 +360,7 @@ def _saigo_series(
     sum whose rounding bound, summed from the terms the loop formed, fails
     :func:`fracpois.specfun._check_rounding` is refused.  x = 0
     (t = 0, or t^(-beta) underflowed) leaves the k = 0 term, and fills
-    nothing past it, so it needs no C_k factor.
+    nothing past it, so it needs no C_k factor, and stops at k = 0.
     """
     try:
         x = scale * t ** (-terms.beta)
@@ -374,7 +374,7 @@ def _saigo_series(
     if x == 0.0:
         if not row:
             terms.fill(key, row, 1)
-        return row[0] * math.exp(row[1] - s)
+        return row[0] * math.exp(row[1] - s), 0
     lx = math.log(x)
     pair = terms.kpart
     if pair[0] != x:
@@ -420,7 +420,7 @@ def _saigo_series(
             bound = tol * size if size > 1.0 else tol
             if mag <= bound and prev <= bound:
                 _check_rounding(err, label)
-                return total
+                return total, k
         prev = mag
     raise ConvergenceError(f"{label}: no convergence within {TERM_CAP} terms")
 
@@ -458,13 +458,18 @@ def _poisson_tail(m: float, n_max: int) -> float:
             return math.exp(-m) * total
 
 
-def _pmf(params: FractionalParams, t: float, n: int) -> float:
-    if params.variant == "classical":
-        return poisson_pmf(params.lam, t, n)
+def _state_series(params: FractionalParams, t: float, n: int, label: str) -> tuple[float, int]:
+    """State n's k-series at t on every variant: its sum and the k it stopped at."""
     n = _check_state(t, n)
     nu = params.nu
     return _saigo_series(params._terms, n, params.lam ** nu, t, math.lgamma(n + 1.0),
-                         int(n / nu) + 2, "pmf")
+                         int(n / nu) + 2, label)
+
+
+def _pmf(params: FractionalParams, t: float, n: int, label: str = "pmf") -> float:
+    if params.variant == "classical":
+        return poisson_pmf(params.lam, t, n)
+    return _state_series(params, t, n, label)[0]
 
 
 def pmf(params: FractionalParams, t: float, n: int) -> float:
@@ -489,7 +494,7 @@ def _tail_mass(params: FractionalParams, t: float, n_max: int) -> float:
         return min(1.0, _poisson_tail(m, n_max))
     nu = params.nu
     return _saigo_series(params._terms, ("tail", n_max), params.lam ** nu, t,
-                         math.lgamma(n_max + 1.0), int(n_max / nu) + 2, "pmf_tail_mass")
+                         math.lgamma(n_max + 1.0), int(n_max / nu) + 2, "pmf_tail_mass")[0]
 
 
 def pmf_tail_mass(params: FractionalParams, t: float, n_max: int) -> float:
@@ -556,8 +561,8 @@ def truncated_normalization_residual(
     same order as the states would telescope exactly (the interchange
     identity holds order-by-order) and hide any truncation error.  Pairing
     the truncated rows with the exact tail makes an inadequate max_k show
-    up as a normalization failure.  This is the route the CLI's verify
-    command uses.
+    up as a normalization failure.  The CLI's verify command takes this
+    route at the largest order the states' series stopped at.
     """
     _check_state(t, 0)
     n_max, max_k = _index(n_max, "n_max"), _index(max_k, "max_k")
@@ -586,12 +591,12 @@ def sstfpp_pgf(params: FractionalParams, u: float, t: float) -> float:
     _check_state(t, 0)
     nu = params.nu
     return _saigo_series(params._terms, 0, params.lam ** nu * (1.0 - u) ** nu, t, 0.0, 2,
-                         "sstfpp_pgf")
+                         "sstfpp_pgf")[0]
 
 
 def waiting_survival(params: FractionalParams, t: float) -> float:
     """Pr{first event after t}; identical to the n = 0 state probability."""
-    return pmf(params, t, 0)
+    return _pmf(params, t, 0, "waiting_survival")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ reindexed (k+n)!/k! form, algebraically distinct from the kernel's; sstfpp
 builds C_k from the Saigo product even on beta = -alpha.
 
 ``ml_half`` is a reference that cancels nothing: E_{1/2}(-x) = e^{x^2}
-erfc(x), the tfpp survival at alpha = 1/2, from ``math.erfc``.
+erfc(x), the tfpp survival at alpha = 1/2, from ``math.erfc``.  So is
+``panjer_sfpp``, the space-fractional pmf by a recursion over nonnegative
+terms.
 
 The Riemann-Liouville integral of a power is kept here too, as the oracle
 for the Saigo integral at beta = -alpha, from its own gamma ratio; so is the
@@ -54,6 +56,25 @@ def ml_half(x: float) -> float:
     few ulp of erfc and exp plus the rounding of x*x, at most eps * x^2.
     """
     return math.exp(x * x) * math.erfc(x)
+
+
+def panjer_sfpp(x: float, nu: float, n_max: int) -> list[float]:
+    """p_0 .. p_{n_max} of the space-fractional process at x = lam^nu t.
+
+    The process is compound Poisson with rate x and Sibuya(nu) jumps
+    (Orsingher & Polito 2012): its pgf exp(-x (1-u)^nu) is exp(x (Q(u) - 1))
+    with Q(u) = 1 - (1-u)^nu, whose jump probabilities are q_1 = nu and
+    q_{m+1} = q_m (m - nu) / (m + 1).  The Panjer recursion (Panjer 1981)
+    gives p_0 = e^{-x} and n p_n = x sum_{m=1}^{n} m q_m p_{n-m}, a sum of
+    nonnegative terms, so nothing cancels.  nu = 1 gives the Poisson pmf.
+    """
+    q = [0.0, nu]
+    for m in range(1, n_max):
+        q.append(q[m] * (m - nu) / (m + 1))
+    p = [math.exp(-x)]
+    for n in range(1, n_max + 1):
+        p.append(x / n * math.fsum(m * q[m] * p[n - m] for m in range(1, n + 1)))
+    return p
 
 
 def _sum_k_series(

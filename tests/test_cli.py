@@ -133,7 +133,7 @@ class TestPmfCommand:
     @pytest.mark.parametrize(
         "argv, named",
         [
-            (("-t", "1", "--max-k", "0"), "--max-k"),
+            (("--beta", "-0.5", "-t", "1"), "classify"),
             (("-t", "1", "--n-max", "-1"), "--n-max"),
             (("--t-start", "1", "--t-count", "0"), "--t-count"),
         ],
@@ -141,13 +141,27 @@ class TestPmfCommand:
     def test_bad_input_exits_2(self, capsys, argv, named):
         assert named in rejected(capsys, "pmf", *argv)
 
-    @pytest.mark.parametrize("flag", ["--tol-abs", "--tol-rel", "--term-cap"])
+    # The series stop rule is fixed, and verify truncates where the series
+    # stop; no subcommand takes a flag it would ignore.  Each is unknown.
+    COMMANDS = tuple(fracpois.cli._COMMANDS)
+    REMOVED_FLAGS = {
+        "--tol-abs": COMMANDS,
+        "--tol-rel": COMMANDS,
+        "--term-cap": COMMANDS,
+        "--max-k": COMMANDS,
+        "--n-max": ("pgf", "survival"),
+        "--format": ("verify",),
+    }
+
+    @pytest.mark.parametrize("flag", list(REMOVED_FLAGS))
     def test_removed_series_flags_exit_2(self, capsys, flag):
-        # the series stop rule is fixed; its former flags are unknown options
-        with pytest.raises(SystemExit) as exc:
-            main(["pmf", flag, "1", "-t", "1"])
-        assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+        for command in self.REMOVED_FLAGS[flag]:
+            with pytest.raises(SystemExit) as exc:
+                main([command, flag, "1", "-t", "1"])
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert f"unrecognized arguments: {flag}" in err, command
 
     def test_classical_tail_past_the_series_guard(self, capsys):
         # the Poisson tail cancels nothing, so lambda t = 40 is answered
@@ -186,9 +200,11 @@ class TestPmfCommand:
          "--t-count", "1"),
     ])
     def test_cancelled_series_exits_3(self, capsys, argv):
+        # the refusal names the entry point the command calls
+        label = {"pmf": "pmf", "survival": "waiting_survival"}[argv[0]]
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
-        assert "rounding error bound" in err
+        assert f"convergence failure: {label}: rounding error bound" in err
 
 
 class TestSurvivalAndPgf:
@@ -228,7 +244,7 @@ class TestSurvivalAndPgf:
         "argv",
         [
             ("survival", "-t", "-1"),
-            ("survival", "-t", "1", "--max-k", "0"),
+            ("survival", "--alpha", "0", "-t", "1"),
             ("pgf", "-u", "nan", "-t", "1"),
             ("pgf", "-u", "0.5", "-t", "inf"),
         ],
@@ -271,19 +287,28 @@ class TestVerifyCommand:
         assert all(c["pass"] for c in doc["checks"])
 
     @pytest.mark.parametrize(
-        "argv", [("--max-k", "0"), ("--n-max", "-1"), ("-t", "inf")]
+        "argv",
+        [("--variant", "sstfpp", "--beta", "-0.5", "--gamma", "-5"), ("--n-max", "-1"),
+         ("-t", "inf")],
     )
     def test_bad_input_exits_2(self, capsys, argv):
         rejected(capsys, "verify", *argv)
 
-    def test_starved_truncation_fails(self, capsys):
-        code, out, _ = run(capsys, "verify", "--max-k", "2")
-        assert code == 1
-        doc = json.loads(out)
-        by_name = {c["name"]: c for c in doc["checks"]}
-        assert by_name["normalization"]["pass"] is False
-        assert by_name["normalization"]["residual"] > 1e-6
+    @pytest.mark.parametrize("n_max", ["10", "20", "25"])
+    def test_truncates_where_the_series_stop(self, capsys, n_max):
+        # x = 3^0.6: the higher states need orders well past 40
+        code, out, err = run(
+            capsys, "verify", "--variant", "tfpp", "--alpha", "0.6", "-t", "3", "--n-max", n_max
+        )
+        assert (code, err) == (0, "")
+        assert all(c["pass"] for c in json.loads(out)["checks"])
 
+    def test_undeliverable_series_exits_3(self, capsys):
+        # the k-series of the classical states at x = 30 cancels away its
+        # digits: no order can be read from it, so nothing is checked
+        code, out, err = run(capsys, "verify", "--variant", "classical", "--lam", "30", "-t", "1")
+        assert (code, out) == (3, "")
+        assert "convergence failure: verify: rounding error bound" in err
 
     @pytest.mark.parametrize(
         "argv", [("-t", "0"), ("--t-start", "0", "--t-stop", "2", "--t-count", "3")]
@@ -435,10 +460,11 @@ class TestConfigPrecedence:
         assert float(out.strip().splitlines()[1].split(",")[2]) == math.exp(-1.0)
 
     def test_unknown_config_key_rejected(self, tmp_path, monkeypatch, capsys):
-        # the series tolerances are fixed constants, not config keys
+        # the series tolerances are fixed constants, and verify's order is
+        # where the series stop: none is a config key
         cfg = tmp_path / "cfg.json"
         monkeypatch.setenv("FRACPOIS_CONFIG", str(cfg))
-        for key in ("bogus", "tol_abs", "tol_rel", "term_cap"):
+        for key in ("bogus", "tol_abs", "tol_rel", "term_cap", "max_k"):
             cfg.write_text(json.dumps({"lam": 2.0, key: 1}))
             code, _, err = run(capsys, "pmf", "-t", "1")
             assert code == 2

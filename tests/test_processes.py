@@ -30,7 +30,7 @@ from fracpois.processes import (
 )
 from fracpois.saigo import SaigoParams, ck_log_run, saigo_integral_power
 from fracpois.specfun import mittag_leffler
-from oracles import ml_half, sfpp_pmf, sstfpp_pmf, stfpp_pmf, tfpp_pmf
+from oracles import ml_half, panjer_sfpp, sfpp_pmf, sstfpp_pmf, stfpp_pmf, tfpp_pmf
 
 # Reference parameter points reused across tests.
 STFPP = FractionalParams(1.0, alpha=0.7, nu=0.6)
@@ -717,6 +717,31 @@ class TestRefusalRule:
             values = table.probs[0] + table.tail_mass
             assert all(-1e-9 <= v <= 1.0 + 1e-9 for v in values), (alpha, nu, x)
             assert abs(math.fsum(values) - 1.0) <= 1e-9, (alpha, nu, x)
+            if alpha == 1.0:
+                # sfpp (classical at nu = 1): errors in the states can cancel
+                # in the sum, so each value meets the Panjer recursion
+                ref = panjer_sfpp(x, nu, 25)
+                ref.append(1.0 - math.fsum(ref))
+                assert all(abs(v - r) <= 1e-9 for v, r in zip(values, ref)), (nu, x)
+
+    def test_panjer_sfpp_against_mpmath(self):
+        # the sfpp k-series at 50 digits, where its cancellation is harmless
+        mpmath = pytest.importorskip("mpmath")
+        n_max = 25
+        with mpmath.workdps(50):
+            for nu, x in itertools.product((0.4, 0.7, 1.0), (0.5, 2.0, 5.0)):
+                sums = [mpmath.mpf(0)] * (n_max + 1)
+                c = mpmath.mpf(1)  # (-x)^k / k!
+                for k in range(120):
+                    ff = mpmath.mpf(1)  # Gamma(k nu + 1) / Gamma(k nu + 1 - n)
+                    for n in range(n_max + 1):
+                        sums[n] += c * ff
+                        ff *= k * mpmath.mpf(nu) - n
+                    c *= -mpmath.mpf(x) / (k + 1)
+                got = panjer_sfpp(x, nu, n_max)
+                for n, s in enumerate(sums):
+                    ref = float((-1) ** n * s / mpmath.factorial(n))
+                    assert got[n] == pytest.approx(ref, rel=1e-12), (nu, x, n)
 
     def test_half_order_survival_matches_or_refuses(self):
         # tfpp at alpha = 1/2, lam = 1: p_0(t) = E_{1/2}(-x), x = t^(1/2)
