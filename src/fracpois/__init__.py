@@ -44,11 +44,7 @@ from .simulate import (
     sample_process,
     sample_stable,
 )
-from .specfun import (
-    falling_factorial,
-    log_gamma,
-    mittag_leffler,
-)
+from .specfun import falling_factorial, log_gamma
 
 __version__ = "0.1.0"
 
@@ -72,7 +68,6 @@ __all__ = [
     "kolmogorov_residual",
     "kolmogorov_tail_bound",
     "log_gamma",
-    "mittag_leffler",
     "normalization_residual",
     "pgf_cauchy_residual",
     "pmf",

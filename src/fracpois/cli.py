@@ -5,10 +5,10 @@ succeeds, so a failure never leaves a partial table behind.  Configuration
 precedence: command-line flags > the JSON file named by FRACPOIS_CONFIG >
 built-in defaults; the config keys are the flags' destination names, and
 each value must have the type and choices its flag accepts.  A subcommand
-takes only the flags it reads, and no series option: every series stops by
-one fixed rule (fracpois.specfun.SERIES_TOL).  Exit codes: 0 ok, 1
-verification failed, 2 bad parameters, 3 convergence failure, 4 unsupported
-variant.
+takes (and reads the config keys of) only the flags it reads, and no series
+option: every series stops by one fixed rule (fracpois.specfun.SERIES_TOL).
+Exit codes: 0 ok, 1 verification failed, 2 bad parameters, 3 convergence
+failure, 4 unsupported variant.
 """
 
 from __future__ import annotations
@@ -156,9 +156,11 @@ def _load_env_config(flags: dict[str, argparse.Action]) -> dict:
 def _resolve(args: argparse.Namespace, flags: dict[str, argparse.Action]) -> RunConfig:
     # Explicit values (config file, then flags on top) are distinguished from
     # built-in defaults: a variant may override a default silently, but an
-    # explicitly requested value it disagrees with is an error.
-    explicit = _load_env_config(flags)
-    for key, value in vars(args).items():
+    # explicitly requested value it disagrees with is an error.  A config key
+    # the subcommand takes no flag for is not read, so not range-checked.
+    taken = vars(args)
+    explicit = {k: v for k, v in _load_env_config(flags).items() if k in taken}
+    for key, value in taken.items():
         if key != "command" and value is not None:
             explicit[key] = value
     merged = {**DEFAULTS, **explicit}

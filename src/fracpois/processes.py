@@ -77,6 +77,7 @@ from .specfun import (
     POLE_TOL,
     SERIES_TOL,
     TERM_CAP,
+    _ROUNDING_GATE,
     _check_rounding,
     _kahan_add,
     falling_factorial,
@@ -356,9 +357,10 @@ def _saigo_series(
     two consecutive terms at most SERIES_TOL * max(1, |partial sum|) past
     k_min: single terms can vanish exactly at gamma poles, but (for nu < 1)
     two consecutive pole zeros are impossible, so a pair of small terms
-    really does mean the superexponential decay regime has begun.  There a
-    sum whose rounding bound, summed from the terms the loop formed, fails
-    :func:`fracpois.specfun._check_rounding` is refused.  x = 0
+    really does mean the superexponential decay regime has begun.  A sum is
+    refused at the term where its rounding bound, summed from the terms the
+    loop formed, first fails :func:`fracpois.specfun._check_rounding`; the
+    bound only grows, so a sum that stops has passed it.  x = 0
     (t = 0, or t^(-beta) underflowed) leaves the k = 0 term, and fills
     nothing past it, so it needs no C_k factor, and stops at k = 0.
     """
@@ -381,7 +383,7 @@ def _saigo_series(
         pair = (x, [])
         terms.kpart = pair
     kpart = pair[1]
-    exp, huge, tol = math.exp, LOG_HUGE, SERIES_TOL
+    exp, huge, tol, gate = math.exp, LOG_HUGE, SERIES_TOL, _ROUNDING_GATE
     filled = min(len(row) >> 1, len(kpart))  # both only grow
     total, comp, err = 0.0, 0.0, 0.0
     prev = math.inf
@@ -407,6 +409,8 @@ def _saigo_series(
             mag = exp(logmag)
             if logmag > 0.0:
                 err += mag * (1.0 + logmag)
+                if err > gate:  # err only grows: refuse at the term it passes
+                    _check_rounding(err, label)
             value = mag if sign > 0.0 else -mag  # sign * mag, exactly
         else:
             value = mag = 0.0
@@ -419,7 +423,6 @@ def _saigo_series(
             size = abs(total)  # bound = SERIES_TOL * max(1, size), without the call
             bound = tol * size if size > 1.0 else tol
             if mag <= bound and prev <= bound:
-                _check_rounding(err, label)
                 return total, k
         prev = mag
     raise ConvergenceError(f"{label}: no convergence within {TERM_CAP} terms")

@@ -1,13 +1,13 @@
 """Scalar special functions and the fixed series constants of the package.
 
-Everything here is plain-float and pure: log-gamma, falling factorials, one
-compensated-summation step and the one-parameter Mittag-Leffler function,
-with the pole tolerance, the stop rule and the refusal rule every k-series
-shares.  :func:`log_gamma` takes positive arguments only, as the C_k
-products and the decomposition's power rule need.  :func:`log_abs_gamma`
-returns ``(sign, log|Gamma|)`` for any finite real argument; the Saigo
-operator multiplier calls it for denominators that may sit at a pole, while
-the distribution series inline its sign and pole rule in their batch fills.
+Everything here is plain-float and pure: log-gamma, falling factorials and
+one compensated-summation step, with the pole tolerance, the stop rule and
+the refusal rule of the one k-series, ``processes._saigo_series``.
+:func:`log_gamma` takes positive arguments only, as the C_k products and the
+decomposition's power rule need.  :func:`log_abs_gamma` returns ``(sign,
+log|Gamma|)`` for any finite real argument; the Saigo operator multiplier
+calls it for denominators that may sit at a pole, while the distribution
+series inline its sign and pole rule in their batch fills.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ LOG_HUGE = math.log(1e300)
 
 # The fixed stop rule of every k-series: stop on two consecutive terms
 # <= SERIES_TOL * max(1, |partial sum|), and give up after TERM_CAP terms;
-# then refuse a sum whose rounding bound exceeds ROUNDING_TOL (_check_rounding).
+# refuse at the term where the rounding bound passes ROUNDING_TOL (_check_rounding).
 SERIES_TOL = 1e-12
 TERM_CAP = 10_000
 ROUNDING_TOL = 1e-9
-
-# mittag_leffler stops on one decreasing term below this.
-ML_TOL = 1e-14
+# _check_rounding refuses err past this: eps = ulp(1) is a power of two, so
+# err > ROUNDING_TOL / eps exactly when eps * err > ROUNDING_TOL.
+_ROUNDING_GATE = ROUNDING_TOL / math.ulp(1.0)
 
 
 def log_gamma(x: float) -> float:
@@ -93,41 +93,3 @@ def _check_rounding(err: float, label: str) -> None:
     bound = math.ulp(1.0) * err  # eps
     if bound > ROUNDING_TOL:
         raise ConvergenceError(f"{label}: rounding error bound {bound:.3g} exceeds {ROUNDING_TOL:g}")
-
-
-def mittag_leffler(alpha: float, x: float) -> float:
-    """One-parameter Mittag-Leffler function E_alpha(x) = sum x^k / Gamma(k alpha + 1).
-
-    Direct series with compensated summation.  Two rules keep the answer
-    honest in double precision: a term past e^LOG_HUGE is refused, and for
-    x < 0, where the terms alternate and may grow far beyond the result,
-    so is a sum that fails :func:`_check_rounding`.
-    """
-    if not (0.0 < alpha <= 1.0):
-        raise ParameterError(f"mittag_leffler: alpha must be in (0, 1], got {alpha}")
-    if not math.isfinite(x):
-        raise ParameterError(f"mittag_leffler: argument must be finite, got {x!r}")
-    if x == 0.0:
-        return 1.0
-    log_ax = math.log(abs(x))
-    total, comp, err = 0.0, 0.0, 0.0
-    prev = math.inf
-    for k in range(TERM_CAP):
-        logmag = k * log_ax - math.lgamma(k * alpha + 1.0)
-        if logmag > LOG_HUGE:
-            raise ConvergenceError("mittag_leffler: series term overflow")
-        term = math.exp(logmag)
-        if logmag > 0.0:
-            err += term * (1.0 + logmag)
-        if x < 0.0 and k % 2:
-            term = -term
-        total, comp = _kahan_add(total, comp, term)
-        if k >= 1 and abs(term) <= ML_TOL and abs(term) < prev:
-            if x < 0.0:  # only alternating terms cancel
-                _check_rounding(err, "mittag_leffler")
-            return total
-        prev = abs(term)
-    raise ConvergenceError(
-        f"mittag_leffler: no convergence within {TERM_CAP} terms "
-        f"(alpha={alpha}, x={x})"
-    )

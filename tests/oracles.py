@@ -197,6 +197,40 @@ def stfpp_pmf(params: FractionalParams, t: float, n: int) -> float:
     return _sum_k_series(term, int(n / nu) + 2, "stfpp_pmf")
 
 
+def stfpp_pmf_mp(params: FractionalParams, t: float, n_max: int) -> list[float]:
+    """p_0 .. p_{n_max} and the tail 1 - sum p_n at t > 0 on beta = -alpha,
+    from the k-series summed at 50 digits (mpmath).
+
+    One k loop serves every state: term k of state n is (-x)^k / Gamma(k a + 1)
+    times w_n = (-1)^n (k nu)_n / n!, built by w_{n+1} = -w_n (k nu - n) / (n + 1),
+    with x = lam^nu t^a.  The loop stops past k = n_max/nu + 2 on two
+    consecutive k whose terms are all below 1e-40.  The sum cancels as the
+    double-precision one does, so it keeps 50 - log10(largest term) digits:
+    more than 40 wherever the package's rounding bound lets a value through.
+    """
+    import mpmath
+
+    if abs(params.beta + params.alpha) > VARIANT_TOL:
+        raise ParameterError("stfpp_pmf_mp: requires the beta = -alpha variant")
+    with mpmath.workdps(50):
+        a, nu = mpmath.mpf(params.alpha), mpmath.mpf(params.nu)
+        x = mpmath.mpf(params.lam) ** nu * mpmath.mpf(t) ** a
+        tiny = mpmath.mpf(10) ** -40
+        sums = [mpmath.mpf(0)] * (n_max + 1)
+        small = 0
+        for k in range(TERM_CAP):
+            w = (-x) ** k * mpmath.rgamma(k * a + 1)
+            big = mpmath.mpf(0)
+            for n in range(n_max + 1):
+                sums[n] += w
+                big = max(big, abs(w))
+                w *= -(k * nu - n) / (n + 1)
+            small = small + 1 if big < tiny else 0
+            if small >= 2 and k > n_max / params.nu + 2:
+                return [float(s) for s in sums] + [float(1 - mpmath.fsum(sums))]
+    raise ConvergenceError(f"stfpp_pmf_mp: no convergence within {TERM_CAP} terms")
+
+
 class _CkLogTable:
     """Incrementally extended ln C_k table for a fixed parameter triple."""
 

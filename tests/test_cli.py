@@ -471,27 +471,41 @@ class TestConfigPrecedence:
             assert key in err
 
     @pytest.mark.parametrize(
-        "config",
+        "config, argv",
         [
-            {"variant": "foo"},
-            {"format": "xml"},
-            {"n_max": "abc"},
-            {"n_max": 2.5},
-            {"alpha": "0.5"},
-            {"lam": True},
-            {"t": None},
-            {"seed": -1},
+            ({"variant": "foo"}, ("pmf", "--n-max", "1")),
+            ({"format": "xml"}, ("pmf", "--n-max", "1")),
+            ({"n_max": "abc"}, ("pmf", "--n-max", "1")),
+            ({"n_max": 2.5}, ("pmf", "--n-max", "1")),
+            ({"alpha": "0.5"}, ("pmf", "--n-max", "1")),
+            ({"lam": True}, ("pmf", "--n-max", "1")),
+            ({"t": None}, ("pmf", "--n-max", "1")),
+            # pmf takes no --seed: the range check is simulate's
+            ({"seed": -1}, ("simulate",)),
         ],
         ids=["variant-choice", "format-choice", "n_max-str", "n_max-float",
              "alpha-str", "lam-bool", "t-null", "seed-negative"],
     )
-    def test_bad_config_value_exits_2(self, tmp_path, monkeypatch, capsys, config):
+    def test_bad_config_value_exits_2(self, tmp_path, monkeypatch, capsys, config, argv):
         # a config value must be what its flag would parse to
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         monkeypatch.setenv("FRACPOIS_CONFIG", str(cfg))
         (key,) = config
-        assert key in rejected(capsys, "pmf", "--n-max", "1")
+        assert key in rejected(capsys, *argv)
+
+    @pytest.mark.parametrize("command", ["pgf", "survival"])
+    def test_config_key_without_a_flag_is_not_read(self, tmp_path, monkeypatch, capsys, command):
+        # pgf and survival take no --n-max or --seed: those config values are
+        # neither read nor range-checked, and the output is unchanged
+        code, plain, _ = run(capsys, command, "-t", "1")
+        assert code == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_max": -1, "seed": -1}))
+        monkeypatch.setenv("FRACPOIS_CONFIG", str(cfg))
+        assert run(capsys, command, "-t", "1") == (0, plain, "")
+        # pmf takes --n-max, so there the value is still refused
+        assert "--n-max" in rejected(capsys, "pmf", "-t", "1")
 
     def test_missing_config_file_rejected(self, monkeypatch, capsys):
         monkeypatch.setenv("FRACPOIS_CONFIG", "/nonexistent/cfg.json")

@@ -29,8 +29,15 @@ from fracpois.processes import (
     waiting_survival,
 )
 from fracpois.saigo import SaigoParams, ck_log_run, saigo_integral_power
-from fracpois.specfun import mittag_leffler
-from oracles import ml_half, panjer_sfpp, sfpp_pmf, sstfpp_pmf, stfpp_pmf, tfpp_pmf
+from oracles import (
+    ml_half,
+    panjer_sfpp,
+    sfpp_pmf,
+    sstfpp_pmf,
+    stfpp_pmf,
+    stfpp_pmf_mp,
+    tfpp_pmf,
+)
 
 # Reference parameter points reused across tests.
 STFPP = FractionalParams(1.0, alpha=0.7, nu=0.6)
@@ -42,6 +49,11 @@ RL_GAMMA = FractionalParams(1.0, alpha=0.7, nu=0.6, beta=-0.7, gamma_p=0.4)
 CLASSICAL = FractionalParams(1.0)
 # nu = 0.5: Gamma(k nu + 1 - n) has poles at even k < 2n, so p_n skips terms
 NU_HALF = FractionalParams(1.0, alpha=0.8, nu=0.5, beta=-0.6, gamma_p=0.2)
+
+
+def mittag_leffler_neg(alpha, z):
+    """E_alpha(-z) for z > 0: the printed tfpp formula's state 0 at lam = z, t = 1."""
+    return tfpp_pmf(FractionalParams(z, alpha=alpha), 1.0, 0)
 
 
 class TestFractionalParams:
@@ -178,7 +190,7 @@ class TestTfpp:
 
     def test_survival_is_mittag_leffler(self):
         for t in (0.3, 1.0, 2.2):
-            expect = mittag_leffler(TFPP.alpha, -TFPP.lam * t ** TFPP.alpha)
+            expect = mittag_leffler_neg(TFPP.alpha, TFPP.lam * t ** TFPP.alpha)
             assert pmf(TFPP, t, 0) == pytest.approx(expect, rel=1e-12)
 
     def test_frozen_values(self):
@@ -239,7 +251,7 @@ class TestStfpp:
         for t in (0.4, 1.0, 2.0):
             x = STFPP.lam ** STFPP.nu * t ** STFPP.alpha
             assert pmf(STFPP, t, 0) == pytest.approx(
-                mittag_leffler(STFPP.alpha, -x), rel=1e-12
+                mittag_leffler_neg(STFPP.alpha, x), rel=1e-12
             )
 
     def test_frozen_values(self):
@@ -484,9 +496,10 @@ class TestPmfTable:
     def test_argument_guard_in_a_later_time(self):
         with pytest.raises(ConvergenceError) as exc:
             pmf_table(TFPP, [0.5, 1.0, 1e6], 8)
-        # x = 5175.39 at t = 1e6: the terms pass e^LOG_HUGE before the
-        # series could stop
-        assert str(exc.value) == "pmf: series term overflow at k = 104"
+        # x = 5175.39 at t = 1e6: the series is refused at the term where
+        # its rounding bound first passes ROUNDING_TOL, long before its terms
+        # would pass e^LOG_HUGE
+        assert str(exc.value) == "pmf: rounding error bound 9.72e-08 exceeds 1e-09"
 
     def test_inadmissible_gamma_rejected(self):
         # alpha = 0.8, beta = -0.5, gamma = -1.5: Gamma(1 + g - b) has
@@ -654,7 +667,7 @@ class TestPgf:
         p = FractionalParams(1.2, alpha=0.65)
         for u in (-0.5, 0.0, 0.4, 0.8):
             for t in (0.5, 1.0, 2.0):
-                expect = mittag_leffler(0.65, -1.2 * (1.0 - u) * t ** 0.65)
+                expect = mittag_leffler_neg(0.65, 1.2 * (1.0 - u) * t ** 0.65)
                 assert sstfpp_pgf(p, u, t) == pytest.approx(expect, abs=1e-10)
 
     def test_space_fractional_closed_form(self):
@@ -706,10 +719,12 @@ class TestRefusalRule:
              for nu in (0.4, 0.6, 0.8, 1.0) for x in (1.0, 2.0, 3.0, 4.0, 5.0)]
 
     def test_accuracy_sweep_has_no_silent_value(self):
+        pytest.importorskip("mpmath")
         for alpha, nu, x in self.SWEEP:
             params = FractionalParams(1.0, alpha=alpha, nu=nu)
+            t = x ** (1.0 / alpha)
             try:
-                table = pmf_table(params, [x ** (1.0 / alpha)], 25)
+                table = pmf_table(params, [t], 25)
             except ConvergenceError:
                 # at x = 1 every point answers: a rule refusing all fails
                 assert x > 1.0, (alpha, nu)
@@ -717,12 +732,16 @@ class TestRefusalRule:
             values = table.probs[0] + table.tail_mass
             assert all(-1e-9 <= v <= 1.0 + 1e-9 for v in values), (alpha, nu, x)
             assert abs(math.fsum(values) - 1.0) <= 1e-9, (alpha, nu, x)
+            # errors in the states can cancel in the sum, so each value meets
+            # a reference: the Panjer recursion on sfpp (classical at nu = 1),
+            # the 50-digit k-series elsewhere
             if alpha == 1.0:
-                # sfpp (classical at nu = 1): errors in the states can cancel
-                # in the sum, so each value meets the Panjer recursion
                 ref = panjer_sfpp(x, nu, 25)
                 ref.append(1.0 - math.fsum(ref))
-                assert all(abs(v - r) <= 1e-9 for v, r in zip(values, ref)), (nu, x)
+            else:
+                ref = stfpp_pmf_mp(params, t, 25)
+            for n, (v, r) in enumerate(zip(values, ref)):
+                assert abs(v - r) <= 1e-9, (alpha, nu, x, n)
 
     def test_panjer_sfpp_against_mpmath(self):
         # the sfpp k-series at 50 digits, where its cancellation is harmless
@@ -748,9 +767,7 @@ class TestRefusalRule:
         params = FractionalParams(1.0, alpha=0.5)
         for i in range(1, 81):
             x = 0.25 * i
-            calls = (lambda: pmf(params, x * x, 0), lambda: waiting_survival(params, x * x),
-                     lambda: mittag_leffler(0.5, -x))
-            for call in calls:
+            for call in (lambda: pmf(params, x * x, 0), lambda: waiting_survival(params, x * x)):
                 try:
                     got = call()
                 except ConvergenceError:
@@ -767,6 +784,12 @@ class TestRefusalRule:
                      lambda: sstfpp_pgf(params, 0.4, t), lambda: waiting_survival(params, t)):
             with pytest.raises(ConvergenceError, match="series argument overflows at t = "):
                 call()
+
+    def test_term_overflow_is_a_refusal(self):
+        # x = 1e300: the k = 1 term is past e^LOG_HUGE before any bound grows
+        with pytest.raises(ConvergenceError) as exc:
+            pmf(FractionalParams(1e300, alpha=0.9), 1.0, 0)
+        assert str(exc.value) == "pmf: series term overflow at k = 1"
 
 
 class TestClosedIterates:
