@@ -12,12 +12,12 @@ Every series here is one Saigo k-series,
 
     sum_k C_k (-x)^k / Gamma(1 - k beta) * f_k / e^s,   x = lam^nu t^(-beta),
 
-summed by :func:`_saigo_series` in log-magnitude/sign form so that huge
-numerators against huge denominators never overflow, with reciprocal gammas
-vanishing at poles.  The state probability takes f_k = (-1)^n
-Gamma(k nu + 1)/Gamma(k nu + 1 - n) and s = ln n!; the tail mass takes
-other f_k and s, and the generating function is the n = 0 series at
-x = lam^nu (1-u)^nu t^(-beta).  The decomposition cross-checks below
+summed by :func:`_saigo_series` at the x :func:`_series_x` forms, in
+log-magnitude/sign form so that huge numerators against huge denominators
+never overflow, with reciprocal gammas vanishing at poles.  The state
+probability takes f_k = (-1)^n Gamma(k nu + 1)/Gamma(k nu + 1 - n) and
+s = ln n!; the tail mass takes other f_k and s, and the generating function
+is the n = 0 series at x = lam^nu (1-u)^nu t^(-beta).  The decomposition cross-checks below
 evaluate the cache's truncated rows at each time, unsummed: term k of state
 n at t is the k-th iterate c_{n,k} t^{-k beta} (:func:`_state_terms`,
 :meth:`_SeriesTerms.coefficients`).  On beta = -alpha every C_k is
@@ -43,6 +43,8 @@ that object, one row each.  Rows are filled in batches, one loop per
 kind of series over a run of k.  The k-part of a term, (ln C_k + k ln x) -
 ln Gamma(1 - k beta), is the same for every series at one x, so it is kept
 for the last x evaluated and shared by the states and the tail of one time.
+:func:`pmf_table` forms x once per time, and each series' ln n! and k_min
+once per table, and calls the sum step for each state and the tail.
 The cache needs no lock: every fill ends in one slice store of the values
 any thread would compute for those slots, and no list a reader holds ever
 shrinks (see :class:`_SeriesTerms`).  A term is formed from the same floats
@@ -341,14 +343,25 @@ class _SeriesTerms:
         return entries
 
 
+def _series_x(terms: _SeriesTerms, scale: float, t: float, label: str) -> float:
+    """The argument x = scale * t^(-beta) of every series at t; refused if it overflows."""
+    try:
+        x = scale * t ** (-terms.beta)
+    except OverflowError:  # float pow raises where a product gives inf
+        x = math.inf
+    if not x < math.inf:  # inf, or nan from inf * 0
+        raise ConvergenceError(f"{label}: series argument overflows at t = {t!r}")
+    return x
+
+
 def _saigo_series(
-    terms: _SeriesTerms, key: object, scale: float, t: float, s: float, k_min: int, label: str
+    terms: _SeriesTerms, key: object, x: float, s: float, k_min: int, label: str
 ) -> tuple[float, int]:
     """sum_k C_k (-x)^k / Gamma(1 - k beta) * f_k / e^s, the one k-series at
-    x = scale * t^(-beta), and the k it stopped at; an x that overflows is refused.
+    x (see :func:`_series_x`), and the k it stopped at.
 
     key names the series and so its f_k: state n or ("tail", N) (see
-    :meth:`_SeriesTerms.fill`); a zero sign drops the term (gamma poles).
+    :meth:`_SeriesTerms.fill`); a vanished entry (0.0, -inf) adds 0.0 (gamma poles).
     The loop reads key's row and the k-part of x from terms and fills what
     no earlier series has: the row first to k = k_min, which it always
     reads, then FILL_CHUNK entries at a time, and the k-part as far as any
@@ -364,12 +377,6 @@ def _saigo_series(
     (t = 0, or t^(-beta) underflowed) leaves the k = 0 term, and fills
     nothing past it, so it needs no C_k factor, and stops at k = 0.
     """
-    try:
-        x = scale * t ** (-terms.beta)
-    except OverflowError:  # float pow raises where a product gives inf
-        x = math.inf
-    if not x < math.inf:  # inf, or nan from inf * 0
-        raise ConvergenceError(f"{label}: series argument overflows at t = {t!r}")
     row = terms.rows.get(key)
     if row is None:  # setdefault alone would build a list per call
         row = terms.rows.setdefault(key, [])
@@ -377,54 +384,51 @@ def _saigo_series(
         if not row:
             terms.fill(key, row, 1)
         return row[0] * math.exp(row[1] - s), 0
-    lx = math.log(x)
     pair = terms.kpart
     if pair[0] != x:
         pair = (x, [])
         terms.kpart = pair
     kpart = pair[1]
     exp, huge, tol, gate = math.exp, LOG_HUGE, SERIES_TOL, _ROUNDING_GATE
-    filled = min(len(row) >> 1, len(kpart))  # both only grow
     total, comp, err = 0.0, 0.0, 0.0
     prev = math.inf
-    for k in range(TERM_CAP):
-        if k >= filled:
-            # the loop reads k = 0 .. max(k, k_min) in any case; a row too
-            # short for that grows by a chunk, so that repeating a series
-            # fills nothing
-            need = max(k, k_min) + 1
-            if len(row) < 2 * need:
-                terms.fill(key, row, min(max(need, k + FILL_CHUNK), TERM_CAP))
-            if len(kpart) < need:
-                # as far as any row goes, so that the next series at this x
-                # may read on without a C_k factor no row needed
-                terms.fill_kpart(kpart, lx, max(len(row) >> 1, len(terms.per_k)))
-            filled = min(len(row) >> 1, len(kpart))
-        j = 2 * k
-        sign = row[j]
-        if sign != 0.0:
+    k = 0
+    while k < TERM_CAP:
+        end = min(len(row) >> 1, len(kpart), TERM_CAP)
+        for k in range(k, end):
+            j = 2 * k
             logmag = kpart[k] + row[j + 1] - s
-            if logmag > huge:
-                raise ConvergenceError(f"{label}: series term overflow at k = {k}")
-            mag = exp(logmag)
             if logmag > 0.0:
+                if logmag > huge:
+                    raise ConvergenceError(f"{label}: series term overflow at k = {k}")
+                mag = exp(logmag)
                 err += mag * (1.0 + logmag)
                 if err > gate:  # err only grows: refuse at the term it passes
                     _check_rounding(err, label)
-            value = mag if sign > 0.0 else -mag  # sign * mag, exactly
-        else:
-            value = mag = 0.0
-        # _kahan_add inlined: this loop runs once per term of every series
-        y = value - comp
-        moved = total + y
-        comp = (moved - total) - y
-        total = moved
-        if k >= k_min:
-            size = abs(total)  # bound = SERIES_TOL * max(1, size), without the call
-            bound = tol * size if size > 1.0 else tol
-            if mag <= bound and prev <= bound:
-                return total, k
-        prev = mag
+            else:
+                mag = exp(logmag)  # 0.0 where the term vanishes
+            # sign * mag, exactly; _kahan_add inlined: this loop runs once
+            # per term of every series
+            y = row[j] * mag - comp
+            moved = total + y
+            comp = (moved - total) - y
+            total = moved
+            if k >= k_min:
+                size = abs(total)  # bound = SERIES_TOL * max(1, size), without the call
+                bound = tol * size if size > 1.0 else tol
+                if mag <= bound and prev <= bound:
+                    return total, k
+            prev = mag
+        k = end
+        # the loop reads k = 0 .. max(k, k_min) in any case; a row too short
+        # for that grows by a chunk, so that repeating a series fills nothing
+        need = max(k, k_min) + 1
+        if len(row) < 2 * need:
+            terms.fill(key, row, min(max(need, k + FILL_CHUNK), TERM_CAP))
+        if len(kpart) < need:
+            # as far as any row goes, so that the next series at this x may
+            # read on without a C_k factor no row needed
+            terms.fill_kpart(kpart, math.log(x), max(len(row) >> 1, len(terms.per_k)))
     raise ConvergenceError(f"{label}: no convergence within {TERM_CAP} terms")
 
 
@@ -464,9 +468,9 @@ def _poisson_tail(m: float, n_max: int) -> float:
 def _state_series(params: FractionalParams, t: float, n: int, label: str) -> tuple[float, int]:
     """State n's k-series at t on every variant: its sum and the k it stopped at."""
     n = _check_state(t, n)
-    nu = params.nu
-    return _saigo_series(params._terms, n, params.lam ** nu, t, math.lgamma(n + 1.0),
-                         int(n / nu) + 2, label)
+    terms, nu = params._terms, params.nu
+    return _saigo_series(terms, n, _series_x(terms, params.lam ** nu, t, label),
+                         math.lgamma(n + 1.0), int(n / nu) + 2, label)
 
 
 def _pmf(params: FractionalParams, t: float, n: int, label: str = "pmf") -> float:
@@ -495,9 +499,9 @@ def _tail_mass(params: FractionalParams, t: float, n_max: int) -> float:
                 "the tail's terms would overflow"
             )
         return min(1.0, _poisson_tail(m, n_max))
-    nu = params.nu
-    return _saigo_series(params._terms, ("tail", n_max), params.lam ** nu, t,
-                         math.lgamma(n_max + 1.0), int(n_max / nu) + 2, "pmf_tail_mass")[0]
+    terms, nu, label = params._terms, params.nu, "pmf_tail_mass"
+    return _saigo_series(terms, ("tail", n_max), _series_x(terms, params.lam ** nu, t, label),
+                         math.lgamma(n_max + 1.0), int(n_max / nu) + 2, label)[0]
 
 
 def pmf_tail_mass(params: FractionalParams, t: float, n_max: int) -> float:
@@ -531,13 +535,26 @@ class PmfTable:
 
 
 def pmf_table(params: FractionalParams, times: Sequence[float], n_max: int) -> PmfTable:
-    """pmf and pmf_tail_mass over times x states, on params' term cache."""
+    """pmf and pmf_tail_mass over times x states, on params' term cache: their
+    floats, and their first refusal, time by time and the states before the tail."""
     n_max = _index(n_max, "pmf_table: n_max")
     probs = []
     tails = []
-    for t in times:
-        probs.append(tuple(_pmf(params, t, n) for n in range(n_max + 1)))
-        tails.append(_tail_mass(params, t, n_max))
+    if params.variant == "classical":
+        for t in times:
+            probs.append(tuple(poisson_pmf(params.lam, t, n) for n in range(n_max + 1)))
+            tails.append(_tail_mass(params, t, n_max))
+    else:
+        terms, nu = params._terms, params.nu
+        scale = params.lam ** nu
+        series = [(n, math.lgamma(n + 1.0), int(n / nu) + 2) for n in range(n_max + 1)]
+        tail_key, tail_s, tail_k = ("tail", n_max), math.lgamma(n_max + 1.0), int(n_max / nu) + 2
+        for t in times:
+            _check_state(t, 0)
+            x = _series_x(terms, scale, t, "pmf")
+            probs.append(tuple(_saigo_series(terms, n, x, s, k_min, "pmf")[0]
+                               for n, s, k_min in series))
+            tails.append(_saigo_series(terms, tail_key, x, tail_s, tail_k, "pmf_tail_mass")[0])
     return PmfTable(params, tuple(times), n_max, tuple(probs), tuple(tails))
 
 
@@ -592,9 +609,9 @@ def sstfpp_pgf(params: FractionalParams, u: float, t: float) -> float:
     if not (math.isfinite(u) and abs(u) < 1.0):
         raise ParameterError(f"sstfpp_pgf: requires |u| < 1, got {u!r}")
     _check_state(t, 0)
-    nu = params.nu
-    return _saigo_series(params._terms, 0, params.lam ** nu * (1.0 - u) ** nu, t, 0.0, 2,
-                         "sstfpp_pgf")[0]
+    terms, nu, label = params._terms, params.nu, "sstfpp_pgf"
+    return _saigo_series(terms, 0, _series_x(terms, params.lam ** nu * (1.0 - u) ** nu, t, label),
+                         0.0, 2, label)[0]
 
 
 def waiting_survival(params: FractionalParams, t: float) -> float:

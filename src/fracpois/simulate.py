@@ -444,7 +444,7 @@ def _chi_square(emp: EmpiricalPmf, table: PmfTable) -> tuple[float, float, int] 
     if len(expected) < 2:
         return None
 
-    stat = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+    stat = math.fsum((o - e) ** 2 / e for o, e in zip(observed, expected))
     dof = len(expected) - 1
     # The upper tail of the chi-square law; scipy.stats.chi2.sf calls the
     # same function, and scipy.stats costs several times more to import.

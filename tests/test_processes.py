@@ -49,6 +49,8 @@ RL_GAMMA = FractionalParams(1.0, alpha=0.7, nu=0.6, beta=-0.7, gamma_p=0.4)
 CLASSICAL = FractionalParams(1.0)
 # nu = 0.5: Gamma(k nu + 1 - n) has poles at even k < 2n, so p_n skips terms
 NU_HALF = FractionalParams(1.0, alpha=0.8, nu=0.5, beta=-0.6, gamma_p=0.2)
+# beta = -1.5: t^1.5 underflows at t = 1e-300 and overflows at t = 1e300
+BETA_15 = FractionalParams(1.0, alpha=0.8, nu=0.6, beta=-1.5, gamma_p=0.1)
 
 
 def mittag_leffler_neg(alpha, z):
@@ -432,8 +434,7 @@ class TestPmfTable:
         # t = 1e-300, where t^1.5 underflows and x = 0 for the last set;
         # NU_HALF's state factor has pole zeros, so its rows hold gaps
         times = [0.0, 0.5, 1.0, 0.5, 1e-300]
-        beta_15 = FractionalParams(1.0, alpha=0.8, nu=0.6, beta=-1.5, gamma_p=0.1)
-        for params in (SSTFPP, RL_GAMMA, CLASSICAL, TFPP, SFPP, STFPP, NU_HALF, beta_15):
+        for params in (SSTFPP, RL_GAMMA, CLASSICAL, TFPP, SFPP, STFPP, NU_HALF, BETA_15):
             table = pmf_table(params, times, 6)
             assert table.times == tuple(times)
             assert len(table.probs) == len(times)
@@ -447,7 +448,35 @@ class TestPmfTable:
                 assert tail == pmf_tail_mass(params, t, 6)
             for row, tail in zip(table.probs[1:], table.tail_mass[1:]):
                 assert sum(row) + tail == pytest.approx(1.0, abs=1e-9)
-        assert pmf_table(beta_15, [1e-300], 6).probs[0] == (1.0,) + (0.0,) * 6
+        assert pmf_table(BETA_15, [1e-300], 6).probs[0] == (1.0,) + (0.0,) * 6
+
+    @pytest.mark.parametrize(
+        "later", [(20.0, 700.0), (1e300,), (-1.0,), (math.nan,)],
+        ids=["large", "huge", "negative", "nan"],
+    )
+    @pytest.mark.parametrize(
+        "params", [CLASSICAL, TFPP, SFPP, STFPP, SSTFPP, BETA_15],
+        ids=["classical", "tfpp", "sfpp", "stfpp", "sstfpp", "sstfpp-beta-1.5"],
+    )
+    def test_equals_the_scalar_calls(self, params, later):
+        # t = 0, a repeated time (read back from the cache) and t = 1e-300,
+        # where x underflows to 0 at beta = -1.5, give the scalar calls'
+        # floats; later times give their first refusal, time by time and
+        # the states before the tail: a bound (sstfpp's at t = 20 in state
+        # 2), the classical tail's mean (at t = 700, after t = 20 answers),
+        # an argument overflow (beta = -1.5 at 1e300) or a bad time.  Each
+        # side runs on a fresh object, so neither reads the other's cache.
+        times = [0.0, 0.5, 1.0, 0.5, 1e-300]
+        table = pmf_table(dataclasses.replace(params), times, 6)
+        got = [[p.hex() for p in row] + [tail.hex()]
+               for row, tail in zip(table.probs, table.tail_mass)]
+        assert got == _scalar_table(dataclasses.replace(params), times, 6)
+        refusal = _scalar_table(dataclasses.replace(params), times + list(later), 6)
+        assert isinstance(refusal, Exception)
+        with pytest.raises(type(refusal)) as exc:
+            pmf_table(dataclasses.replace(params), times + list(later), 6)
+        assert type(exc.value) is type(refusal)
+        assert str(exc.value) == str(refusal)
 
     def test_row_fills_independent_of_time_count(self, monkeypatch):
         # each row entry (state or tail, k) is filled once per table,
@@ -537,6 +566,19 @@ class TestPmfTable:
             factors.clear()
             build(params)
             assert factors == []
+
+
+def _scalar_table(params: FractionalParams, times: list[float], n_max: int):
+    """pmf and pmf_tail_mass over times x states as float.hex, time by time
+    and the states before the tail; or the first refusal they raise."""
+    rows = []
+    try:
+        for t in times:
+            rows.append([pmf(params, t, n).hex() for n in range(n_max + 1)]
+                        + [pmf_tail_mass(params, t, n_max).hex()])
+    except (ConvergenceError, ParameterError) as exc:
+        return exc
+    return rows
 
 
 def _count_ck_factors(monkeypatch) -> list[int]:
@@ -790,6 +832,16 @@ class TestRefusalRule:
         with pytest.raises(ConvergenceError) as exc:
             pmf(FractionalParams(1e300, alpha=0.9), 1.0, 0)
         assert str(exc.value) == "pmf: series term overflow at k = 1"
+
+    def test_term_cap_is_a_refusal(self):
+        # alpha = 0.001 at x = 1: the terms 1/Gamma(1 + k/1000) are still
+        # about 3e-7 at k = TERM_CAP, and none is above 1 to grow the bound
+        params = FractionalParams(1.0, alpha=0.001)
+        for call in (lambda: pmf(params, 1.0, 0),
+                     lambda: pmf_table(dataclasses.replace(params), [1.0], 0)):
+            with pytest.raises(ConvergenceError) as exc:
+                call()
+            assert str(exc.value) == "pmf: no convergence within 10000 terms"
 
 
 class TestClosedIterates:

@@ -432,6 +432,29 @@ class TestChiSquare:
         for (stat, pvalue, dof), (stat_hex, pvalue_hex, want_dof) in cases:
             assert (stat.hex(), pvalue.hex(), dof) == (stat_hex, pvalue_hex, want_dof)
 
+    def test_statistic_is_the_correctly_rounded_sum(self):
+        # seed 5 (`fracpois simulate --variant tfpp --alpha 0.6 --samples
+        # 100000 --seed 5 --n-max 20`): states 0..9 keep their bins and 10..20
+        # pool with the overflow, right to left.  Its eleven terms added left
+        # to right (the builtin sum() before Python 3.12) give ...553, and
+        # math.fsum (like 3.12's compensated sum()) ...551, so the statistic
+        # would depend on the Python version unless it is one of them.
+        emp = empirical_pmf(TFPP, 1.0, 100_000, 20, 5)
+        stat, _, dof = chi_square_gof(emp)
+        assert dof == 10
+        table = pmf_table(TFPP, [1.0], 20)
+        expected = [q * emp.sample_count for q in table.probs[0] + table.tail_mass]
+        observed = [float(c) for c in emp.counts] + [float(emp.overflow)]
+        for i in range(len(expected) - 1, 10, -1):
+            expected[i - 1] += expected[i]
+            observed[i - 1] += observed[i]
+        terms = [(o - e) ** 2 / e for o, e in zip(observed[:11], expected[:11])]
+        left_to_right = 0.0
+        for term in terms:
+            left_to_right += term
+        assert stat == math.fsum(terms) == 13.974589569276551
+        assert left_to_right == 13.974589569276553
+
     def test_fewer_than_two_bins_rejected(self):
         emp = empirical_pmf(CLASSICAL, 1.0, 1, 10, 2)
         with pytest.raises(ParameterError, match="fewer than two usable bins"):
