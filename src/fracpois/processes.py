@@ -548,7 +548,7 @@ def pmf_table(params: FractionalParams, times: Sequence[float], n_max: int) -> P
         terms, nu = params._terms, params.nu
         scale = params.lam ** nu
         series = [(n, math.lgamma(n + 1.0), int(n / nu) + 2) for n in range(n_max + 1)]
-        tail_key, tail_s, tail_k = ("tail", n_max), math.lgamma(n_max + 1.0), int(n_max / nu) + 2
+        tail_key, (_, tail_s, tail_k) = ("tail", n_max), series[-1]  # state n_max's s and k_min
         for t in times:
             _check_state(t, 0)
             x = _series_x(terms, scale, t, "pmf")

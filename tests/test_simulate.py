@@ -437,8 +437,8 @@ class TestChiSquare:
         # 100000 --seed 5 --n-max 20`): states 0..9 keep their bins and 10..20
         # pool with the overflow, right to left.  Its eleven terms added left
         # to right (the builtin sum() before Python 3.12) give ...553, and
-        # math.fsum (like 3.12's compensated sum()) ...551, so the statistic
-        # would depend on the Python version unless it is one of them.
+        # math.fsum and 3.12's compensated sum() ...551: math.fsum gives the
+        # same statistic on every Python version.
         emp = empirical_pmf(TFPP, 1.0, 100_000, 20, 5)
         stat, _, dof = chi_square_gof(emp)
         assert dof == 10
