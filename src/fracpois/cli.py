@@ -108,9 +108,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Action]
         add("--beta", type=float, help="Saigo beta < 0 (sstfpp only)")
         add("--gamma", type=float, dest="gamma_p", help="Saigo gamma (sstfpp only)")
         add("-t", type=float, dest="t", help="single time point")
-        add("--t-start", type=float, dest="t_start")
-        add("--t-stop", type=float, dest="t_stop")
-        add("--t-count", type=int, dest="t_count")
+        if name != "simulate":
+            add("--t-start", type=float, dest="t_start")
+            add("--t-stop", type=float, dest="t_stop")
+            add("--t-count", type=int, dest="t_count")
         if name not in ("pgf", "survival"):
             add("--n-max", type=int, dest="n_max")
         if name != "verify":
@@ -200,8 +201,6 @@ def _resolve(args: argparse.Namespace, flags: dict[str, argparse.Action]) -> Run
             times = [start + i * step for i in range(count)]
     if any(t < 0.0 or not math.isfinite(t) for t in times):
         raise ParameterError("time points must be finite and >= 0")
-    if args.command == "simulate" and len(times) > 1:
-        raise ParameterError(f"simulate takes one time point, got {len(times)}")
 
     n_max = int(merged["n_max"])
     if n_max < 0:

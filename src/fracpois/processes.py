@@ -32,7 +32,7 @@ normalization checks meaningful.
 Only k ln x in a term depends on the time; the rest of each term is kept in
 a :class:`_SeriesTerms` object: ln C_k and ln Gamma(1 - k beta) once per k,
 in one per-k store whose ln C_k column grows by its running sum as far as a
-row needs, and the sign and ln|f_k| per series key and k.  Each
+row needs, and per series key its s, k_min and row of sign and ln|f_k|.  Each
 :class:`FractionalParams` owns one, created on first use, and every entry
 point evaluated on it (:func:`pmf`, :func:`pmf_tail_mass`,
 :func:`sstfpp_pgf`, :func:`waiting_survival` and :func:`pmf_table`) shares
@@ -43,8 +43,8 @@ that object, one row each.  Rows are filled in batches, one loop per
 kind of series over a run of k.  The k-part of a term, (ln C_k + k ln x) -
 ln Gamma(1 - k beta), is the same for every series at one x, so it is kept
 for the last x evaluated and shared by the states and the tail of one time.
-:func:`pmf_table` forms x once per time, and each series' ln n! and k_min
-once per table, and calls the sum step for each state and the tail.
+:func:`pmf_table` forms x once per time and calls the sum step for each
+state and the tail.
 The cache needs no lock: every fill ends in one slice store of the values
 any thread would compute for those slots, and no list a reader holds ever
 shrinks (see :class:`_SeriesTerms`).  A term is formed from the same floats
@@ -77,10 +77,10 @@ from .saigo import (
 from .specfun import (
     LOG_HUGE,
     POLE_TOL,
+    ROUNDING_TOL,
     SERIES_TOL,
     TERM_CAP,
     _ROUNDING_GATE,
-    _check_rounding,
     _kahan_add,
     falling_factorial,
 )
@@ -207,9 +207,10 @@ class _SeriesTerms:
     * ``per_k[k]`` = (ln C_k, ln Gamma(1 - k beta), ln Gamma(k nu + 1)), the
       values no series key changes, the last being the numerator of the
       state factor;
-    * ``rows``: one row per series key (state n or ("tail", N)),
-      holding flat at row[2k] and row[2k+1] the sign of f_k times (-1)^k
-      (0.0 where f_k vanishes) and ln|f_k|;
+    * ``rows``: one record (row, s, k_min) per series key, made by
+      :meth:`record` when the key is first used; the row holds flat at
+      row[2k] and row[2k+1] the sign of f_k times (-1)^k (0.0 where f_k
+      vanishes) and ln|f_k|;
     * ``kpart`` = (x, its k-part) for the last x evaluated; k-part[k] =
       (ln C_k + k ln x) - ln Gamma(1 - k beta) is the same float for every
       key at one x, so the states and the tail of one time share it.
@@ -235,7 +236,9 @@ class _SeriesTerms:
     one slice store, ``store[start:stop] = entries`` (rows by pairs), which
     the GIL makes one atomic step: it appends when no other thread got there
     first and otherwise overwrites the equal values another thread stored
-    (an append would put a late duplicate at the wrong k).  The (x, k-part)
+    (an append would put a late duplicate at the wrong k).  A record is
+    stored by setdefault, so every thread reads the first one made for its
+    key.  The (x, k-part)
     pair is replaced whole and read through a local, so a series fills and
     reads the k-part of its own x.  No list a reader holds ever shrinks: a
     race can only repeat work; it never changes a value.
@@ -246,7 +249,7 @@ class _SeriesTerms:
         self.nu = params.nu
         self.saigo = params.saigo() if params.variant == "sstfpp" else None
         self.per_k: list[tuple[float, float, float]] = []
-        self.rows: dict[object, list[float]] = {}
+        self.rows: dict[object, tuple[list[float], float, int]] = {}
         self.kpart: tuple[float, list[float]] = (0.0, [])  # x = 0 reads no k-part
 
     def _per_k_to(self, stop: int) -> list[tuple[float, float, float]]:
@@ -262,6 +265,13 @@ class _SeriesTerms:
             per_k[start:stop] = [(c, lgamma(1.0 - k * beta), lgamma(k * nu + 1.0))
                                  for k, c in enumerate(lnck, start)]
         return per_k
+
+    def record(self, key: object) -> tuple[list[float], float, int]:
+        """key's (row, s, k_min), made on first use: s = ln n! and
+        k_min = floor(n / nu) + 2, n being state key or the tail's N (the tail
+        takes state N's s and k_min, the pgf is state 0's series)."""
+        n = key if type(key) is int else key[1]
+        return self.rows.setdefault(key, ([], math.lgamma(n + 1.0), int(n / self.nu) + 2))
 
     def fill_kpart(self, kpart: list[float], lx: float, stop: int) -> None:
         """Fill the k-part of x = e^lx up to k = stop - 1."""
@@ -279,11 +289,11 @@ class _SeriesTerms:
             entries = self._tail_entries(key[1], start, stop)
         row[2 * start:2 * stop] = entries
 
-    def coefficients(self, key: object, lx: float, s: float, stop: int) -> list[float]:
+    def coefficients(self, key: object, lx: float, stop: int) -> list[float]:
         """The terms k < stop of key's series at x = e^lx, unsummed: the floats
         :func:`_saigo_series` adds (a vanishing term's ln|f_k| is -inf, so it
         is 0.0); a term past LOG_HUGE raises ConvergenceError, as there."""
-        row = self.rows.setdefault(key, [])
+        row, s, _ = self.record(key)
         if len(row) < 2 * stop:
             self.fill(key, row, stop)
         kpart: list[float] = []
@@ -354,14 +364,13 @@ def _series_x(terms: _SeriesTerms, scale: float, t: float, label: str) -> float:
     return x
 
 
-def _saigo_series(
-    terms: _SeriesTerms, key: object, x: float, s: float, k_min: int, label: str
-) -> tuple[float, int]:
+def _saigo_series(terms: _SeriesTerms, key: object, x: float, label: str) -> tuple[float, int]:
     """sum_k C_k (-x)^k / Gamma(1 - k beta) * f_k / e^s, the one k-series at
     x (see :func:`_series_x`), and the k it stopped at.
 
-    key names the series and so its f_k: state n or ("tail", N) (see
-    :meth:`_SeriesTerms.fill`); a vanished entry (0.0, -inf) adds 0.0 (gamma poles).
+    key names the series and so its f_k, s and k_min: state n or ("tail", N)
+    (see :meth:`_SeriesTerms.record`); a vanished entry (0.0, -inf) adds 0.0
+    (gamma poles).
     The loop reads key's row and the k-part of x from terms and fills what
     no earlier series has: the row first to k = k_min, which it always
     reads, then FILL_CHUNK entries at a time, and the k-part as far as any
@@ -371,15 +380,14 @@ def _saigo_series(
     k_min: single terms can vanish exactly at gamma poles, but (for nu < 1)
     two consecutive pole zeros are impossible, so a pair of small terms
     really does mean the superexponential decay regime has begun.  A sum is
-    refused at the term where its rounding bound, summed from the terms the
-    loop formed, first fails :func:`fracpois.specfun._check_rounding`; the
-    bound only grows, so a sum that stops has passed it.  x = 0
-    (t = 0, or t^(-beta) underflowed) leaves the k = 0 term, and fills
-    nothing past it, so it needs no C_k factor, and stops at k = 0.
+    refused at the term where its rounding bound eps * err first exceeds
+    ROUNDING_TOL, err being sum |term| (1 + ln|term|) over the terms above 1
+    (Higham 2002, ch. 4; TERM_CAP terms below 1 would add at most 2.2e-12);
+    the bound only grows, so a sum that stops has passed it.  x = 0 (t = 0,
+    or t^(-beta) underflowed) leaves the k = 0 term, and fills nothing past
+    it, so it needs no C_k factor, and stops at k = 0.
     """
-    row = terms.rows.get(key)
-    if row is None:  # setdefault alone would build a list per call
-        row = terms.rows.setdefault(key, [])
+    row, s, k_min = terms.rows.get(key) or terms.record(key)  # record alone forms one per call
     if x == 0.0:
         if not row:
             terms.fill(key, row, 1)
@@ -404,7 +412,11 @@ def _saigo_series(
                 mag = exp(logmag)
                 err += mag * (1.0 + logmag)
                 if err > gate:  # err only grows: refuse at the term it passes
-                    _check_rounding(err, label)
+                    bound, digits = math.ulp(1.0) * err, 3  # > ROUNDING_TOL, exactly
+                    while float(f"{bound:.{digits}g}") <= ROUNDING_TOL:  # ends by 17
+                        digits += 1
+                    raise ConvergenceError(f"{label}: rounding error bound "
+                                           f"{bound:.{digits}g} exceeds {ROUNDING_TOL:g}")
             else:
                 mag = exp(logmag)  # 0.0 where the term vanishes
             # sign * mag, exactly; _kahan_add inlined: this loop runs once
@@ -468,9 +480,8 @@ def _poisson_tail(m: float, n_max: int) -> float:
 def _state_series(params: FractionalParams, t: float, n: int, label: str) -> tuple[float, int]:
     """State n's k-series at t on every variant: its sum and the k it stopped at."""
     n = _check_state(t, n)
-    terms, nu = params._terms, params.nu
-    return _saigo_series(terms, n, _series_x(terms, params.lam ** nu, t, label),
-                         math.lgamma(n + 1.0), int(n / nu) + 2, label)
+    terms = params._terms
+    return _saigo_series(terms, n, _series_x(terms, params.lam ** params.nu, t, label), label)
 
 
 def _pmf(params: FractionalParams, t: float, n: int, label: str = "pmf") -> float:
@@ -499,9 +510,9 @@ def _tail_mass(params: FractionalParams, t: float, n_max: int) -> float:
                 "the tail's terms would overflow"
             )
         return min(1.0, _poisson_tail(m, n_max))
-    terms, nu, label = params._terms, params.nu, "pmf_tail_mass"
-    return _saigo_series(terms, ("tail", n_max), _series_x(terms, params.lam ** nu, t, label),
-                         math.lgamma(n_max + 1.0), int(n_max / nu) + 2, label)[0]
+    terms, label = params._terms, "pmf_tail_mass"
+    x = _series_x(terms, params.lam ** params.nu, t, label)
+    return _saigo_series(terms, ("tail", n_max), x, label)[0]
 
 
 def pmf_tail_mass(params: FractionalParams, t: float, n_max: int) -> float:
@@ -545,16 +556,12 @@ def pmf_table(params: FractionalParams, times: Sequence[float], n_max: int) -> P
             probs.append(tuple(poisson_pmf(params.lam, t, n) for n in range(n_max + 1)))
             tails.append(_tail_mass(params, t, n_max))
     else:
-        terms, nu = params._terms, params.nu
-        scale = params.lam ** nu
-        series = [(n, math.lgamma(n + 1.0), int(n / nu) + 2) for n in range(n_max + 1)]
-        tail_key, (_, tail_s, tail_k) = ("tail", n_max), series[-1]  # state n_max's s and k_min
+        terms, scale, tail_key = params._terms, params.lam ** params.nu, ("tail", n_max)
         for t in times:
             _check_state(t, 0)
             x = _series_x(terms, scale, t, "pmf")
-            probs.append(tuple(_saigo_series(terms, n, x, s, k_min, "pmf")[0]
-                               for n, s, k_min in series))
-            tails.append(_saigo_series(terms, tail_key, x, tail_s, tail_k, "pmf_tail_mass")[0])
+            probs.append(tuple(_saigo_series(terms, n, x, "pmf")[0] for n in range(n_max + 1)))
+            tails.append(_saigo_series(terms, tail_key, x, "pmf_tail_mass")[0])
     return PmfTable(params, tuple(times), n_max, tuple(probs), tuple(tails))
 
 
@@ -594,14 +601,13 @@ def truncated_normalization_residual(
 
 
 def composition_tuples_residual(params: FractionalParams) -> float:
-    """Worst composition-identity residual over a small deterministic grid
-    built from the process's own Saigo parameters."""
-    sp = params.saigo()
-    return max(
-        composition_check(sp, rho, t)
-        for rho in (0.8, 1.0, 1.7, 2.5)
-        for t in (0.5, 1.0, 2.0)
-    )
+    """Worst composition-identity residual on the process's own Saigo
+    parameters over its series terms' powers t^rho, rho = -k beta, k = 1..10,
+    at t = 1 (t scales it by t^rho).  FractionalParams keeps each rho in the
+    operators' domain: 1 + alpha + gamma - (k-1) beta > 0 for the derivative's
+    inner integral and 1 + gamma - k beta > 0 for the outer one."""
+    sp, beta = params.saigo(), params.beta
+    return max(composition_check(sp, -k * beta, 1.0) for k in range(1, 11))
 
 
 def sstfpp_pgf(params: FractionalParams, u: float, t: float) -> float:
@@ -610,8 +616,8 @@ def sstfpp_pgf(params: FractionalParams, u: float, t: float) -> float:
         raise ParameterError(f"sstfpp_pgf: requires |u| < 1, got {u!r}")
     _check_state(t, 0)
     terms, nu, label = params._terms, params.nu, "sstfpp_pgf"
-    return _saigo_series(terms, 0, _series_x(terms, params.lam ** nu * (1.0 - u) ** nu, t, label),
-                         0.0, 2, label)[0]
+    x = _series_x(terms, params.lam ** nu * (1.0 - u) ** nu, t, label)
+    return _saigo_series(terms, 0, x, label)[0]
 
 
 def waiting_survival(params: FractionalParams, t: float) -> float:
@@ -640,9 +646,7 @@ def _state_terms(params: FractionalParams, t: float, n: int, k_trunc: int) -> li
     cache's row at ln x (:func:`_log_x`), which at t = 1 reads the
     coefficients themselves.
     """
-    return params._terms.coefficients(
-        n, _log_x(params, t), math.lgamma(n + 1.0), _index(k_trunc, "k_trunc") + 1
-    )
+    return params._terms.coefficients(n, _log_x(params, t), _index(k_trunc, "k_trunc") + 1)
 
 
 def _coupling_weight(params: FractionalParams, r: int) -> float:
@@ -739,7 +743,7 @@ def pgf_cauchy_residual(
     sp = params.saigo()
     z = params.lam ** params.nu * (1.0 - u) ** params.nu
     # a_k: the pgf's series terms at t = 1, those of state 0 at x = z
-    a = params._terms.coefficients(0, math.log(z), 0.0, _index(k_trunc, "k_trunc") + 1)
+    a = params._terms.coefficients(0, math.log(z), _index(k_trunc, "k_trunc") + 1)
     worst = 0.0
     for k in range(1, len(a)):
         dmult = saigo_caputo_derivative_power(sp, -k * params.beta).coeff

@@ -2,7 +2,8 @@
 
 Everything here is plain-float and pure: log-gamma, falling factorials and
 one compensated-summation step, with the pole tolerance, the stop rule and
-the refusal rule of the one k-series, ``processes._saigo_series``.
+the refusal tolerance of the one k-series, ``processes._saigo_series``, which
+applies both.
 :func:`log_gamma` takes positive arguments only, as the C_k products and the
 decomposition's power rule need.  :func:`log_abs_gamma` returns ``(sign,
 log|Gamma|)`` for any finite real argument; the Saigo operator multiplier
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConvergenceError, ParameterError
+from .errors import ParameterError
 
 # Nearest-integer tolerance for detecting gamma poles.  Arguments like
 # k*nu + 1 - n are produced by float multiplication, so an argument that is
@@ -27,11 +28,11 @@ LOG_HUGE = math.log(1e300)
 
 # The fixed stop rule of every k-series: stop on two consecutive terms
 # <= SERIES_TOL * max(1, |partial sum|), and give up after TERM_CAP terms;
-# refuse at the term where the rounding bound passes ROUNDING_TOL (_check_rounding).
+# refuse at the term where the rounding bound eps * err passes ROUNDING_TOL.
 SERIES_TOL = 1e-12
 TERM_CAP = 10_000
 ROUNDING_TOL = 1e-9
-# _check_rounding refuses err past this: eps = ulp(1) is a power of two, so
+# The series refuses err past this: eps = ulp(1) is a power of two, so
 # err > ROUNDING_TOL / eps exactly when eps * err > ROUNDING_TOL.
 _ROUNDING_GATE = ROUNDING_TOL / math.ulp(1.0)
 
@@ -84,12 +85,3 @@ def _kahan_add(total: float, comp: float, term: float) -> tuple[float, float]:
     t = total + y
     comp = (t - total) - y
     return t, comp
-
-
-def _check_rounding(err: float, label: str) -> None:
-    """Refuse a sum whose rounding bound eps * err exceeds ROUNDING_TOL, err
-    being sum |term| (1 + ln|term|) over its terms above 1 (Higham 2002, ch. 4):
-    TERM_CAP terms below 1 would add at most about 2.2e-12 to the bound."""
-    bound = math.ulp(1.0) * err  # eps
-    if bound > ROUNDING_TOL:
-        raise ConvergenceError(f"{label}: rounding error bound {bound:.3g} exceeds {ROUNDING_TOL:g}")

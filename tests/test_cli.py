@@ -151,6 +151,9 @@ class TestPmfCommand:
         "--max-k": COMMANDS,
         "--n-max": ("pgf", "survival"),
         "--format": ("verify",),
+        "--t-start": ("simulate",),
+        "--t-stop": ("simulate",),
+        "--t-count": ("simulate",),
     }
 
     @pytest.mark.parametrize("flag", list(REMOVED_FLAGS))
@@ -294,6 +297,17 @@ class TestVerifyCommand:
     def test_bad_input_exits_2(self, capsys, argv):
         rejected(capsys, "verify", *argv)
 
+    @pytest.mark.parametrize("beta", ["-1.8", "-2", "-3"])
+    def test_composition_on_the_series_powers(self, capsys, beta):
+        # the composition check runs on the powers t^(-k beta) of the
+        # series terms, each in the operators' domain for accepted parameters
+        code, out, err = run(
+            capsys, "verify", "--variant", "sstfpp", "--alpha", "0.8", "--nu", "0.6",
+            "--beta", beta, "--gamma", "0.1", "-t", "0.5",
+        )
+        assert (code, err) == (0, "")
+        assert all(c["pass"] for c in json.loads(out)["checks"])
+
     @pytest.mark.parametrize("n_max", ["10", "20", "25"])
     def test_truncates_where_the_series_stop(self, capsys, n_max):
         # x = 3^0.6: the higher states need orders well past 40
@@ -411,7 +425,6 @@ class TestSimulateCommand:
         "argv, named",
         [
             (("-t", "1", "--seed", "-1"), "--seed"),
-            (("--t-start", "1", "--t-stop", "2", "--t-count", "3"), "one time point"),
             (("-t", "1", "--samples", "0"), "n_samples"),
         ],
     )

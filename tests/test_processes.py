@@ -843,6 +843,14 @@ class TestRefusalRule:
                 call()
             assert str(exc.value) == "pmf: no convergence within 10000 terms"
 
+    def test_refused_bound_prints_above_the_tolerance(self):
+        # state 1 at alpha = 0.001 is refused with eps * err just above
+        # 1e-9, which three digits would print as the tolerance itself
+        with pytest.raises(ConvergenceError) as exc:
+            pmf(FractionalParams(1.0, alpha=0.001), 1.0, 1)
+        assert str(exc.value) == "pmf: rounding error bound 1.002e-09 exceeds 1e-09"
+        assert float(str(exc.value).split()[4]) > 1e-9
+
 
 class TestClosedIterates:
     def test_rl_zero_state_coefficients(self):
