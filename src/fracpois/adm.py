@@ -15,14 +15,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import ConvergenceError, ParameterError
-from .specfun import _kahan_add
-
-COEFF_OVERFLOW = 1e300
+from .specfun import HUGE, _kahan_add
 
 
 @dataclass(frozen=True)
 class PowerTerm:
-    """A single monomial c * t^rho."""
+    """A single monomial c * t^rho, c and rho finite; which rho an operator
+    takes is its own domain rule (:mod:`fracpois.saigo`)."""
 
     coeff: float
     exponent: float
@@ -30,10 +29,8 @@ class PowerTerm:
     def __post_init__(self) -> None:
         if not math.isfinite(self.coeff):
             raise ParameterError(f"PowerTerm: coefficient must be finite, got {self.coeff!r}")
-        if not math.isfinite(self.exponent) or self.exponent <= -1.0:
-            raise ParameterError(
-                f"PowerTerm: exponent must be finite and > -1, got {self.exponent!r}"
-            )
+        if not math.isfinite(self.exponent):
+            raise ParameterError(f"PowerTerm: exponent must be finite, got {self.exponent!r}")
 
 
 class PowerSeries:
@@ -97,7 +94,7 @@ def adm_solve_linear(
                 if w != 0.0 and c != 0.0:
                     rhs += w * c
             nxt = rhs * image.coeff if rhs else 0.0
-            if not abs(nxt) <= COEFF_OVERFLOW:
+            if not abs(nxt) <= HUGE:
                 raise ConvergenceError(
                     f"adm_solve_linear: coefficient overflow at iterate k={k}, state n={n}"
                 )

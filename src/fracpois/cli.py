@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ConvergenceError, ParameterError, UnsupportedVariantError
 from .processes import (
@@ -33,8 +33,6 @@ from .processes import (
     waiting_survival,
 )
 from .simulate import _chi_square, empirical_pmf
-
-VARIANTS = ("classical", "tfpp", "sfpp", "stfpp", "sstfpp")
 
 DEFAULTS = {
     "variant": "stfpp",
@@ -62,6 +60,8 @@ PINNED = {
     "stfpp": {"gamma_p": 0.0},
     "sstfpp": {},
 }
+VARIANTS = tuple(PINNED)
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -69,7 +69,6 @@ def _fmt(x: float) -> str:
 
 @dataclass
 class RunConfig:
-    command: str
     params: FractionalParams
     variant: str
     times: list[float]
@@ -209,7 +208,6 @@ def _resolve(args: argparse.Namespace, flags: dict[str, argparse.Action]) -> Run
     if seed < 0:
         raise ParameterError(f"--seed must be >= 0, got {seed}")
     return RunConfig(
-        command=args.command,
         params=params,
         variant=variant,
         times=times,
@@ -222,15 +220,7 @@ def _resolve(args: argparse.Namespace, flags: dict[str, argparse.Action]) -> Run
 
 
 def _params_dict(cfg: RunConfig) -> dict:
-    p = cfg.params
-    return {
-        "variant": cfg.variant,
-        "lam": p.lam,
-        "alpha": p.alpha,
-        "nu": p.nu,
-        "beta": p.beta,
-        "gamma_p": p.gamma_p,
-    }
+    return {"variant": cfg.variant, **asdict(cfg.params)}
 
 
 def _table(

@@ -650,29 +650,32 @@ def _state_terms(params: FractionalParams, t: float, n: int, k_trunc: int) -> li
 
 
 def _coupling_weight(params: FractionalParams, r: int) -> float:
-    """-lam^nu (-1)^r (nu)_r / r!, the fractional-difference coupling to state n-r."""
+    """(-1)^(r+1) (nu)_r / r!, the coupling to state n-r of the governing
+    equation divided by lam^nu: the checks see lam only through x."""
     w = falling_factorial(params.nu, r) / math.factorial(r)
-    return -(params.lam ** params.nu) * (-w if r % 2 else w)
+    return w if r % 2 else -w
 
 
 def kolmogorov_residual(params: FractionalParams, t: float, n: int, k_trunc: int) -> float:
-    """Residual of the governing equation on truncated series at time t.
+    """Residual of the governing equation over lam^nu on truncated series at
+    time t: like the series it checks, a function of x = lam^nu t^(-beta).
 
     LHS: the Caputo-type Saigo derivative applied term-wise to state n's
-    series; it maps term k, c t^{-k beta}, to D(-k beta) c t^{-(k-1) beta}
-    and annihilates the constant k = 0.  RHS: the fractional-difference
-    coupling of states n-r.  On truncated series the two sides agree except
-    for the RHS's top order, so the residual is a pure truncation quantity,
-    bounded by :func:`kolmogorov_tail_bound`.  A time with t^beta past
-    e^LOG_HUGE, where the terms have lost their digits to underflow, raises
+    series; it maps term k, c t^{-k beta}, to D(-k beta) c t^{-(k-1) beta},
+    over lam^nu D(-k beta) c / x, and annihilates the constant k = 0.  RHS:
+    the coupling of states n-r.  On truncated series the two sides agree
+    except for the RHS's top order, so the residual is a pure truncation
+    quantity, bounded by :func:`kolmogorov_tail_bound`.  A time with 1/x past
+    HUGE, where the terms have lost their digits to underflow, raises
     ConvergenceError.
     """
     n = _index(n, "state index")
     sp, beta = params.saigo(), params.beta
     rows = [_state_terms(params, t, m, k_trunc) for m in range(n + 1)]
-    if beta * math.log(t) > LOG_HUGE:
-        raise ConvergenceError(f"kolmogorov_residual: t^beta overflows at t = {t!r}")
-    lhs = t ** beta * _kahan_sum(
+    lx = _log_x(params, t)
+    if -lx > LOG_HUGE:
+        raise ConvergenceError(f"kolmogorov_residual: 1/x overflows at t = {t!r}")
+    lhs = math.exp(-lx) * _kahan_sum(
         saigo_caputo_derivative_power(sp, -k * beta).coeff * c
         for k, c in enumerate(rows[n]) if k and c != 0.0
     )
@@ -683,12 +686,11 @@ def kolmogorov_residual(params: FractionalParams, t: float, n: int, k_trunc: int
 def kolmogorov_tail_bound(
     params: FractionalParams, t: float, n: int, k_trunc: int
 ) -> float:
-    """Bound on the residual: the RHS's unmatched top-order term plus a
-    float-evaluation floor, 64 ulp(1) max(1, scale) max(1, |ln x|), scale
-    being the total evaluated magnitude and x = lam^nu t^(-beta).  The
-    |ln x| factor covers the log-space rounding: each term is exp of a
-    log-magnitude holding k ln x, whose rounding becomes relative error
-    once the LHS multiplies by t^beta."""
+    """Bound on the residual, in its units: the RHS's unmatched top-order
+    term plus a float-evaluation floor, 64 ulp(1) max(1, scale) max(1, |ln x|),
+    scale being the total evaluated magnitude.  The |ln x| factor covers the
+    log-space rounding: each term is exp of a log-magnitude holding k ln x,
+    whose rounding becomes relative error once the LHS multiplies by 1/x."""
     n = _index(n, "state index")
     top = 0.0
     scale = 0.0
@@ -701,12 +703,13 @@ def kolmogorov_tail_bound(
 
 
 def adm_closed_form_diff(params: FractionalParams, n_max: int, k_trunc: int) -> float:
-    """Run the decomposition engine and compare every iterate coefficient
-    against the closed-form term; returns the worst normalized discrepancy.
+    """Run the decomposition engine on the equation over lam^nu and compare
+    every iterate coefficient against the closed-form term at x = 1, so no
+    lam can overflow either; returns the worst normalized discrepancy.
 
     The engine route applies the Saigo integral k times (the
     Riemann-Liouville integral when beta = -alpha), so it shares no
-    arithmetic with the closed-form coefficients, the cache's terms at t = 1.
+    arithmetic with the closed-form coefficients, the cache's rows at x = 1.
     """
     n_max, k_trunc = _index(n_max, "n_max"), _index(k_trunc, "k_trunc")
     sp = params.saigo()
@@ -717,7 +720,7 @@ def adm_closed_form_diff(params: FractionalParams, n_max: int, k_trunc: int) -> 
     )
     worst = 0.0
     for n in range(n_max + 1):
-        for k, closed in enumerate(_state_terms(params, 1.0, n, k_trunc)):
+        for k, closed in enumerate(params._terms.coefficients(n, 0.0, k_trunc + 1)):
             term = states[n].terms[k]
             if abs(term.exponent - (-k * params.beta)) > 1e-9:
                 raise ConvergenceError(

@@ -13,7 +13,9 @@ power rule, is a test oracle (``tests/oracles.py``).
 
 Conventions: operators are written for f(t) = t^{rho-1} (integral) or t^rho
 (derivative); beta = -alpha recovers Riemann-Liouville and beta = 0 recovers
-Erdelyi-Kober.
+Erdelyi-Kober.  The power domain is the operators' own rule: the integral
+takes rho > max(0, beta - gamma) (Saigo 1978), the derivative its inner
+integral's, and either returns the image's power, whatever its sign.
 """
 
 from __future__ import annotations

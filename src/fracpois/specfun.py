@@ -1,9 +1,9 @@
 """Scalar special functions and the fixed series constants of the package.
 
 Everything here is plain-float and pure: log-gamma, falling factorials and
-one compensated-summation step, with the pole tolerance, the stop rule and
-the refusal tolerance of the one k-series, ``processes._saigo_series``, which
-applies both.
+one compensated-summation step, with the pole tolerance, the one magnitude
+limit, and the stop rule and refusal tolerance of the one k-series,
+``processes._saigo_series``, which applies both.
 :func:`log_gamma` takes positive arguments only, as the C_k products and the
 decomposition's power rule need.  :func:`log_abs_gamma` returns ``(sign,
 log|Gamma|)`` for any finite real argument; the Saigo operator multiplier
@@ -22,9 +22,10 @@ from .errors import ParameterError
 # "morally" a non-positive integer can miss it by a few ulp.
 POLE_TOL = 1e-9
 
-# Largest magnitude any series term may reach before we refuse to continue:
-# beyond this, double precision has no digits left to cancel.
-LOG_HUGE = math.log(1e300)
+# The one magnitude limit (LOG_HUGE for log-space terms): past it a series
+# term, an engine coefficient or the equation check's 1/x has no digits left.
+HUGE = 1e300
+LOG_HUGE = math.log(HUGE)
 
 # The fixed stop rule of every k-series: stop on two consecutive terms
 # <= SERIES_TOL * max(1, |partial sum|), and give up after TERM_CAP terms;

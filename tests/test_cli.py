@@ -337,13 +337,34 @@ class TestVerifyCommand:
             assert by_name["kolmogorov"]["residual"] == 0.0
 
     def test_engine_overflow_exits_3(self, capsys):
-        # lam = 1e200 overflows the decomposition coefficients at order 2
+        # gamma = 1e15 overflows the decomposition coefficients at order 8,
+        # whatever lam is: the engine runs at x = 1
         code, out, err = run(
-            capsys, "verify", "--variant", "tfpp", "--alpha", "0.5", "--lam", "1e200", "-t", "0"
+            capsys, "verify", "--variant", "sstfpp", "--alpha", "0.3", "--nu", "0.6",
+            "--beta", "-3", "--gamma", "1e15", "-t", "0",
         )
         assert (code, out) == (3, "")
         assert "convergence failure" in err
-        assert "coefficient overflow" in err
+        assert "coefficient overflow at iterate k=8" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("tfpp", "--alpha", "0.5", "--lam", "1e100", "-t", "1e-250"),
+            ("tfpp", "--alpha", "0.6523873364455304", "--lam", "231.2167549741006",
+             "-t", "0.0014228580800520348", "--n-max", "3"),
+            ("classical", "--lam", "273.00950035306437", "-t", "0.022424743109479586",
+             "--n-max", "25"),
+            ("tfpp", "--alpha", "0.5", "--lam", "1e200", "-t", "0"),
+        ],
+        ids=["x-1e-25", "x-3.21", "classical-x-6.1", "t-0"],
+    )
+    def test_checks_see_lam_only_through_x(self, capsys, argv):
+        # every check is a function of x = lam^nu t^(-beta): a large lam
+        # neither overflows the engine nor scales the equation's residual
+        code, out, err = run(capsys, "verify", "--variant", *argv)
+        assert (code, err) == (0, "")
+        assert all(c["pass"] for c in json.loads(out)["checks"])
 
 
 class TestSimulateCommand:

@@ -933,6 +933,20 @@ class TestGoverningEquation:
         with pytest.raises(ConvergenceError):
             kolmogorov_residual(p, 1e-151, 0, 10)
 
+    @pytest.mark.parametrize("params", [STFPP, SSTFPP], ids=lambda p: p.variant)
+    def test_residual_is_a_function_of_x(self, params):
+        # the equation over lam^nu: one x at any lam gives the same residual
+        x = 1.5
+        for n in range(4):
+            first = None
+            for lam in (1.0, 1e3, 1e100):
+                p = dataclasses.replace(params, lam=lam)
+                t = (x / lam ** p.nu) ** (-1.0 / p.beta)
+                res = kolmogorov_residual(p, t, n, 40)
+                assert res <= kolmogorov_tail_bound(p, t, n, 40), (lam, n, res)
+                first = res if first is None else first
+                assert abs(res - first) <= 1e-12, (lam, n, res, first)
+
     def test_bound_covers_log_space_rounding_at_tiny_x(self):
         # x = t^2 is far below 1: each term's log-magnitude holds k ln x,
         # whose rounding t^beta turns into relative error of the LHS
@@ -989,11 +1003,12 @@ class TestEngineAgainstClosedForm:
     )
     def test_solution_evaluates_to_the_pmf(self, params):
         # each state's series is its truncated decomposition solution: at
-        # x = lam^nu t^(-beta) <= 1.3 forty orders reach the kernel's pmf
+        # x = lam^nu t^(-beta) <= 1.3 forty orders reach the kernel's pmf;
+        # the checks' weights are the equation's over lam^nu
         sp = params.saigo()
         states = adm.adm_solve_linear(
             lambda rho: saigo_integral_power(sp, rho),
-            [processes._coupling_weight(params, r) for r in range(9)],
+            [params.lam ** params.nu * processes._coupling_weight(params, r) for r in range(9)],
             40,
         )
         for t in (0.25, 0.6, 1.0):
@@ -1002,9 +1017,10 @@ class TestEngineAgainstClosedForm:
                 assert abs(state.evaluate(t) - pmf(params, t, n)) <= 1e-11, (t, n)
 
     def test_coefficient_overflow_is_a_convergence_failure(self):
-        # w * c overflows at order 2; that is no bad parameter
-        with pytest.raises(ConvergenceError, match="coefficient overflow at iterate k=2"):
-            adm_closed_form_diff(FractionalParams(1e200), 2, 3)
+        # gamma = 1e15: w * c overflows at order 8; that is no bad parameter
+        p = FractionalParams(1.0, alpha=0.3, nu=0.6, beta=-3.0, gamma_p=1e15)
+        with pytest.raises(ConvergenceError, match="coefficient overflow at iterate k=8"):
+            adm_closed_form_diff(p, 5, 10)
 
     def test_random_tuples(self):
         rng = np.random.default_rng(4177)

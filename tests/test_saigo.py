@@ -103,6 +103,39 @@ class TestCaputoDerivative:
             saigo_caputo_derivative_power(SaigoParams(0.5, -2.5, 0.0), 0.5)
 
 
+class TestPowerDomain:
+    """The operators own the power domain: inside it, an image is whatever
+    power the rule gives, t^(-1) and below included."""
+
+    def test_derivative_image_below_minus_one(self):
+        # the inner integral's domain: rho > -beta - 1 - alpha - gamma = 0.1
+        a, b, g = 0.8, -2.0, 0.1
+        for rho in (0.2, 0.5, 0.9):
+            term = saigo_caputo_derivative_power(SaigoParams(a, b, g), rho)
+            expect = (
+                math.gamma(rho + 1.0) * math.gamma(rho + a + b + g + 1.0)
+                / (math.gamma(rho + b + 1.0) * math.gamma(rho + g + 1.0))
+            )
+            assert term.exponent == rho + b
+            assert term.coeff == pytest.approx(expect, rel=1e-12), rho
+
+    def test_integral_image_below_minus_one(self):
+        # rho = 0.8 > max(0, beta - gamma) = 0.5: the image is t^(-1.2)
+        a, b, g, rho = 0.5, 1.0, 0.5, 0.8
+        term = saigo_integral_power(SaigoParams(a, b, g), rho)
+        expect = (
+            math.gamma(rho) * math.gamma(rho - b + g)
+            / (math.gamma(rho - b) * math.gamma(rho + a + g))
+        )
+        assert term.exponent == pytest.approx(-1.2, abs=1e-15)
+        assert term.coeff == pytest.approx(expect, rel=1e-12)
+
+    def test_composition_outside_the_integral_domain(self):
+        # D t^0.5 = c t^(-1.5), whose integral needs rho = -0.5 > 0
+        with pytest.raises(ParameterError, match="saigo_integral_power: requires rho > 0"):
+            composition_check(SaigoParams(0.8, -2.0, 0.1), 0.5, 1.0)
+
+
 class TestQuadratureCrossCheck:
     def test_half_order_constant(self):
         # RL(1/2) of 1: t^{1/2}/G(3/2)
