@@ -19,9 +19,6 @@ from .processes import (
     PmfTable,
     adm_closed_form_diff,
     kolmogorov_residual,
-    kolmogorov_tail_bound,
-    normalization_residual,
-    pgf_cauchy_residual,
     pmf,
     pmf_table,
     pmf_tail_mass,
@@ -66,10 +63,7 @@ __all__ = [
     "empirical_pmf",
     "falling_factorial",
     "kolmogorov_residual",
-    "kolmogorov_tail_bound",
     "log_gamma",
-    "normalization_residual",
-    "pgf_cauchy_residual",
     "pmf",
     "pmf_table",
     "pmf_tail_mass",

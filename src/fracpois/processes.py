@@ -18,9 +18,10 @@ never overflow, with reciprocal gammas vanishing at poles.  The state
 probability takes f_k = (-1)^n Gamma(k nu + 1)/Gamma(k nu + 1 - n) and
 s = ln n!; the tail mass takes other f_k and s, and the generating function
 is the n = 0 series at x = lam^nu (1-u)^nu t^(-beta).  The decomposition cross-checks below
-evaluate the cache's truncated rows at each time, unsummed: term k of state
-n at t is the k-th iterate c_{n,k} t^{-k beta} (:func:`_state_terms`,
-:meth:`_SeriesTerms.coefficients`).  On beta = -alpha every C_k is
+read the cache's truncated rows at each time, unsummed: term k of state n
+at t is the k-th iterate c_{n,k} t^{-k beta}.  One reader,
+:meth:`_SeriesTerms.state_rows`, forms the rows of states 0 .. n_max
+against one k-part, once per check call.  On beta = -alpha every C_k is
 exactly 1, which yields the tfpp, sfpp and stfpp results; the classical
 variant uses the closed-form Poisson pmf.  The space-fractional variants
 have power-law state tails, so truncating the state index n at N leaves
@@ -223,7 +224,10 @@ class _SeriesTerms:
     being the store's length: :meth:`fill` for a key's row (one loop per
     kind of key; the state loop inlines log_abs_gamma's rule for its
     argument k nu + 1 - n), :meth:`fill_kpart` for a k-part and
-    :meth:`_per_k_to` for ``per_k``.  The ln C_k column continues the
+    :meth:`_per_k_to` for ``per_k``.  The sum step reads and fills the
+    shared k-part; the checks read unsummed rows through
+    :meth:`state_rows`, which fills one k-part of its own per call.  The
+    ln C_k column continues the
     running sum of :func:`fracpois.saigo.ck_log_run` from per_k[start - 1],
     so each C_k factor is evaluated once per parameter set, and only as far
     as a row needs; off the sstfpp variant it is 0.0 (beta = -alpha makes
@@ -289,22 +293,26 @@ class _SeriesTerms:
             entries = self._tail_entries(key[1], start, stop)
         row[2 * start:2 * stop] = entries
 
-    def coefficients(self, key: object, lx: float, stop: int) -> list[float]:
-        """The terms k < stop of key's series at x = e^lx, unsummed: the floats
+    def state_rows(self, n_max: int, lx: float, stop: int) -> list[list[float]]:
+        """The terms k < stop of the series of states 0 .. n_max at x = e^lx,
+        unsummed, one row per state, all read against one k-part: the floats
         :func:`_saigo_series` adds (a vanishing term's ln|f_k| is -inf, so it
         is 0.0); a term past LOG_HUGE raises ConvergenceError, as there."""
-        row, s, _ = self.record(key)
-        if len(row) < 2 * stop:
-            self.fill(key, row, stop)
         kpart: list[float] = []
         self.fill_kpart(kpart, lx, stop)
-        out: list[float] = []
-        for k, part in enumerate(kpart):
-            logmag = part + row[2 * k + 1] - s
-            if logmag > LOG_HUGE:
-                raise ConvergenceError(f"series coefficient overflow at k = {k}")
-            out.append(row[2 * k] * math.exp(logmag))
-        return out
+        rows: list[list[float]] = []
+        for n in range(n_max + 1):
+            row, s, _ = self.record(n)
+            if len(row) < 2 * stop:
+                self.fill(n, row, stop)
+            out: list[float] = []
+            for k, part in enumerate(kpart):
+                logmag = part + row[2 * k + 1] - s
+                if logmag > LOG_HUGE:
+                    raise ConvergenceError(f"series coefficient overflow at k = {k}")
+                out.append(row[2 * k] * math.exp(logmag))
+            rows.append(out)
+        return rows
 
     def _state_entries(self, n: int, start: int, stop: int) -> list[float]:
         # f_k = (-1)^n Gamma(k nu + 1) / Gamma(a), a = k nu + 1 - n, zero at
@@ -573,12 +581,6 @@ def _kahan_sum(values: Iterable[float]) -> float:
     return total
 
 
-def normalization_residual(params: FractionalParams, t: float, n_max: int) -> float:
-    """|sum_{n<=n_max} pmf + tail_mass - 1| at one time point."""
-    table = pmf_table(params, [t], n_max)
-    return abs(_kahan_sum(table.probs[0] + table.tail_mass) - 1.0)
-
-
 def truncated_normalization_residual(
     params: FractionalParams, t: float, n_max: int, max_k: int
 ) -> float:
@@ -595,7 +597,8 @@ def truncated_normalization_residual(
     n_max, max_k = _index(n_max, "n_max"), _index(max_k, "max_k")
     if t == 0.0:
         return 0.0
-    terms = [c for n in range(n_max + 1) for c in _state_terms(params, t, n, max_k)]
+    rows = params._terms.state_rows(n_max, _log_x(params, t), max_k + 1)
+    terms = [c for row in rows for c in row]
     terms.append(pmf_tail_mass(params, t, n_max))
     return abs(_kahan_sum(terms) - 1.0)
 
@@ -626,8 +629,8 @@ def waiting_survival(params: FractionalParams, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Decomposition cross-checks: closed-form iterate coefficients, the governing
-# difference-differential equation, and the generating-function equation.
+# Decomposition cross-checks: closed-form iterate coefficients and the
+# governing difference-differential equation.
 # ---------------------------------------------------------------------------
 
 
@@ -636,17 +639,6 @@ def _log_x(params: FractionalParams, t: float) -> float:
     if not (t > 0.0 and math.isfinite(t)):
         raise ParameterError(f"t must be finite and > 0, got {t!r}")
     return params.nu * math.log(params.lam) - params.beta * math.log(t)
-
-
-def _state_terms(params: FractionalParams, t: float, n: int, k_trunc: int) -> list[float]:
-    """The terms k <= k_trunc of state n's series at time t > 0, unsummed.
-
-    Term k is the k-th decomposition iterate c_{n,k} t^{-k beta} at t, with
-    c_{n,k} = (-1)^n/n! (k nu)_n C_k (-lam^nu)^k/Gamma(1 - k beta): the
-    cache's row at ln x (:func:`_log_x`), which at t = 1 reads the
-    coefficients themselves.
-    """
-    return params._terms.coefficients(n, _log_x(params, t), _index(k_trunc, "k_trunc") + 1)
 
 
 def _coupling_weight(params: FractionalParams, r: int) -> float:
@@ -665,14 +657,13 @@ def kolmogorov_residual(params: FractionalParams, t: float, n: int, k_trunc: int
     over lam^nu D(-k beta) c / x, and annihilates the constant k = 0.  RHS:
     the coupling of states n-r.  On truncated series the two sides agree
     except for the RHS's top order, so the residual is a pure truncation
-    quantity, bounded by :func:`kolmogorov_tail_bound`.  A time with 1/x past
-    HUGE, where the terms have lost their digits to underflow, raises
-    ConvergenceError.
+    quantity.  A time with 1/x past HUGE, where the terms have lost their
+    digits to underflow, raises ConvergenceError.
     """
-    n = _index(n, "state index")
+    n, stop = _index(n, "state index"), _index(k_trunc, "k_trunc") + 1
     sp, beta = params.saigo(), params.beta
-    rows = [_state_terms(params, t, m, k_trunc) for m in range(n + 1)]
     lx = _log_x(params, t)
+    rows = params._terms.state_rows(n, lx, stop)
     if -lx > LOG_HUGE:
         raise ConvergenceError(f"kolmogorov_residual: 1/x overflows at t = {t!r}")
     lhs = math.exp(-lx) * _kahan_sum(
@@ -683,25 +674,6 @@ def kolmogorov_residual(params: FractionalParams, t: float, n: int, k_trunc: int
     return abs(lhs - rhs)
 
 
-def kolmogorov_tail_bound(
-    params: FractionalParams, t: float, n: int, k_trunc: int
-) -> float:
-    """Bound on the residual, in its units: the RHS's unmatched top-order
-    term plus a float-evaluation floor, 64 ulp(1) max(1, scale) max(1, |ln x|),
-    scale being the total evaluated magnitude.  The |ln x| factor covers the
-    log-space rounding: each term is exp of a log-magnitude holding k ln x,
-    whose rounding becomes relative error once the LHS multiplies by 1/x."""
-    n = _index(n, "state index")
-    top = 0.0
-    scale = 0.0
-    for r in range(n + 1):
-        w = abs(_coupling_weight(params, r))
-        terms = _state_terms(params, t, n - r, k_trunc)
-        top += w * abs(terms[-1])
-        scale += w * sum(abs(c) for c in terms)
-    return top + 64.0 * math.ulp(1.0) * max(scale, 1.0) * max(1.0, abs(_log_x(params, t)))
-
-
 def adm_closed_form_diff(params: FractionalParams, n_max: int, k_trunc: int) -> float:
     """Run the decomposition engine on the equation over lam^nu and compare
     every iterate coefficient against the closed-form term at x = 1, so no
@@ -710,6 +682,8 @@ def adm_closed_form_diff(params: FractionalParams, n_max: int, k_trunc: int) -> 
     The engine route applies the Saigo integral k times (the
     Riemann-Liouville integral when beta = -alpha), so it shares no
     arithmetic with the closed-form coefficients, the cache's rows at x = 1.
+    Each iterate's exponent must be -k beta within 1e-9 max(1, |k beta|):
+    past |k beta| ~ 8e6 an absolute 1e-9 is below the exponent's ulp.
     """
     n_max, k_trunc = _index(n_max, "n_max"), _index(k_trunc, "k_trunc")
     sp = params.saigo()
@@ -719,38 +693,14 @@ def adm_closed_form_diff(params: FractionalParams, n_max: int, k_trunc: int) -> 
         k_trunc,
     )
     worst = 0.0
-    for n in range(n_max + 1):
-        for k, closed in enumerate(params._terms.coefficients(n, 0.0, k_trunc + 1)):
+    for n, row in enumerate(params._terms.state_rows(n_max, 0.0, k_trunc + 1)):
+        for k, closed in enumerate(row):
             term = states[n].terms[k]
-            if abs(term.exponent - (-k * params.beta)) > 1e-9:
+            expect = -k * params.beta
+            if abs(term.exponent - expect) > 1e-9 * max(1.0, abs(expect)):
                 raise ConvergenceError(
                     f"adm_closed_form_diff: iterate (n={n}, k={k}) has exponent "
-                    f"{term.exponent}, expected {-k * params.beta}"
+                    f"{term.exponent}, expected {expect}"
                 )
             worst = max(worst, abs(term.coeff - closed) / max(1.0, abs(closed)))
-    return worst
-
-
-def pgf_cauchy_residual(
-    params: FractionalParams, u: float, k_trunc: int
-) -> float:
-    """Coefficient-level residual of the generating-function equation.
-
-    The pgf series G = sum_k a_k t^{-k beta} must satisfy
-    (Saigo-Caputo derivative of G) = -lam^nu (1-u)^nu G; order by order this
-    reads  D-multiplier(-k beta) * a_k = -lam^nu (1-u)^nu * a_{k-1}.
-    Returns the worst |lhs - rhs| / max(1, |rhs|) over k = 1 .. k_trunc.
-    """
-    if not (math.isfinite(u) and abs(u) < 1.0):
-        raise ParameterError(f"pgf_cauchy_residual: requires |u| < 1, got {u!r}")
-    sp = params.saigo()
-    z = params.lam ** params.nu * (1.0 - u) ** params.nu
-    # a_k: the pgf's series terms at t = 1, those of state 0 at x = z
-    a = params._terms.coefficients(0, math.log(z), _index(k_trunc, "k_trunc") + 1)
-    worst = 0.0
-    for k in range(1, len(a)):
-        dmult = saigo_caputo_derivative_power(sp, -k * params.beta).coeff
-        lhs = dmult * a[k]
-        rhs = -z * a[k - 1]
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     return worst

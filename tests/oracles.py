@@ -17,6 +17,13 @@ for the Saigo integral at beta = -alpha, from its own gamma ratio; so is the
 quadrature evaluation of the Saigo integral's defining integral (scipy), the
 oracle for its power rule.
 
+Three checks that no command runs live here too, each reading the package's
+own values: ``normalization_residual`` (the untruncated pmf_table row and
+tail against 1), ``kolmogorov_tail_bound`` (an estimate of the size of
+``kolmogorov_residual``, which undershoots it at some points, so it is no
+threshold for verify) and ``pgf_cauchy_residual`` (the generating-function
+equation order by order).
+
 The one-shot subordination sampler is kept here too: every step of the
 stable draw, the clock and the histogram as one whole-array expression, the
 form the package had before its kernel ran in place block by block.  The
@@ -30,8 +37,22 @@ from typing import Callable
 
 from fracpois.adm import PowerTerm
 from fracpois.errors import ConvergenceError, ParameterError
-from fracpois.processes import VARIANT_TOL, FractionalParams, _check_state
-from fracpois.saigo import SaigoParams, _check_integral_domain, ck_log_coefficients
+from fracpois.processes import (
+    VARIANT_TOL,
+    FractionalParams,
+    _check_state,
+    _coupling_weight,
+    _index,
+    _kahan_sum,
+    _log_x,
+    pmf_table,
+)
+from fracpois.saigo import (
+    SaigoParams,
+    _check_integral_domain,
+    ck_log_coefficients,
+    saigo_caputo_derivative_power,
+)
 from fracpois.simulate import _LAM_CLAMP, _as_rng, _uniform_open
 from fracpois.specfun import LOG_HUGE, SERIES_TOL, TERM_CAP, _kahan_add, log_abs_gamma, log_gamma
 
@@ -287,9 +308,15 @@ def saigo_integral_quadrature(p: SaigoParams, rho: float, t: float) -> float:
             int_0^1 u^{alpha-1} (1-u)^{rho-1} 2F1(alpha+beta, -gamma; alpha; u) du,
 
     evaluated with an adaptive rule carrying the algebraic endpoint weights
-    exactly.  This route shares no gamma-ratio code with
-    ``saigo_integral_power``, which is the point: it is the oracle side of
-    that pair.
+    exactly.  For beta > gamma the 2F1 grows like (1-u)^(gamma-beta) at
+    u = 1, so there the kernel is Euler's transformation,
+
+        2F1(alpha+beta, -gamma; alpha; u)
+            = (1-u)^(gamma-beta) 2F1(-beta, alpha+gamma; alpha; u),
+
+    with (1-u)^(gamma-beta) moved into the endpoint weight.  This route
+    shares no gamma-ratio code with ``saigo_integral_power``, which is the
+    point: it is the oracle side of that pair.
     """
     from scipy import integrate, special
 
@@ -298,12 +325,16 @@ def saigo_integral_quadrature(p: SaigoParams, rho: float, t: float) -> float:
         raise ParameterError(f"saigo_integral_quadrature: t must be > 0, got {t!r}")
 
     a, b, g = p.alpha, p.beta, p.gamma_p
+    if g - b < 0.0:
+        h1, h2, right = -b, a + g, rho - 1.0 + g - b
+    else:
+        h1, h2, right = a + b, -g, rho - 1.0
 
     def kernel(u: float) -> float:
-        return float(special.hyp2f1(a + b, -g, a, u))
+        return float(special.hyp2f1(h1, h2, a, u))
 
     value, abserr = integrate.quad(
-        kernel, 0.0, 1.0, weight="alg", wvar=(a - 1.0, rho - 1.0),
+        kernel, 0.0, 1.0, weight="alg", wvar=(a - 1.0, right),
         epsabs=1e-12, epsrel=1e-9, limit=200,
     )
     if not math.isfinite(value) or abserr > 1e-6 * max(1.0, abs(value)):
@@ -311,6 +342,60 @@ def saigo_integral_quadrature(p: SaigoParams, rho: float, t: float) -> float:
             f"saigo_integral_quadrature: estimated error {abserr:.3e} too large"
         )
     return t ** (rho - b - 1.0) / math.gamma(a) * value
+
+
+def normalization_residual(params: FractionalParams, t: float, n_max: int) -> float:
+    """|sum_{n<=n_max} pmf + tail_mass - 1| at one time point."""
+    table = pmf_table(params, [t], n_max)
+    return abs(_kahan_sum(table.probs[0] + table.tail_mass) - 1.0)
+
+
+def kolmogorov_tail_bound(
+    params: FractionalParams, t: float, n: int, k_trunc: int
+) -> float:
+    """Size of kolmogorov_residual, in its units: the RHS's unmatched top-order
+    term plus a float-evaluation floor, 64 ulp(1) max(1, scale) max(1, |ln x|),
+    scale being the total evaluated magnitude.  The |ln x| factor covers the
+    log-space rounding: each term is exp of a log-magnitude holding k ln x,
+    whose rounding becomes relative error once the LHS multiplies by 1/x.
+    It is an estimate, not a bound: at some sstfpp points the residual
+    exceeds it by up to 1.27 times."""
+    n = _index(n, "state index")
+    lx = _log_x(params, t)
+    rows = params._terms.state_rows(n, lx, _index(k_trunc, "k_trunc") + 1)
+    top = 0.0
+    scale = 0.0
+    for r in range(n + 1):
+        w = abs(_coupling_weight(params, r))
+        terms = rows[n - r]
+        top += w * abs(terms[-1])
+        scale += w * sum(abs(c) for c in terms)
+    return top + 64.0 * math.ulp(1.0) * max(scale, 1.0) * max(1.0, abs(lx))
+
+
+def pgf_cauchy_residual(
+    params: FractionalParams, u: float, k_trunc: int
+) -> float:
+    """Coefficient-level residual of the generating-function equation.
+
+    The pgf series G = sum_k a_k t^{-k beta} must satisfy
+    (Saigo-Caputo derivative of G) = -lam^nu (1-u)^nu G; order by order this
+    reads  D-multiplier(-k beta) * a_k = -lam^nu (1-u)^nu * a_{k-1}.
+    Returns the worst |lhs - rhs| / max(1, |rhs|) over k = 1 .. k_trunc.
+    """
+    if not (math.isfinite(u) and abs(u) < 1.0):
+        raise ParameterError(f"pgf_cauchy_residual: requires |u| < 1, got {u!r}")
+    sp = params.saigo()
+    z = params.lam ** params.nu * (1.0 - u) ** params.nu
+    # a_k: the pgf's series terms at t = 1, those of state 0 at x = z
+    a = params._terms.state_rows(0, math.log(z), _index(k_trunc, "k_trunc") + 1)[0]
+    worst = 0.0
+    for k in range(1, len(a)):
+        dmult = saigo_caputo_derivative_power(sp, -k * params.beta).coeff
+        lhs = dmult * a[k]
+        rhs = -z * a[k - 1]
+        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+    return worst
 
 
 def stable_standard(nu: float, rng, size: int):

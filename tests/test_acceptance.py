@@ -16,9 +16,6 @@ from fracpois.processes import (
     FractionalParams,
     adm_closed_form_diff,
     kolmogorov_residual,
-    kolmogorov_tail_bound,
-    normalization_residual,
-    pgf_cauchy_residual,
     poisson_pmf,
     sstfpp_pgf,
     waiting_survival,
@@ -26,7 +23,16 @@ from fracpois.processes import (
 from fracpois.saigo import SaigoParams, composition_check, saigo_integral_power, \
     semigroup_counterexample
 from fracpois.simulate import chi_square_gof, empirical_pmf
-from oracles import saigo_integral_quadrature, sfpp_pmf, sstfpp_pmf, stfpp_pmf, tfpp_pmf
+from oracles import (
+    kolmogorov_tail_bound,
+    normalization_residual,
+    pgf_cauchy_residual,
+    saigo_integral_quadrature,
+    sfpp_pmf,
+    sstfpp_pmf,
+    stfpp_pmf,
+    tfpp_pmf,
+)
 
 
 def report(criterion: int, label: str, ok: bool, detail: str) -> None:

@@ -39,6 +39,20 @@ def test_all_names_resolve():
     assert [name for name in fracpois.__all__ if not hasattr(fracpois, name)] == []
 
 
+def test_public_names_are_pinned():
+    # a public name is added or removed on purpose: edit this list with it
+    assert sorted(fracpois.__all__) == [
+        "ConvergenceError", "EmpiricalPmf", "FracpoisError", "FractionalParams",
+        "ParameterError", "PmfTable", "PowerSeries", "PowerTerm", "SaigoParams",
+        "UnsupportedVariantError", "adm_closed_form_diff", "adm_solve_linear",
+        "chi_square_gof", "composition_check", "empirical_pmf", "falling_factorial",
+        "kolmogorov_residual", "log_gamma", "pmf", "pmf_table", "pmf_tail_mass",
+        "poisson_pmf", "saigo_caputo_derivative_power", "saigo_integral_power",
+        "sample_inverse_stable", "sample_process", "sample_stable",
+        "semigroup_counterexample", "sstfpp_pgf", "waiting_survival",
+    ]
+
+
 def test_traced_names_exist():
     # bench/tracer.py wraps these by (module, name); a deleted or renamed
     # function would otherwise only show up as a failed traced run

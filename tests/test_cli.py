@@ -10,6 +10,7 @@ import pytest
 
 import fracpois.cli
 import fracpois.simulate
+from fracpois import processes
 from fracpois.cli import main
 from fracpois.processes import (
     FractionalParams,
@@ -346,6 +347,43 @@ class TestVerifyCommand:
         assert (code, out) == (3, "")
         assert "convergence failure" in err
         assert "coefficient overflow at iterate k=8" in err
+
+    def test_one_k_part_per_check_call(self, capsys, monkeypatch):
+        # each check call reads its states' unsummed terms against one
+        # k-part of its own; the sum step's shared k-part is not counted
+        fills, calls = [], []
+        fill_kpart = processes._SeriesTerms.fill_kpart
+
+        def counting_fill(self, kpart, lx, stop):
+            if kpart is not self.kpart[1]:
+                fills.append(stop)
+            fill_kpart(self, kpart, lx, stop)
+
+        monkeypatch.setattr(processes._SeriesTerms, "fill_kpart", counting_fill)
+        for name in ("truncated_normalization_residual", "kolmogorov_residual",
+                     "adm_closed_form_diff"):
+            def counting(*args, check=getattr(fracpois.cli, name)):
+                calls.append(check.__name__)
+                return check(*args)
+            monkeypatch.setattr(fracpois.cli, name, counting)
+        code, _, err = run(
+            capsys, "verify", "--variant", "tfpp", "--alpha", "0.6", "-t", "3", "--n-max", "25"
+        )
+        assert (code, err) == (0, "")
+        # one time: normalization once, the equation for n = 0 .. 5, the engine once
+        assert len(calls) == 8
+        assert len(fills) == len(calls)
+
+    def test_large_beta_loses_digits_and_exits_1(self, capsys):
+        # |k beta| ~ 7e8: the engine's exponents match -k beta to rounding,
+        # and the digits lost to the huge gamma arguments fail three checks
+        code, out, err = run(
+            capsys, "verify", "--variant", "sstfpp", "--alpha", "0.8", "--nu", "0.6",
+            "--beta=-123456789.123", "--gamma", "0.1", "-t", "1",
+        )
+        assert (code, err) == (1, "")
+        failed = [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
+        assert failed == ["adm_closed_form", "kolmogorov", "composition"]
 
     @pytest.mark.parametrize(
         "argv",

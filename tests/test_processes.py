@@ -17,9 +17,6 @@ from fracpois.processes import (
     adm_closed_form_diff,
     composition_tuples_residual,
     kolmogorov_residual,
-    kolmogorov_tail_bound,
-    normalization_residual,
-    pgf_cauchy_residual,
     pmf,
     pmf_table,
     pmf_tail_mass,
@@ -30,8 +27,11 @@ from fracpois.processes import (
 )
 from fracpois.saigo import SaigoParams, ck_log_run, saigo_integral_power
 from oracles import (
+    kolmogorov_tail_bound,
     ml_half,
+    normalization_residual,
     panjer_sfpp,
+    pgf_cauchy_residual,
     sfpp_pmf,
     sstfpp_pmf,
     stfpp_pmf,
@@ -51,11 +51,18 @@ CLASSICAL = FractionalParams(1.0)
 NU_HALF = FractionalParams(1.0, alpha=0.8, nu=0.5, beta=-0.6, gamma_p=0.2)
 # beta = -1.5: t^1.5 underflows at t = 1e-300 and overflows at t = 1e300
 BETA_15 = FractionalParams(1.0, alpha=0.8, nu=0.6, beta=-1.5, gamma_p=0.1)
+# |beta| ~ 1.2e8: an iterate exponent -k beta is past 1e8, its ulp past 1e-8
+LARGE_BETA = FractionalParams(1.0, alpha=0.8, nu=0.6, beta=-123456789.123, gamma_p=0.1)
 
 
 def mittag_leffler_neg(alpha, z):
     """E_alpha(-z) for z > 0: the printed tfpp formula's state 0 at lam = z, t = 1."""
     return tfpp_pmf(FractionalParams(z, alpha=alpha), 1.0, 0)
+
+
+def state_terms(params, t, n, k_trunc):
+    """State n's terms k <= k_trunc at t > 0, unsummed: row n of the checks' reader."""
+    return params._terms.state_rows(n, processes._log_x(params, t), k_trunc + 1)[n]
 
 
 class TestFractionalParams:
@@ -856,7 +863,7 @@ class TestClosedIterates:
     def test_rl_zero_state_coefficients(self):
         # for beta = -alpha, C_k = 1 and the n = 0 coefficients are
         # (-lam^nu)^k / Gamma(k alpha + 1)
-        terms = processes._state_terms(STFPP, 1.0, 0, 8)
+        terms = state_terms(STFPP, 1.0, 0, 8)
         assert len(terms) == 9
         for k, c in enumerate(terms):
             expect = (-(STFPP.lam ** STFPP.nu)) ** k / math.gamma(k * STFPP.alpha + 1.0)
@@ -865,16 +872,16 @@ class TestClosedIterates:
     def test_integer_nu_triangularity(self):
         p = FractionalParams(1.0, alpha=0.7, nu=1.0)
         # (k)_n vanishes for k < n: state n gets no contribution before step n
-        terms = processes._state_terms(p, 1.0, 3, 6)
+        terms = state_terms(p, 1.0, 3, 6)
         assert [k for k, c in enumerate(terms) if c != 0.0] == [3, 4, 5, 6]
 
     def test_coefficient_overflow_is_a_convergence_error(self):
         # lam^nu = 1e12: the k = 40 coefficient is about 1e450
         with pytest.raises(ConvergenceError):
-            processes._state_terms(FractionalParams(1e20, alpha=0.7, nu=0.6), 1.0, 0, 40)
+            state_terms(FractionalParams(1e20, alpha=0.7, nu=0.6), 1.0, 0, 40)
 
     def test_state_terms_sum_to_pmf(self):
-        terms = processes._state_terms(SSTFPP, 1.0, 2, 60)
+        terms = state_terms(SSTFPP, 1.0, 2, 60)
         assert math.fsum(terms) == pytest.approx(pmf(SSTFPP, 1.0, 2), abs=1e-12)
 
     @pytest.mark.parametrize("params", [STFPP, SSTFPP], ids=lambda p: p.variant)
@@ -882,8 +889,8 @@ class TestClosedIterates:
     def test_terms_at_a_time_are_the_coefficients_times_powers(self, params, t):
         # term k at t is c_{n,k} t^{-k beta}, c_{n,k} being the term at t = 1
         for n in range(4):
-            at_t = processes._state_terms(params, t, n, 30)
-            at_one = processes._state_terms(params, 1.0, n, 30)
+            at_t = state_terms(params, t, n, 30)
+            at_one = state_terms(params, 1.0, n, 30)
             scaled = [c * t ** (-k * params.beta) for k, c in enumerate(at_one)]
             tol = 1e-13 * max(1.0, math.fsum(abs(c) for c in at_t))
             assert abs(math.fsum(at_t) - math.fsum(scaled)) <= tol, (n, t)
@@ -891,7 +898,7 @@ class TestClosedIterates:
     def test_rejects_a_nonpositive_time(self):
         for t in (0.0, -1.0, math.inf):
             with pytest.raises(ParameterError):
-                processes._state_terms(STFPP, t, 0, 5)
+                state_terms(STFPP, t, 0, 5)
 
     def test_residuals_build_no_power_series(self, monkeypatch):
         # the checks read the cache's terms at each time directly
@@ -1021,6 +1028,24 @@ class TestEngineAgainstClosedForm:
         p = FractionalParams(1.0, alpha=0.3, nu=0.6, beta=-3.0, gamma_p=1e15)
         with pytest.raises(ConvergenceError, match="coefficient overflow at iterate k=8"):
             adm_closed_form_diff(p, 5, 10)
+
+    def test_exponent_compared_relative_to_its_size(self):
+        # |k beta| ~ 7e8, where an absolute 1e-9 is below the exponent's ulp:
+        # the exponents agree to rounding, and the coefficients' lost digits
+        # show in the residual instead
+        diff = adm_closed_form_diff(LARGE_BETA, 5, 10)
+        assert math.isfinite(diff) and diff > 1e-10
+
+    @pytest.mark.parametrize("params", [SSTFPP, LARGE_BETA], ids=["sstfpp", "large-beta"])
+    def test_shifted_exponent_raises(self, monkeypatch, params):
+        # an engine whose exponents drift by a relative 1e-6 is still caught
+        def shifted(sp, rho):
+            image = saigo_integral_power(sp, rho)
+            return adm.PowerTerm(image.coeff, image.exponent * (1.0 + 1e-6))
+
+        monkeypatch.setattr(processes, "saigo_integral_power", shifted)
+        with pytest.raises(ConvergenceError, match=r"iterate \(n=0, k=1\) has exponent"):
+            adm_closed_form_diff(params, 5, 10)
 
     def test_random_tuples(self):
         rng = np.random.default_rng(4177)

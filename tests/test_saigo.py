@@ -149,12 +149,18 @@ class TestQuadratureCrossCheck:
 
     def test_against_power_rule(self):
         rng = np.random.default_rng(31)
+        points = []
         for _ in range(12):
             alpha = rng.uniform(0.3, 1.5)
             gamma_p = rng.uniform(0.0, 0.8)
             beta = rng.uniform(-1.0, gamma_p - 0.05)
             rho = rng.uniform(0.3, 2.5)
             t = rng.uniform(0.5, 2.0)
+            points.append((alpha, beta, gamma_p, rho, t))
+        # beta > gamma, where the quadrature's kernel is Euler's transformation
+        points += [(0.5, 1.0, 0.5, 0.8, 1.0), (0.8, 0.6, 0.1, 1.2, 1.7),
+                   (1.3, 0.4, 0.0, 0.9, 0.6), (0.4, 2.0, 0.3, 2.5, 1.2)]
+        for alpha, beta, gamma_p, rho, t in points:
             p = SaigoParams(alpha, beta, gamma_p)
             lemma = saigo_integral_power(p, rho)
             direct = saigo_integral_quadrature(p, rho, t)
