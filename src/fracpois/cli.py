@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass
 
 from .errors import ConvergenceError, ParameterError, UnsupportedVariantError
 from .processes import (
+    VARIANT_TOL,
     FractionalParams,
     _state_series,
     adm_closed_form_diff,
@@ -171,7 +172,7 @@ def _resolve(args: argparse.Namespace, flags: dict[str, argparse.Action]) -> Run
     for name in ("alpha", "nu", "beta", "gamma_p"):
         if name in pinned:
             given = explicit.get(name)
-            if given is not None and not math.isclose(given, pinned[name], abs_tol=1e-12):
+            if given is not None and abs(given - pinned[name]) > VARIANT_TOL:
                 raise ParameterError(
                     f"--{name.replace('_p', '')} = {given} conflicts with "
                     f"variant {variant} (requires {pinned[name]})"

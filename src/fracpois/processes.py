@@ -17,11 +17,10 @@ log-magnitude/sign form so that huge numerators against huge denominators
 never overflow, with reciprocal gammas vanishing at poles.  The state
 probability takes f_k = (-1)^n Gamma(k nu + 1)/Gamma(k nu + 1 - n) and
 s = ln n!; the tail mass takes other f_k and s, and the generating function
-is the n = 0 series at x = lam^nu (1-u)^nu t^(-beta).  The decomposition cross-checks below
-read the cache's truncated rows at each time, unsummed: term k of state n
-at t is the k-th iterate c_{n,k} t^{-k beta}.  One reader,
-:meth:`_SeriesTerms.state_rows`, forms the rows of states 0 .. n_max
-against one k-part, once per check call.  On beta = -alpha every C_k is
+is the n = 0 series at x = lam^nu (1-u)^nu t^(-beta).  The decomposition
+cross-checks below read the kernel's own terms at the kernel's own x,
+unsummed (:meth:`_SeriesTerms.state_rows`): term k of state n at t is the
+k-th iterate c_{n,k} t^{-k beta}.  On beta = -alpha every C_k is
 exactly 1, which yields the tfpp, sfpp and stfpp results; the classical
 variant uses the closed-form Poisson pmf.  The space-fractional variants
 have power-law state tails, so truncating the state index n at N leaves
@@ -37,15 +36,14 @@ row needs, and per series key its s, k_min and row of sign and ln|f_k|.  Each
 :class:`FractionalParams` owns one, created on first use, and every entry
 point evaluated on it (:func:`pmf`, :func:`pmf_tail_mass`,
 :func:`sstfpp_pgf`, :func:`waiting_survival` and :func:`pmf_table`) shares
-it, so that work runs once per parameter set.  The
-cache lives and dies with the params object (a pickle or copy of it starts
-empty); it grows with the set of states and tail cut-offs evaluated on
-that object, one row each.  Rows are filled in batches, one loop per
-kind of series over a run of k.  The k-part of a term, (ln C_k + k ln x) -
-ln Gamma(1 - k beta), is the same for every series at one x, so it is kept
-for the last x evaluated and shared by the states and the tail of one time.
-:func:`pmf_table` forms x once per time and calls the sum step for each
-state and the tail.
+it, so that work runs once per parameter set.  The cache lives and dies
+with the params object (a pickle or copy of it starts empty); it grows with
+the set of states and tail cut-offs evaluated on that object, one row each.
+Rows are filled in batches, one loop per kind of series over a run of k.
+The k-part of a term, (ln C_k + k ln x) - ln Gamma(1 - k beta), is the same
+for every series at one x, so it is kept for the last x evaluated and shared
+by the states, the tail and the checks of one time.  :func:`pmf_table`
+forms x once per time and calls the sum step for each state and the tail.
 The cache needs no lock: every fill ends in one slice store of the values
 any thread would compute for those slots, and no list a reader holds ever
 shrinks (see :class:`_SeriesTerms`).  A term is formed from the same floats
@@ -76,6 +74,7 @@ from .saigo import (
     saigo_integral_power,
 )
 from .specfun import (
+    HUGE,
     LOG_HUGE,
     POLE_TOL,
     ROUNDING_TOL,
@@ -99,12 +98,10 @@ class FractionalParams:
     arguments of C_k, positive.
 
     Each instance owns one term cache (``_terms``, a :class:`_SeriesTerms`)
-    that the series entry points evaluated on it share.  It is created on
-    first use, lives and dies with the instance, and is no part of its
-    equality, hash, repr or pickle; ``dataclasses.replace``, ``copy`` and
-    unpickling start a fresh one.  It grows with the set of states and tail
-    cut-offs evaluated on the instance.  It needs no lock,
-    because concurrent fills only repeat work and store equal values (see
+    that the series entry points and checks evaluated on it share.  It is
+    created on first use, lives and dies with the instance, and is no part
+    of its equality, hash, repr or pickle; ``dataclasses.replace``, ``copy``
+    and unpickling start a fresh one.  It needs no lock (see
     :class:`_SeriesTerms`).
     """
 
@@ -212,9 +209,10 @@ class _SeriesTerms:
       :meth:`record` when the key is first used; the row holds flat at
       row[2k] and row[2k+1] the sign of f_k times (-1)^k (0.0 where f_k
       vanishes) and ln|f_k|;
-    * ``kpart`` = (x, its k-part) for the last x evaluated; k-part[k] =
-      (ln C_k + k ln x) - ln Gamma(1 - k beta) is the same float for every
-      key at one x, so the states and the tail of one time share it.
+    * ``kpart`` = (x, its k-part) for the last x evaluated, the one k-part
+      store; k-part[k] = (ln C_k + k ln x) - ln Gamma(1 - k beta) is the
+      same float for every key at one x, so the states, the tail and the
+      checks of one time share it.
 
     A term's log-magnitude is k-part[k] + ln|f_k| - s: the same floats added
     in the same order as forming the whole sum afresh, so a cached term is
@@ -223,12 +221,10 @@ class _SeriesTerms:
     Each store grows by batch fills of the entries [start, stop), start
     being the store's length: :meth:`fill` for a key's row (one loop per
     kind of key; the state loop inlines log_abs_gamma's rule for its
-    argument k nu + 1 - n), :meth:`fill_kpart` for a k-part and
-    :meth:`_per_k_to` for ``per_k``.  The sum step reads and fills the
-    shared k-part; the checks read unsummed rows through
-    :meth:`state_rows`, which fills one k-part of its own per call.  The
-    ln C_k column continues the
-    running sum of :func:`fracpois.saigo.ck_log_run` from per_k[start - 1],
+    argument k nu + 1 - n), :meth:`fill_kpart` for the k-part and
+    :meth:`_per_k_to` for ``per_k``.  The sum step and the checks' reader,
+    :meth:`state_rows`, both read and fill the one k-part.  The ln C_k
+    column continues the running sum of :func:`fracpois.saigo.ck_log_run` from per_k[start - 1],
     so each C_k factor is evaluated once per parameter set, and only as far
     as a row needs; off the sstfpp variant it is 0.0 (beta = -alpha makes
     every factor of the product Gamma(1+g+j a)/Gamma(1+g+j a)).
@@ -242,9 +238,9 @@ class _SeriesTerms:
     first and otherwise overwrites the equal values another thread stored
     (an append would put a late duplicate at the wrong k).  A record is
     stored by setdefault, so every thread reads the first one made for its
-    key.  The (x, k-part)
-    pair is replaced whole and read through a local, so a series fills and
-    reads the k-part of its own x.  No list a reader holds ever shrinks: a
+    key.  The (x, k-part) pair is replaced whole, and :meth:`fill_kpart`
+    returns the list it filled, so a series reads the k-part of its own x.
+    No list a reader holds ever shrinks: a
     race can only repeat work; it never changes a value.
     """
 
@@ -277,12 +273,19 @@ class _SeriesTerms:
         n = key if type(key) is int else key[1]
         return self.rows.setdefault(key, ([], math.lgamma(n + 1.0), int(n / self.nu) + 2))
 
-    def fill_kpart(self, kpart: list[float], lx: float, stop: int) -> None:
-        """Fill the k-part of x = e^lx up to k = stop - 1."""
+    def fill_kpart(self, x: float, stop: int) -> list[float]:
+        """The shared k-part of x > 0, begun afresh at a new x, filled up to k = stop - 1."""
+        pair = self.kpart
+        if pair[0] != x:
+            pair = (x, [])
+            self.kpart = pair
+        kpart = pair[1]
         start = len(kpart)
         per_k = self._per_k_to(stop)
+        lx = math.log(x)
         kpart[start:stop] = [lnck + k * lx - lg
                              for k, (lnck, lg, _) in enumerate(per_k[start:stop], start)]
+        return kpart
 
     def fill(self, key: object, row: list[float], stop: int) -> None:
         """Fill key's row up to k = stop - 1."""
@@ -293,20 +296,19 @@ class _SeriesTerms:
             entries = self._tail_entries(key[1], start, stop)
         row[2 * start:2 * stop] = entries
 
-    def state_rows(self, n_max: int, lx: float, stop: int) -> list[list[float]]:
-        """The terms k < stop of the series of states 0 .. n_max at x = e^lx,
-        unsummed, one row per state, all read against one k-part: the floats
-        :func:`_saigo_series` adds (a vanishing term's ln|f_k| is -inf, so it
-        is 0.0); a term past LOG_HUGE raises ConvergenceError, as there."""
-        kpart: list[float] = []
-        self.fill_kpart(kpart, lx, stop)
+    def state_rows(self, n_max: int, x: float, stop: int) -> list[list[float]]:
+        """The terms k < stop of the series of states 0 .. n_max at x > 0,
+        unsummed, one row per state, read against the shared k-part: the floats
+        :func:`_saigo_series` adds at x (a vanishing term's ln|f_k| is -inf, so
+        it is 0.0); a term past LOG_HUGE raises ConvergenceError, as there."""
+        kpart = self.fill_kpart(x, stop)
         rows: list[list[float]] = []
         for n in range(n_max + 1):
             row, s, _ = self.record(n)
             if len(row) < 2 * stop:
                 self.fill(n, row, stop)
             out: list[float] = []
-            for k, part in enumerate(kpart):
+            for k, part in enumerate(kpart[:stop]):
                 logmag = part + row[2 * k + 1] - s
                 if logmag > LOG_HUGE:
                     raise ConvergenceError(f"series coefficient overflow at k = {k}")
@@ -401,10 +403,7 @@ def _saigo_series(terms: _SeriesTerms, key: object, x: float, label: str) -> tup
             terms.fill(key, row, 1)
         return row[0] * math.exp(row[1] - s), 0
     pair = terms.kpart
-    if pair[0] != x:
-        pair = (x, [])
-        terms.kpart = pair
-    kpart = pair[1]
+    kpart = pair[1] if pair[0] == x else []  # another x's: the fill below begins x's
     exp, huge, tol, gate = math.exp, LOG_HUGE, SERIES_TOL, _ROUNDING_GATE
     total, comp, err = 0.0, 0.0, 0.0
     prev = math.inf
@@ -448,7 +447,7 @@ def _saigo_series(terms: _SeriesTerms, key: object, x: float, label: str) -> tup
         if len(kpart) < need:
             # as far as any row goes, so that the next series at this x may
             # read on without a C_k factor no row needed
-            terms.fill_kpart(kpart, math.log(x), max(len(row) >> 1, len(terms.per_k)))
+            kpart = terms.fill_kpart(x, max(len(row) >> 1, len(terms.per_k)))
     raise ConvergenceError(f"{label}: no convergence within {TERM_CAP} terms")
 
 
@@ -460,6 +459,8 @@ def poisson_pmf(lam: float, t: float, n: int) -> float:
     if t == 0.0:
         return 1.0 if n == 0 else 0.0
     m = lam * t
+    if m == math.inf:  # e^-m underflowed long before; 0 ln(inf) would be nan
+        return 0.0
     return math.exp(n * math.log(m) - m - math.lgamma(n + 1.0))
 
 
@@ -591,13 +592,15 @@ def truncated_normalization_residual(
     identity holds order-by-order) and hide any truncation error.  Pairing
     the truncated rows with the exact tail makes an inadequate max_k show
     up as a normalization failure.  The CLI's verify command takes this
-    route at the largest order the states' series stopped at.
+    route at the largest order the states' series stopped at.  At x = 0 (t =
+    0, or x underflowed) the series keep only p_0 = 1: the residual is 0.
     """
     _check_state(t, 0)
     n_max, max_k = _index(n_max, "n_max"), _index(max_k, "max_k")
-    if t == 0.0:
+    x = _series_x(params._terms, params.lam ** params.nu, t, "truncated_normalization_residual")
+    if x == 0.0:
         return 0.0
-    rows = params._terms.state_rows(n_max, _log_x(params, t), max_k + 1)
+    rows = params._terms.state_rows(n_max, x, max_k + 1)
     terms = [c for row in rows for c in row]
     terms.append(pmf_tail_mass(params, t, n_max))
     return abs(_kahan_sum(terms) - 1.0)
@@ -634,13 +637,6 @@ def waiting_survival(params: FractionalParams, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _log_x(params: FractionalParams, t: float) -> float:
-    """ln x = nu ln lam - beta ln t at a time t > 0, formed without x (it may underflow)."""
-    if not (t > 0.0 and math.isfinite(t)):
-        raise ParameterError(f"t must be finite and > 0, got {t!r}")
-    return params.nu * math.log(params.lam) - params.beta * math.log(t)
-
-
 def _coupling_weight(params: FractionalParams, r: int) -> float:
     """(-1)^(r+1) (nu)_r / r!, the coupling to state n-r of the governing
     equation divided by lam^nu: the checks see lam only through x."""
@@ -661,15 +657,17 @@ def kolmogorov_residual(params: FractionalParams, t: float, n: int, k_trunc: int
     digits to underflow, raises ConvergenceError.
     """
     n, stop = _index(n, "state index"), _index(k_trunc, "k_trunc") + 1
-    sp, beta = params.saigo(), params.beta
-    lx = _log_x(params, t)
-    rows = params._terms.state_rows(n, lx, stop)
-    if -lx > LOG_HUGE:
+    if not (t > 0.0 and math.isfinite(t)):
+        raise ParameterError(f"t must be finite and > 0, got {t!r}")
+    sp, beta, terms = params.saigo(), params.beta, params._terms
+    x = _series_x(terms, params.lam ** params.nu, t, "kolmogorov_residual")
+    if x < 1.0 / HUGE:
         raise ConvergenceError(f"kolmogorov_residual: 1/x overflows at t = {t!r}")
-    lhs = math.exp(-lx) * _kahan_sum(
+    rows = terms.state_rows(n, x, stop)
+    lhs = _kahan_sum(
         saigo_caputo_derivative_power(sp, -k * beta).coeff * c
         for k, c in enumerate(rows[n]) if k and c != 0.0
-    )
+    ) / x
     rhs = _kahan_sum(_coupling_weight(params, r) * _kahan_sum(rows[n - r]) for r in range(n + 1))
     return abs(lhs - rhs)
 
@@ -693,7 +691,7 @@ def adm_closed_form_diff(params: FractionalParams, n_max: int, k_trunc: int) -> 
         k_trunc,
     )
     worst = 0.0
-    for n, row in enumerate(params._terms.state_rows(n_max, 0.0, k_trunc + 1)):
+    for n, row in enumerate(params._terms.state_rows(n_max, 1.0, k_trunc + 1)):
         for k, closed in enumerate(row):
             term = states[n].terms[k]
             expect = -k * params.beta

@@ -44,7 +44,7 @@ from fracpois.processes import (
     _coupling_weight,
     _index,
     _kahan_sum,
-    _log_x,
+    _series_x,
     pmf_table,
 )
 from fracpois.saigo import (
@@ -361,8 +361,10 @@ def kolmogorov_tail_bound(
     It is an estimate, not a bound: at some sstfpp points the residual
     exceeds it by up to 1.27 times."""
     n = _index(n, "state index")
-    lx = _log_x(params, t)
-    rows = params._terms.state_rows(n, lx, _index(k_trunc, "k_trunc") + 1)
+    if not (t > 0.0 and math.isfinite(t)):
+        raise ParameterError(f"t must be finite and > 0, got {t!r}")
+    x = _series_x(params._terms, params.lam ** params.nu, t, "kolmogorov_tail_bound")
+    rows = params._terms.state_rows(n, x, _index(k_trunc, "k_trunc") + 1)
     top = 0.0
     scale = 0.0
     for r in range(n + 1):
@@ -370,7 +372,7 @@ def kolmogorov_tail_bound(
         terms = rows[n - r]
         top += w * abs(terms[-1])
         scale += w * sum(abs(c) for c in terms)
-    return top + 64.0 * math.ulp(1.0) * max(scale, 1.0) * max(1.0, abs(lx))
+    return top + 64.0 * math.ulp(1.0) * max(scale, 1.0) * max(1.0, abs(math.log(x)))
 
 
 def pgf_cauchy_residual(
@@ -388,7 +390,7 @@ def pgf_cauchy_residual(
     sp = params.saigo()
     z = params.lam ** params.nu * (1.0 - u) ** params.nu
     # a_k: the pgf's series terms at t = 1, those of state 0 at x = z
-    a = params._terms.state_rows(0, math.log(z), _index(k_trunc, "k_trunc") + 1)[0]
+    a = params._terms.state_rows(0, z, _index(k_trunc, "k_trunc") + 1)[0]
     worst = 0.0
     for k in range(1, len(a)):
         dmult = saigo_caputo_derivative_power(sp, -k * params.beta).coeff

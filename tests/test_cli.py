@@ -118,12 +118,17 @@ class TestPmfCommand:
         assert len(doc["rows"]) == 2
 
     def test_pinned_parameter_conflict(self, capsys):
-        code, out, err = run(
-            capsys, "pmf", "--variant", "classical", "--alpha", "0.5", "-t", "1"
-        )
-        assert code == 2
-        assert out == ""
-        assert "conflicts with variant classical" in err
+        # a pinned value is compared with the classification's VARIANT_TOL:
+        # 1 + 9e-10 is within a relative 1e-9 of 1, and still a conflict
+        for variant, flag, value in (
+            ("classical", "--alpha", "0.5"),
+            ("sfpp", "--alpha", "1.0000000009"),
+            ("tfpp", "--nu", "0.9999999995"),
+        ):
+            code, out, err = run(capsys, "pmf", "--variant", variant, flag, value, "-t", "1")
+            assert code == 2
+            assert out == ""
+            assert f"conflicts with variant {variant}" in err
 
     def test_bad_lambda_exits_2(self, capsys):
         code, out, err = run(capsys, "pmf", "--lam", "-3", "-t", "1")
@@ -219,6 +224,14 @@ class TestSurvivalAndPgf:
         )
         assert code == 0
         assert out == "t,survival\n2,0.1353352832366109\n"
+
+    def test_classical_survival_past_float_range(self, capsys):
+        # lam t overflows to inf: e^{-lam t} is 0, not nan
+        code, out, err = run(
+            capsys, "survival", "--variant", "classical", "--lam", "1e200", "-t", "1e200"
+        )
+        assert (code, err) == (0, "")
+        assert out == "t,survival\n9.9999999999999997e+199,0\n"
 
     def test_pgf_golden(self, capsys):
         code, out, _ = run(capsys, "pgf", "-u", "0.4", "-t", "1")
@@ -348,23 +361,28 @@ class TestVerifyCommand:
         assert "convergence failure" in err
         assert "coefficient overflow at iterate k=8" in err
 
-    def test_one_k_part_per_check_call(self, capsys, monkeypatch):
-        # each check call reads its states' unsummed terms against one
-        # k-part of its own; the sum step's shared k-part is not counted
-        fills, calls = [], []
+    def test_check_calls_fill_no_k_part_of_their_own(self, capsys, monkeypatch):
+        # the checks read the sum step's shared k-part at the kernel's x, so
+        # at the time's x they fill none of it; the engine's rows at x = 1
+        # are the one k-part a check call fills
+        fills, calls, inside = [], [], []
         fill_kpart = processes._SeriesTerms.fill_kpart
 
-        def counting_fill(self, kpart, lx, stop):
-            if kpart is not self.kpart[1]:
-                fills.append(stop)
-            fill_kpart(self, kpart, lx, stop)
+        def counting_fill(self, x, stop):
+            if inside and x != 1.0 and (self.kpart[0] != x or len(self.kpart[1]) < stop):
+                fills.append((x, stop))
+            return fill_kpart(self, x, stop)
 
         monkeypatch.setattr(processes._SeriesTerms, "fill_kpart", counting_fill)
         for name in ("truncated_normalization_residual", "kolmogorov_residual",
                      "adm_closed_form_diff"):
             def counting(*args, check=getattr(fracpois.cli, name)):
                 calls.append(check.__name__)
-                return check(*args)
+                inside.append(check)
+                try:
+                    return check(*args)
+                finally:
+                    inside.pop()
             monkeypatch.setattr(fracpois.cli, name, counting)
         code, _, err = run(
             capsys, "verify", "--variant", "tfpp", "--alpha", "0.6", "-t", "3", "--n-max", "25"
@@ -372,7 +390,7 @@ class TestVerifyCommand:
         assert (code, err) == (0, "")
         # one time: normalization once, the equation for n = 0 .. 5, the engine once
         assert len(calls) == 8
-        assert len(fills) == len(calls)
+        assert fills == []
 
     def test_large_beta_loses_digits_and_exits_1(self, capsys):
         # |k beta| ~ 7e8: the engine's exponents match -k beta to rounding,

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import math
 import pickle
+import random
 import sys
 import threading
 import time
@@ -60,9 +61,14 @@ def mittag_leffler_neg(alpha, z):
     return tfpp_pmf(FractionalParams(z, alpha=alpha), 1.0, 0)
 
 
+def series_x(params, t):
+    """The kernel's series argument x = lam^nu t^(-beta) at t."""
+    return processes._series_x(params._terms, params.lam ** params.nu, t, "test")
+
+
 def state_terms(params, t, n, k_trunc):
     """State n's terms k <= k_trunc at t > 0, unsummed: row n of the checks' reader."""
-    return params._terms.state_rows(n, processes._log_x(params, t), k_trunc + 1)[n]
+    return params._terms.state_rows(n, series_x(params, t), k_trunc + 1)[n]
 
 
 class TestFractionalParams:
@@ -181,6 +187,13 @@ class TestPoisson:
     def test_normalizes(self):
         total = sum(poisson_pmf(1.5, 2.0, n) for n in range(80))
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_overflowed_mean_is_zero(self):
+        # lam t = inf: the 0.0 of lam t = 1e300, not 0 ln(inf) = nan
+        for n in (0, 1, 5):
+            assert poisson_pmf(1e200, 1e200, n) == poisson_pmf(1e150, 1e150, n) == 0.0
+        p = FractionalParams(1e200)
+        assert pmf(p, 1e200, 0) == waiting_survival(p, 1e200) == 0.0
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan], ids=repr)
     def test_rejects_bad_lambda(self, lam):
@@ -895,10 +908,38 @@ class TestClosedIterates:
             tol = 1e-13 * max(1.0, math.fsum(abs(c) for c in at_t))
             assert abs(math.fsum(at_t) - math.fsum(scaled)) <= tol, (n, t)
 
+    def test_checks_read_the_floats_pmf_prints(self):
+        # at each answered point of a seeded sample, state n's terms up to
+        # the k its series stopped at, read by the checks' reader at the
+        # kernel's x, sum to pmf's float bit for bit
+        rng = random.Random(28)
+        answered = 0
+        for _ in range(300):
+            lam, t = math.exp(rng.uniform(-2.0, 2.0)), math.exp(rng.uniform(-2.0, 1.5))
+            n = rng.randrange(8)
+            alpha, nu = rng.uniform(0.3, 1.0), rng.uniform(0.3, 1.0)
+            params = rng.choice((
+                FractionalParams(lam, alpha=alpha),
+                FractionalParams(lam, nu=nu, beta=-1.0),
+                FractionalParams(lam, alpha=alpha, nu=nu),
+                FractionalParams(lam, alpha=alpha, nu=nu, beta=-rng.uniform(0.3, 1.5),
+                                 gamma_p=rng.uniform(0.0, 1.0)),
+            ))
+            try:
+                p = pmf(params, t, n)
+            except ConvergenceError:
+                continue
+            k = processes._state_series(params, t, n, "pmf")[1]
+            row = params._terms.state_rows(n, series_x(params, t), k + 1)[n]
+            assert processes._kahan_sum(row) == p, (params, t, n)
+            answered += 1
+        assert answered > 250
+
     def test_rejects_a_nonpositive_time(self):
+        # the equation check has no value at t = 0; the reader takes x
         for t in (0.0, -1.0, math.inf):
             with pytest.raises(ParameterError):
-                state_terms(STFPP, t, 0, 5)
+                kolmogorov_residual(STFPP, t, 0, 5)
 
     def test_residuals_build_no_power_series(self, monkeypatch):
         # the checks read the cache's terms at each time directly
