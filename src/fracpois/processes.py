@@ -22,12 +22,12 @@ cross-checks below read the kernel's own terms at the kernel's own x,
 unsummed (:meth:`_SeriesTerms.state_rows`): term k of state n at t is the
 k-th iterate c_{n,k} t^{-k beta}.  On beta = -alpha every C_k is
 exactly 1, which yields the tfpp, sfpp and stfpp results; the classical
-variant uses the closed-form Poisson pmf.  The space-fractional variants
-have power-law state tails, so truncating the state index n at N leaves
-mass that cannot be recovered by summing further states at any feasible N;
-the tail is instead computed exactly from partial sums of the generalized
-binomial series (see :func:`pmf_tail_mass`), which is what makes the
-normalization checks meaningful.
+variant uses the closed-form Poisson pmf, tail and pgf.  The
+space-fractional variants have power-law state tails, so truncating the
+state index n at N leaves mass that cannot be recovered by summing further
+states at any feasible N; the tail is instead computed exactly from partial
+sums of the generalized binomial series (see :func:`pmf_tail_mass`), which
+is what makes the normalization checks meaningful.
 
 Only k ln x in a term depends on the time; the rest of each term is kept in
 a :class:`_SeriesTerms` object: ln C_k and ln Gamma(1 - k beta) once per k,
@@ -62,13 +62,13 @@ import math
 import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .adm import adm_solve_linear
 from .errors import ConvergenceError, ParameterError
 from .saigo import (
     SaigoParams,
-    ck_log_run,
+    ck_log_coefficients,
     composition_check,
     saigo_caputo_derivative_power,
     saigo_integral_power,
@@ -224,9 +224,10 @@ class _SeriesTerms:
     argument k nu + 1 - n), :meth:`fill_kpart` for the k-part and
     :meth:`_per_k_to` for ``per_k``.  The sum step and the checks' reader,
     :meth:`state_rows`, both read and fill the one k-part.  The ln C_k
-    column continues the running sum of :func:`fracpois.saigo.ck_log_run` from per_k[start - 1],
-    so each C_k factor is evaluated once per parameter set, and only as far
-    as a row needs; off the sstfpp variant it is 0.0 (beta = -alpha makes
+    column continues the running sum of
+    :func:`fracpois.saigo.ck_log_coefficients` from per_k[start - 1], so
+    each C_k factor is evaluated once per parameter set, and only as far as
+    a row needs; off the sstfpp variant it is 0.0 (beta = -alpha makes
     every factor of the product Gamma(1+g+j a)/Gamma(1+g+j a)).
 
     One object is the ``_terms`` of one FractionalParams and lives as long as
@@ -260,7 +261,8 @@ class _SeriesTerms:
             if self.saigo is None:
                 lnck = [0.0] * (stop - start)
             else:
-                lnck = ck_log_run(self.saigo, start, stop, per_k[start - 1][0] if start else 0.0)
+                lnck = ck_log_coefficients(self.saigo, start, stop,
+                                           per_k[start - 1][0] if start else 0.0)
             beta, nu, lgamma = self.beta, self.nu, math.lgamma
             per_k[start:stop] = [(c, lgamma(1.0 - k * beta), lgamma(k * nu + 1.0))
                                  for k, c in enumerate(lnck, start)]
@@ -554,10 +556,11 @@ class PmfTable:
     tail_mass: tuple[float, ...]
 
 
-def pmf_table(params: FractionalParams, times: Sequence[float], n_max: int) -> PmfTable:
+def pmf_table(params: FractionalParams, times: Iterable[float], n_max: int) -> PmfTable:
     """pmf and pmf_tail_mass over times x states, on params' term cache: their
     floats, and their first refusal, time by time and the states before the tail."""
     n_max = _index(n_max, "pmf_table: n_max")
+    times = tuple(times)  # read once: an iterator would leave PmfTable.times empty
     probs = []
     tails = []
     if params.variant == "classical":
@@ -571,7 +574,7 @@ def pmf_table(params: FractionalParams, times: Sequence[float], n_max: int) -> P
             x = _series_x(terms, scale, t, "pmf")
             probs.append(tuple(_saigo_series(terms, n, x, "pmf")[0] for n in range(n_max + 1)))
             tails.append(_saigo_series(terms, tail_key, x, "pmf_tail_mass")[0])
-    return PmfTable(params, tuple(times), n_max, tuple(probs), tuple(tails))
+    return PmfTable(params, times, n_max, tuple(probs), tuple(tails))
 
 
 def _kahan_sum(values: Iterable[float]) -> float:
@@ -617,10 +620,15 @@ def composition_tuples_residual(params: FractionalParams) -> float:
 
 
 def sstfpp_pgf(params: FractionalParams, u: float, t: float) -> float:
-    """Probability generating function sum_k C_k (-lam^nu (1-u)^nu t^{-b})^k / G(1-k b)."""
+    """Probability generating function sum_k C_k (-lam^nu (1-u)^nu t^{-b})^k / G(1-k b),
+    and e^{-lam (1-u) t} on the classical variant."""
     if not (math.isfinite(u) and abs(u) < 1.0):
         raise ParameterError(f"sstfpp_pgf: requires |u| < 1, got {u!r}")
     _check_state(t, 0)
+    if params.variant == "classical":
+        # lam t first: at u = 0 this is poisson_pmf's p_0(t), bit for bit,
+        # and 0.0 where lam t overflows
+        return math.exp(-(params.lam * t * (1.0 - u)))
     terms, nu, label = params._terms, params.nu, "sstfpp_pgf"
     x = _series_x(terms, params.lam ** nu * (1.0 - u) ** nu, t, label)
     return _saigo_series(terms, 0, x, label)[0]

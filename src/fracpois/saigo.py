@@ -150,15 +150,17 @@ def composition_check(p: SaigoParams, rho: float, t: float) -> float:
     return abs(recovered - 1.0) * t ** rho
 
 
-def ck_log_run(p: SaigoParams, start: int, stop: int, ln_prev: float) -> list[float]:
+def ck_log_coefficients(p: SaigoParams, start: int, stop: int, ln_prev: float) -> list[float]:
     """ln C_k for k = start .. stop - 1, continuing the running sum from
     ln_prev = ln C_{start-1} (0.0 at start = 0, C_0 being the empty product).
 
     Factor j of C_k = prod_{j<=k} G(1+g-j b)/G(1+g+a-(j-1) b) is added to
     the sum once, so a table built by runs holds the same floats as one
-    built in one go.  Every gamma argument must be positive.
+    built in one go.  Requires beta < 0 and every gamma argument positive.
     """
     a, b, g = p.alpha, p.beta, p.gamma_p
+    if b >= 0.0:
+        raise ParameterError(f"ck_log_coefficients: requires beta < 0, got {b}")
     out = [0.0] if start == 0 else []
     acc = ln_prev
     for j in range(max(start, 1), stop):
@@ -166,22 +168,9 @@ def ck_log_run(p: SaigoParams, start: int, stop: int, ln_prev: float) -> list[fl
         den = 1.0 + g + a - (j - 1) * b
         if num <= 0.0 or den <= 0.0:
             raise ParameterError(
-                f"ck_log_run: gamma argument <= 0 at j = {j} "
+                f"ck_log_coefficients: gamma argument <= 0 at j = {j} "
                 f"(num = {num}, den = {den}); gamma_p out of admissible range"
             )
         acc += log_gamma(num) - log_gamma(den)
         out.append(acc)
     return out
-
-
-def ck_log_coefficients(p: SaigoParams, k_max: int) -> list[float]:
-    """ln C_k for k = 0 .. k_max (see :func:`ck_log_run`).
-
-    Requires beta < 0 and every gamma argument positive; computed
-    cumulatively in log space so k_max in the hundreds stays exact.
-    """
-    if p.beta >= 0.0:
-        raise ParameterError(f"ck_log_coefficients: requires beta < 0, got {p.beta}")
-    if k_max < 0:
-        raise ParameterError(f"ck_log_coefficients: k_max must be >= 0, got {k_max}")
-    return ck_log_run(p, 0, k_max + 1, 0.0)

@@ -257,11 +257,12 @@ class _CkLogTable:
 
     def __init__(self, sp: SaigoParams) -> None:
         self.sp = sp
-        self.values = ck_log_coefficients(sp, 0)
+        self.values = ck_log_coefficients(sp, 0, 1, 0.0)
 
     def __getitem__(self, k: int) -> float:
         if k >= len(self.values):
-            self.values = ck_log_coefficients(self.sp, max(2 * len(self.values), k + 1))
+            stop = max(2 * len(self.values), k + 1) + 1
+            self.values = ck_log_coefficients(self.sp, 0, stop, 0.0)
         return self.values[k]
 
 

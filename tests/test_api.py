@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import fracpois
+import fracpois.cli
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
@@ -68,6 +69,39 @@ def test_traced_names_exist():
         if obj is None:
             missing.append(f"{module}.{dotted}")
     assert missing == []
+
+
+# Public names that no runtime code calls: the tracer wraps them, but no
+# probe of the program's entry points reaches them.
+UNCALLED_TRACED = ["saigo.semigroup_counterexample", "adm.PowerSeries.evaluate"]
+
+
+def test_every_traced_name_sees_a_call(monkeypatch):
+    # a traced name that the program never calls reads 0 on every workload;
+    # one probe over the entry points reaches every other traced name
+    monkeypatch.delenv("FRACPOIS_CONFIG", raising=False)
+    tracer = load_tracer()
+    trace = tracer.Tracer()
+    undo = tracer.install(trace)
+    try:
+        params = fracpois.FractionalParams(1.0, alpha=0.8, nu=0.6, beta=-0.5, gamma_p=0.1)
+        fracpois.pmf_table(params, [0.5, 1.0], 5)
+        fracpois.pmf(params, 1.0, 2)
+        fracpois.pmf_tail_mass(params, 1.0, 5)
+        fracpois.waiting_survival(params, 1.0)
+        fracpois.sstfpp_pgf(params, 0.4, 1.0)
+        assert fracpois.cli.main(["verify"]) == 0
+        emp = fracpois.empirical_pmf(fracpois.FractionalParams(1.0, alpha=0.7), 1.0, 2000, 5, 1)
+        fracpois.chi_square_gof(emp)
+    finally:
+        undo()
+    names = [f"{module.rsplit('.', 1)[1]}.{name}" for module, name, _ in tracer.SPAN_TARGETS]
+    names += [f"{module.rsplit('.', 1)[1]}.{cls}.{method}"
+              for module, cls, method in tracer.METHOD_TARGETS]
+    counted = [f"{module.rsplit('.', 1)[1]}.{name}" for module, name, _ in tracer.COUNT_TARGETS]
+    uncalled = [name for name in names if trace.calls[name] == 0]
+    uncalled += [name for name in counted if trace.counts[name] == 0]
+    assert [name for name in uncalled if name not in UNCALLED_TRACED] == []
 
 
 def test_series_commands_load_no_numpy_or_scipy():

@@ -26,7 +26,7 @@ from fracpois.processes import (
     truncated_normalization_residual,
     waiting_survival,
 )
-from fracpois.saigo import SaigoParams, ck_log_run, saigo_integral_power
+from fracpois.saigo import SaigoParams, ck_log_coefficients, saigo_integral_power
 from oracles import (
     kolmogorov_tail_bound,
     ml_half,
@@ -470,6 +470,13 @@ class TestPmfTable:
                 assert sum(row) + tail == pytest.approx(1.0, abs=1e-9)
         assert pmf_table(BETA_15, [1e-300], 6).probs[0] == (1.0,) + (0.0,) * 6
 
+    def test_reads_times_once(self):
+        # a generator gives the table its times as well as its rows
+        for params in (CLASSICAL, SSTFPP):
+            table = pmf_table(params, (t for t in [1.0, 2.0]), 3)
+            assert table.times == (1.0, 2.0)
+            assert table == pmf_table(params, [1.0, 2.0], 3)
+
     @pytest.mark.parametrize(
         "later", [(20.0, 700.0), (1e300,), (-1.0,), (math.nan,)],
         ids=["large", "huge", "negative", "nan"],
@@ -566,8 +573,9 @@ class TestPmfTable:
         # gamma only enters C_k off beta = -alpha, where any gamma is accepted
         assert FractionalParams(1.0, alpha=0.8, nu=0.6, gamma_p=-1.5).variant == "stfpp"
         # the kernel's own check names it, for Saigo parameters built directly
-        with pytest.raises(ParameterError, match="^ck_log_run: gamma argument <= 0 at j = 1 "):
-            ck_log_run(SaigoParams(0.8, -0.5, -1.5), 0, 3, 0.0)
+        with pytest.raises(ParameterError,
+                           match="^ck_log_coefficients: gamma argument <= 0 at j = 1 "):
+            ck_log_coefficients(SaigoParams(0.8, -0.5, -1.5), 0, 3, 0.0)
 
     def test_ln_ck_built_a_few_times_per_table(self, monkeypatch):
         # the 50 x 26 sstfpp table evaluates each C_k factor once across
@@ -607,9 +615,9 @@ def _count_ck_factors(monkeypatch) -> list[int]:
 
     def counting(sp, start, stop, ln_prev):
         factors.extend(range(max(start, 1), stop))
-        return ck_log_run(sp, start, stop, ln_prev)
+        return ck_log_coefficients(sp, start, stop, ln_prev)
 
-    monkeypatch.setattr(processes, "ck_log_run", counting)
+    monkeypatch.setattr(processes, "ck_log_coefficients", counting)
     return factors
 
 
@@ -678,7 +686,8 @@ class TestSharedTermCache:
                 return getattr(math, name)
 
         monkeypatch.setattr(processes, "math", YieldingMath())
-        monkeypatch.setattr(processes, "ck_log_run", yielding(processes.ck_log_run))
+        monkeypatch.setattr(processes, "ck_log_coefficients",
+                            yielding(processes.ck_log_coefficients))
         results: list[dict] = [{} for _ in range(8)]
         errors: list[BaseException] = []
         start = threading.Barrier(8, timeout=60.0)
@@ -723,6 +732,18 @@ class TestPgf:
         assert sstfpp_pgf(SSTFPP, 0.4, 1.0) == pytest.approx(
             0.51892740228220412, rel=1e-12
         )
+
+    def test_classical_closed_form(self):
+        # G(u, t) = e^{-lam (1-u) t}: at u = 0 the survival's bits, and 0.0
+        # where lam (1-u) t overflows, as the classical survival is
+        for lam in (1.0, 2.0, 30.0, 1e200):
+            for t in (0.0, 0.5, 1.0, 3.0, 1e200):
+                p = FractionalParams(lam)
+                assert sstfpp_pgf(p, 0.0, t) == waiting_survival(p, t)
+        assert sstfpp_pgf(FractionalParams(2.0), 0.5, 1.0) == math.exp(-1.0)
+        # e^{-15}, which the alternating series refuses on its rounding bound
+        assert sstfpp_pgf(FractionalParams(30.0), 0.5, 1.0) == math.exp(-15.0)
+        assert sstfpp_pgf(FractionalParams(1e200), -0.5, 1e200) == 0.0
 
     def test_time_fractional_closed_form(self):
         # beta = -alpha, nu = 1: G(u, t) = E_a(-lam (1-u) t^a)

@@ -7,7 +7,6 @@ from fracpois.errors import ParameterError
 from fracpois.saigo import (
     SaigoParams,
     ck_log_coefficients,
-    ck_log_run,
     composition_check,
     saigo_caputo_derivative_power,
     saigo_integral_power,
@@ -259,22 +258,22 @@ class TestSemigroup:
 class TestCkCoefficients:
     def test_empty_product(self):
         p = SaigoParams(0.8, -0.5, 0.1)
-        assert [math.exp(v) for v in ck_log_coefficients(p, 0)] == [1.0]
+        assert [math.exp(v) for v in ck_log_coefficients(p, 0, 1, 0.0)] == [1.0]
 
     def test_rl_family_collapses_to_one(self):
         # beta = -alpha makes every factor G(1+g+j a)/G(1+g+j a) = 1
         p = SaigoParams(0.7, -0.7, 0.3)
-        for v in ck_log_coefficients(p, 12):
+        for v in ck_log_coefficients(p, 0, 13, 0.0):
             assert math.exp(v) == pytest.approx(1.0, rel=1e-13)
 
     def test_first_factor(self):
         p = SaigoParams(0.8, -0.5, 0.1)
         expect = math.gamma(1.6) / math.gamma(1.9)
-        assert math.exp(ck_log_coefficients(p, 1)[1]) == pytest.approx(expect, rel=1e-13)
+        assert math.exp(ck_log_coefficients(p, 0, 2, 0.0)[1]) == pytest.approx(expect, rel=1e-13)
 
     def test_cumulative_consistency(self):
         p = SaigoParams(0.6, -0.45, 0.2)
-        logs = ck_log_coefficients(p, 8)
+        logs = ck_log_coefficients(p, 0, 9, 0.0)
         a, b, g = 0.6, -0.45, 0.2
         direct = 0.0
         for j in range(1, 9):
@@ -286,13 +285,13 @@ class TestCkCoefficients:
         p = SaigoParams(0.6, -0.45, 0.2)
         runs: list[float] = []
         for start, stop in ((0, 1), (1, 8), (8, 9), (9, 21)):
-            runs += ck_log_run(p, start, stop, runs[-1] if runs else 0.0)
-        assert runs == ck_log_coefficients(p, 20)
+            runs += ck_log_coefficients(p, start, stop, runs[-1] if runs else 0.0)
+        assert runs == ck_log_coefficients(p, 0, 21, 0.0)
 
     def test_requires_negative_beta(self):
         with pytest.raises(ParameterError):
-            ck_log_coefficients(SaigoParams(0.5, 0.0, 0.0), 3)
+            ck_log_coefficients(SaigoParams(0.5, 0.0, 0.0), 0, 4, 0.0)
 
     def test_rejects_inadmissible_gamma(self):
         with pytest.raises(ParameterError):
-            ck_log_coefficients(SaigoParams(0.5, -0.3, -1.5), 3)
+            ck_log_coefficients(SaigoParams(0.5, -0.3, -1.5), 0, 4, 0.0)
