@@ -31,15 +31,15 @@ is what makes the normalization checks meaningful.
 
 Only k ln x in a term depends on the time; the rest of each term is kept in
 a :class:`_SeriesTerms` object: ln C_k and ln Gamma(1 - k beta) once per k,
-in one per-k store whose ln C_k column grows by its running sum as far as a
-row needs, and per series key its s, k_min and row of sign and ln|f_k|.  Each
-:class:`FractionalParams` owns one, created on first use, and every entry
-point evaluated on it (:func:`pmf`, :func:`pmf_tail_mass`,
-:func:`sstfpp_pgf`, :func:`waiting_survival` and :func:`pmf_table`) shares
-it, so that work runs once per parameter set.  The cache lives and dies
-with the params object (a pickle or copy of it starts empty); it grows with
-the set of states and tail cut-offs evaluated on that object, one row each.
-Rows are filled in batches, one loop per kind of series over a run of k.
+in one per-k store whose ln C_k column grows by its running sum, a block at
+a time, as far as a row needs, and per series key its s, k_min and row of
+sign and ln|f_k|.  Each :class:`FractionalParams` owns one, created on
+first use, and every entry point evaluated on it (:func:`pmf`,
+:func:`pmf_tail_mass`, :func:`sstfpp_pgf`, :func:`waiting_survival` and
+:func:`pmf_table`) shares it, so that work runs once per parameter set.
+The cache lives and dies with the params object (a pickle or copy of it
+starts empty); it grows with the set of states and tail cut-offs evaluated
+on that object, one row each, by one rule (:meth:`_SeriesTerms.grow`).
 The k-part of a term, (ln C_k + k ln x) - ln Gamma(1 - k beta), is the same
 for every series at one x, so it is kept for the last x evaluated and shared
 by the states, the tail and the checks of one time.  :func:`pmf_table`
@@ -187,9 +187,11 @@ def _check_state(t: float, n: int) -> int:
     return _index(n, "state index")
 
 
-# Past k_min a series fills its row this many entries at a time: a larger
-# chunk pays fewer fill calls, but fills more entries that no term reads.  On the benchmark's lattice-sweep and grid-table decks
-# chunks of 4 to 12 ran within 5 % of each other, and 1 or 2 slower.
+# A row too short for a series grows by at least this many entries, and
+# per_k (so ln C_k) in whole blocks of it: a larger chunk pays fewer growth
+# calls, but fills more entries that no term reads.  On the benchmark's
+# lattice-sweep and grid-table decks chunks of 4 to 12 ran within 5 % of
+# each other, and 1 or 2 slower.
 FILL_CHUNK = 8
 
 # The entry of a term that vanishes: f_k = 0 (a gamma pole, a zero factor).
@@ -218,31 +220,31 @@ class _SeriesTerms:
     in the same order as forming the whole sum afresh, so a cached term is
     bit-identical to a fresh one.
 
-    Each store grows by batch fills of the entries [start, stop), start
-    being the store's length: :meth:`fill` for a key's row (one loop per
-    kind of key; the state loop inlines log_abs_gamma's rule for its
-    argument k nu + 1 - n), :meth:`fill_kpart` for the k-part and
-    :meth:`_per_k_to` for ``per_k``.  The sum step and the checks' reader,
-    :meth:`state_rows`, both read and fill the one k-part.  The ln C_k
+    The stores grow only in :meth:`grow`, each by a batch fill of the
+    entries [start, stop), start being the store's length, by one rule: a
+    row too short for a series grows by at least FILL_CHUNK entries (one
+    loop per kind of key; the state loop inlines log_abs_gamma's rule for
+    its argument k nu + 1 - n), ``per_k`` to the whole FILL_CHUNK block that
+    covers the row, and x's k-part as far as ``per_k`` goes.  The ln C_k
     column continues the running sum of
     :func:`fracpois.saigo.ck_log_coefficients` from per_k[start - 1], so
-    each C_k factor is evaluated once per parameter set, and only as far as
-    a row needs; off the sstfpp variant it is 0.0 (beta = -alpha makes
-    every factor of the product Gamma(1+g+j a)/Gamma(1+g+j a)).
+    each C_k factor is evaluated once per parameter set, at most a block
+    past the longest row; off the sstfpp variant it is 0.0 (beta = -alpha
+    makes every factor of the product Gamma(1+g+j a)/Gamma(1+g+j a)).
 
     One object is the ``_terms`` of one FractionalParams and lives as long as
     it does.  It holds one row per key evaluated on it, each as long as the
-    longest series of that key so far, ``per_k`` as long as the longest row
-    and one k-part.  Threads share it without a lock.  Every fill ends in
-    one slice store, ``store[start:stop] = entries`` (rows by pairs), which
-    the GIL makes one atomic step: it appends when no other thread got there
-    first and otherwise overwrites the equal values another thread stored
-    (an append would put a late duplicate at the wrong k).  A record is
-    stored by setdefault, so every thread reads the first one made for its
-    key.  The (x, k-part) pair is replaced whole, and :meth:`fill_kpart`
-    returns the list it filled, so a series reads the k-part of its own x.
-    No list a reader holds ever shrinks: a
-    race can only repeat work; it never changes a value.
+    longest series of that key so far, ``per_k`` to the block that covers
+    the longest row, and one k-part.  Threads share it without a lock.
+    Every fill ends in one slice store, ``store[start:stop] = entries``
+    (rows by pairs), which the GIL makes one atomic step: it appends when no
+    other thread got there first and otherwise overwrites the equal values
+    another thread stored (an append would put a late duplicate at the wrong
+    k).  A record is stored by setdefault, so every thread reads the first
+    one made for its key.  The (x, k-part) pair is replaced whole, and :meth:`grow` returns
+    the k-part list it filled, so a series reads the k-part of its own x.
+    No list a reader holds ever shrinks: a race can only repeat work; it
+    never changes a value.
     """
 
     def __init__(self, params: FractionalParams) -> None:
@@ -253,21 +255,6 @@ class _SeriesTerms:
         self.rows: dict[object, tuple[list[float], float, int]] = {}
         self.kpart: tuple[float, list[float]] = (0.0, [])  # x = 0 reads no k-part
 
-    def _per_k_to(self, stop: int) -> list[tuple[float, float, float]]:
-        """per_k, filled up to k = stop - 1."""
-        per_k = self.per_k
-        start = len(per_k)
-        if start < stop:
-            if self.saigo is None:
-                lnck = [0.0] * (stop - start)
-            else:
-                lnck = ck_log_coefficients(self.saigo, start, stop,
-                                           per_k[start - 1][0] if start else 0.0)
-            beta, nu, lgamma = self.beta, self.nu, math.lgamma
-            per_k[start:stop] = [(c, lgamma(1.0 - k * beta), lgamma(k * nu + 1.0))
-                                 for k, c in enumerate(lnck, start)]
-        return per_k
-
     def record(self, key: object) -> tuple[list[float], float, int]:
         """key's (row, s, k_min), made on first use: s = ln n! and
         k_min = floor(n / nu) + 2, n being state key or the tail's N (the tail
@@ -275,40 +262,54 @@ class _SeriesTerms:
         n = key if type(key) is int else key[1]
         return self.rows.setdefault(key, ([], math.lgamma(n + 1.0), int(n / self.nu) + 2))
 
-    def fill_kpart(self, x: float, stop: int) -> list[float]:
-        """The shared k-part of x > 0, begun afresh at a new x, filled up to k = stop - 1."""
+    def grow(self, key: object, row: list[float], x: float, need: int) -> list[float]:
+        """Grow key's row to at least need entries, and per_k and x's k-part
+        with it (see the class); return the k-part of x, begun afresh at a new
+        x ([] at x = 0).  Chunk and block stop at TERM_CAP; only a need past it
+        (a check's) grows a row further."""
+        start = len(row) >> 1
+        if start < need:
+            stop = max(need, min(start + FILL_CHUNK, TERM_CAP))
+            per_k = self.per_k
+            have = len(per_k)
+            top = max(stop, min(-(-stop // FILL_CHUNK) * FILL_CHUNK, TERM_CAP))
+            if have < top:
+                if self.saigo is None:
+                    lnck = [0.0] * (top - have)
+                else:
+                    lnck = ck_log_coefficients(self.saigo, have, top,
+                                               per_k[have - 1][0] if have else 0.0)
+                beta, nu, lgamma = self.beta, self.nu, math.lgamma
+                per_k[have:top] = [(c, lgamma(1.0 - k * beta), lgamma(k * nu + 1.0))
+                                   for k, c in enumerate(lnck, have)]
+            if type(key) is int:
+                entries = self._state_entries(key, start, stop)
+            else:
+                entries = self._tail_entries(key[1], start, stop)
+            row[2 * start:2 * stop] = entries
+        if x == 0.0:
+            return []
         pair = self.kpart
         if pair[0] != x:
             pair = (x, [])
             self.kpart = pair
-        kpart = pair[1]
-        start = len(kpart)
-        per_k = self._per_k_to(stop)
-        lx = math.log(x)
-        kpart[start:stop] = [lnck + k * lx - lg
-                             for k, (lnck, lg, _) in enumerate(per_k[start:stop], start)]
+        kpart, per_k = pair[1], self.per_k
+        start, stop = len(kpart), len(per_k)
+        if start < stop:
+            lx = math.log(x)
+            kpart[start:stop] = [lnck + k * lx - lg
+                                 for k, (lnck, lg, _) in enumerate(per_k[start:stop], start)]
         return kpart
-
-    def fill(self, key: object, row: list[float], stop: int) -> None:
-        """Fill key's row up to k = stop - 1."""
-        start = len(row) >> 1
-        if type(key) is int:
-            entries = self._state_entries(key, start, stop)
-        else:
-            entries = self._tail_entries(key[1], start, stop)
-        row[2 * start:2 * stop] = entries
 
     def state_rows(self, n_max: int, x: float, stop: int) -> list[list[float]]:
         """The terms k < stop of the series of states 0 .. n_max at x > 0,
         unsummed, one row per state, read against the shared k-part: the floats
         :func:`_saigo_series` adds at x (a vanishing term's ln|f_k| is -inf, so
         it is 0.0); a term past LOG_HUGE raises ConvergenceError, as there."""
-        kpart = self.fill_kpart(x, stop)
         rows: list[list[float]] = []
         for n in range(n_max + 1):
             row, s, _ = self.record(n)
-            if len(row) < 2 * stop:
-                self.fill(n, row, stop)
+            kpart = self.grow(n, row, x, stop)
             out: list[float] = []
             for k, part in enumerate(kpart[:stop]):
                 logmag = part + row[2 * k + 1] - s
@@ -323,8 +324,7 @@ class _SeriesTerms:
         # the poles of Gamma(a); log_abs_gamma's rule, inlined: Gamma(a) has
         # the sign (-1)^floor(a) for a < 0 and a pole within POLE_TOL of
         # every non-positive integer
-        per_k = self._per_k_to(stop)
-        nu = self.nu
+        per_k, nu = self.per_k, self.nu
         lgamma, floor = math.lgamma, math.floor
         entries: list[float] = []
         for k in range(start, stop):
@@ -383,10 +383,10 @@ def _saigo_series(terms: _SeriesTerms, key: object, x: float, label: str) -> tup
     key names the series and so its f_k, s and k_min: state n or ("tail", N)
     (see :meth:`_SeriesTerms.record`); a vanished entry (0.0, -inf) adds 0.0
     (gamma poles).
-    The loop reads key's row and the k-part of x from terms and fills what
-    no earlier series has: the row first to k = k_min, which it always
-    reads, then FILL_CHUNK entries at a time, and the k-part as far as any
-    row goes.  Terms are formed in log-magnitude/sign form, so huge gamma
+    The loop reads key's row and the k-part of x from terms; where either
+    runs out, one :meth:`_SeriesTerms.grow` call extends them past k_min,
+    which the loop always reads, or past the next term, never past
+    TERM_CAP.  Terms are formed in log-magnitude/sign form, so huge gamma
     ratios never overflow, and summed with compensation.  The stop requires
     two consecutive terms at most SERIES_TOL * max(1, |partial sum|) past
     k_min: single terms can vanish exactly at gamma poles, but (for nu < 1)
@@ -396,22 +396,23 @@ def _saigo_series(terms: _SeriesTerms, key: object, x: float, label: str) -> tup
     ROUNDING_TOL, err being sum |term| (1 + ln|term|) over the terms above 1
     (Higham 2002, ch. 4; TERM_CAP terms below 1 would add at most 2.2e-12);
     the bound only grows, so a sum that stops has passed it.  x = 0 (t = 0,
-    or t^(-beta) underflowed) leaves the k = 0 term, and fills nothing past
-    it, so it needs no C_k factor, and stops at k = 0.
+    or t^(-beta) underflowed) leaves the k = 0 term and stops at k = 0; its
+    row grows by one chunk, which may form ln C_k, as FractionalParams
+    refuses every gamma that would make a C_k factor inadmissible.
     """
     row, s, k_min = terms.rows.get(key) or terms.record(key)  # record alone forms one per call
     if x == 0.0:
         if not row:
-            terms.fill(key, row, 1)
+            terms.grow(key, row, 0.0, 1)
         return row[0] * math.exp(row[1] - s), 0
     pair = terms.kpart
-    kpart = pair[1] if pair[0] == x else []  # another x's: the fill below begins x's
+    kpart = pair[1] if pair[0] == x else []  # another x's: grow below begins x's
     exp, huge, tol, gate = math.exp, LOG_HUGE, SERIES_TOL, _ROUNDING_GATE
     total, comp, err = 0.0, 0.0, 0.0
     prev = math.inf
     k = 0
     while k < TERM_CAP:
-        end = min(len(row) >> 1, len(kpart), TERM_CAP)
+        end = min(len(row) >> 1, len(kpart), TERM_CAP)  # a check's row may run past it
         for k in range(k, end):
             j = 2 * k
             logmag = kpart[k] + row[j + 1] - s
@@ -441,15 +442,9 @@ def _saigo_series(terms: _SeriesTerms, key: object, x: float, label: str) -> tup
                     return total, k
             prev = mag
         k = end
-        # the loop reads k = 0 .. max(k, k_min) in any case; a row too short
-        # for that grows by a chunk, so that repeating a series fills nothing
-        need = max(k, k_min) + 1
-        if len(row) < 2 * need:
-            terms.fill(key, row, min(max(need, k + FILL_CHUNK), TERM_CAP))
-        if len(kpart) < need:
-            # as far as any row goes, so that the next series at this x may
-            # read on without a C_k factor no row needed
-            kpart = terms.fill_kpart(x, max(len(row) >> 1, len(terms.per_k)))
+        # the loop reads k = 0 .. max(k, k_min) in any case, and no further
+        # than TERM_CAP
+        kpart = terms.grow(key, row, x, min(max(k, k_min) + 1, TERM_CAP))
     raise ConvergenceError(f"{label}: no convergence within {TERM_CAP} terms")
 
 

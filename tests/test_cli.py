@@ -366,14 +366,16 @@ class TestVerifyCommand:
         # at the time's x they fill none of it; the engine's rows at x = 1
         # are the one k-part a check call fills
         fills, calls, inside = [], [], []
-        fill_kpart = processes._SeriesTerms.fill_kpart
+        grow = processes._SeriesTerms.grow
 
-        def counting_fill(self, x, stop):
-            if inside and x != 1.0 and (self.kpart[0] != x or len(self.kpart[1]) < stop):
-                fills.append((x, stop))
-            return fill_kpart(self, x, stop)
+        def counting_grow(self, key, row, x, need):
+            held = len(self.kpart[1]) if self.kpart[0] == x else 0
+            kpart = grow(self, key, row, x, need)
+            if inside and x != 1.0 and len(kpart) > held:
+                fills.append((x, need))
+            return kpart
 
-        monkeypatch.setattr(processes._SeriesTerms, "fill_kpart", counting_fill)
+        monkeypatch.setattr(processes._SeriesTerms, "grow", counting_grow)
         for name in ("truncated_normalization_residual", "kolmogorov_residual",
                      "adm_closed_form_diff"):
             def counting(*args, check=getattr(fracpois.cli, name)):

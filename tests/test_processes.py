@@ -27,6 +27,7 @@ from fracpois.processes import (
     waiting_survival,
 )
 from fracpois.saigo import SaigoParams, ck_log_coefficients, saigo_integral_power
+from fracpois.specfun import TERM_CAP
 from oracles import (
     kolmogorov_tail_bound,
     ml_half,
@@ -508,14 +509,7 @@ class TestPmfTable:
     def test_row_fills_independent_of_time_count(self, monkeypatch):
         # each row entry (state or tail, k) is filled once per table,
         # whatever the number of times that read it
-        calls = []
-        fill = processes._SeriesTerms.fill
-
-        def counting(terms, key, row, stop):
-            calls.extend(range(len(row) >> 1, stop))
-            fill(terms, key, row, stop)
-
-        monkeypatch.setattr(processes._SeriesTerms, "fill", counting)
+        calls = _count_row_entries(monkeypatch)
         for params in (TFPP, SSTFPP):
             # each measurement starts on a fresh object, whose cache is empty
             calls.clear()
@@ -533,14 +527,7 @@ class TestPmfTable:
     def test_pgf_reads_the_survival_row(self, monkeypatch):
         # G(u, t) is state 0's series at x = lam^nu (1-u)^nu t^(-beta): at
         # u = 0 it is the survival function, read back from its row
-        calls = []
-        fill = processes._SeriesTerms.fill
-
-        def counting(terms, key, row, stop):
-            calls.extend(range(len(row) >> 1, stop))
-            fill(terms, key, row, stop)
-
-        monkeypatch.setattr(processes._SeriesTerms, "fill", counting)
+        calls = _count_row_entries(monkeypatch)
         for params in (TFPP, SSTFPP):
             fresh = dataclasses.replace(params)
             survival = waiting_survival(fresh, 1.5)
@@ -595,6 +582,29 @@ class TestPmfTable:
             build(params)
             assert factors == []
 
+    def test_ln_ck_grows_in_whole_blocks(self, monkeypatch):
+        # per_k grows to the FILL_CHUNK block that covers a row, however
+        # little the row reaches past the longest so far: at t = 2 the rows
+        # of states 4..7 reach 33, 35, 37 and 38 entries
+        runs = []
+
+        def recording(sp, start, stop, ln_prev):
+            runs.append((start, stop))
+            return ck_log_coefficients(sp, start, stop, ln_prev)
+
+        monkeypatch.setattr(processes, "ck_log_coefficients", recording)
+        chunk = processes.FILL_CHUNK
+        for build in (
+            lambda params: [pmf(params, 2.0, n) for n in range(8)],
+            lambda params: pmf_table(params, [0.1 * i for i in range(1, 51)], 25),
+        ):
+            runs.clear()
+            build(FractionalParams(1.0, alpha=0.8, nu=0.6, beta=-0.5, gamma_p=0.1))
+            assert runs
+            for start, stop in runs:
+                assert start % chunk == 0
+                assert stop % chunk == 0 or stop == TERM_CAP
+
 
 def _scalar_table(params: FractionalParams, times: list[float], n_max: int):
     """pmf and pmf_tail_mass over times x states as float.hex, time by time
@@ -619,6 +629,18 @@ def _count_ck_factors(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(processes, "ck_log_coefficients", counting)
     return factors
+
+
+def _count_row_entries(monkeypatch) -> list[int]:
+    """The k of every state and tail row entry the term cache fills, in call order."""
+    entries: list[int] = []
+    for name in ("_state_entries", "_tail_entries"):
+        def counting(terms, n, start, stop, fill=getattr(processes._SeriesTerms, name)):
+            entries.extend(range(start, stop))
+            return fill(terms, n, start, stop)
+
+        monkeypatch.setattr(processes._SeriesTerms, name, counting)
+    return entries
 
 
 class TestSharedTermCache:
@@ -883,6 +905,23 @@ class TestRefusalRule:
             with pytest.raises(ConvergenceError) as exc:
                 call()
             assert str(exc.value) == "pmf: no convergence within 10000 terms"
+        # state 5000 at nu = 0.4 has k_min = 12,502, past TERM_CAP: its row,
+        # per_k (rounded up to whole blocks) and the k-part stop at TERM_CAP
+        params = FractionalParams(1.0, alpha=0.8, nu=0.4, beta=-0.5, gamma_p=0.1)
+        with pytest.raises(ConvergenceError) as exc:
+            pmf(params, 1.0, 5000)
+        assert str(exc.value) == "pmf: no convergence within 10000 terms"
+        terms = params._terms
+        assert len(terms.per_k) == TERM_CAP
+        assert len(terms.rows[5000][0]) == 2 * TERM_CAP
+        assert terms.kpart[0] == 1.0 and len(terms.kpart[1]) == TERM_CAP
+        # a check may ask for terms past TERM_CAP and gets every one; the
+        # series still stops at TERM_CAP on the longer row
+        params = FractionalParams(1.0, alpha=0.001)
+        assert len(params._terms.state_rows(0, 1.0, TERM_CAP + 8)[0]) == TERM_CAP + 8
+        with pytest.raises(ConvergenceError) as exc:
+            pmf(params, 1.0, 0)
+        assert str(exc.value) == "pmf: no convergence within 10000 terms"
 
     def test_refused_bound_prints_above_the_tolerance(self):
         # state 1 at alpha = 0.001 is refused with eps * err just above

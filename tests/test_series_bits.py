@@ -300,7 +300,7 @@ def test_state_fill_follows_log_abs_gamma(a):
     arg = 2 * nu + 1.0 - n  # as the fill forms it
     assert abs(arg - a) < 1e-12
     row = []
-    FractionalParams(1.0, alpha=0.7, nu=nu)._terms.fill(n, row, 3)
+    FractionalParams(1.0, alpha=0.7, nu=nu)._terms.grow(n, row, 0.0, 3)
     sign, lg = log_abs_gamma(arg)
     # a pole within POLE_TOL of a non-positive integer, never at a > 0
     assert (sign == 0.0) == (a <= 0.0 and abs(a - round(a)) <= POLE_TOL)
