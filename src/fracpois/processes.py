@@ -453,9 +453,9 @@ def poisson_pmf(lam: float, t: float, n: int) -> float:
     if not (math.isfinite(lam) and lam > 0.0):
         raise ParameterError(f"poisson_pmf: lambda must be finite and > 0, got {lam!r}")
     n = _check_state(t, n)
-    if t == 0.0:
-        return 1.0 if n == 0 else 0.0
     m = lam * t
+    if m == 0.0:  # t = 0, or lam t underflowed: e^-m m^n / n! rounds to [n = 0]
+        return 1.0 if n == 0 else 0.0
     if m == math.inf:  # e^-m underflowed long before; 0 ln(inf) would be nan
         return 0.0
     return math.exp(n * math.log(m) - m - math.lgamma(n + 1.0))

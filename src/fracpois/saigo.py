@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .adm import PowerTerm
-from .errors import ParameterError
-from .specfun import log_abs_gamma, log_gamma
+from .errors import ConvergenceError, ParameterError
+from .specfun import LOG_HUGE, log_abs_gamma, log_gamma
 
 SEMIGROUP_REL_TOL = 1e-9
 
@@ -57,14 +57,18 @@ def _integral_multiplier(alpha: float, beta: float, gamma_p: float, rho: float) 
     Internal: permits alpha >= 0 (order zero arises inside the Caputo-type
     derivative when alpha = 1).  The numerator arguments are positive by the
     operator preconditions; the denominator is pole-safe -- a pole there
-    sends the multiplier to zero.
+    sends the multiplier to zero.  A multiplier past HUGE raises
+    ConvergenceError, as the series kernel refuses its terms.
     """
     num = log_gamma(rho) + log_gamma(rho - beta + gamma_p)
     s1, l1 = log_abs_gamma(rho - beta)
     s2, l2 = log_abs_gamma(rho + alpha + gamma_p)
     if s1 == 0.0 or s2 == 0.0:
         return 0.0
-    return s1 * s2 * math.exp(num - l1 - l2)
+    log_mult = num - l1 - l2
+    if log_mult > LOG_HUGE:
+        raise ConvergenceError(f"Saigo multiplier overflow at rho = {rho!r}")
+    return s1 * s2 * math.exp(log_mult)
 
 
 def _check_integral_domain(p_beta: float, p_gamma: float, rho: float, who: str) -> None:

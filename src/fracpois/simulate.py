@@ -31,8 +31,9 @@ Empirical histograms feed a chi-square comparison against the closed-form
 pmf, with the (possibly heavy) tail above the histogram range accounted for
 by the exact tail mass.
 
-numpy and scipy are imported inside the functions that use them, so that
-importing fracpois, which loads this module, stays free of both.
+The p-value is the chi-square law's upper tail, summed in closed form.
+numpy is imported inside the functions that use it, so that importing
+fracpois, which loads this module, stays free of it.
 """
 
 from __future__ import annotations
@@ -64,6 +65,10 @@ _BLOCK = 8192
 
 # Smallest expected count a chi-square bin may have after pooling.
 _MIN_EXPECTED = 5.0
+
+# Up to this y = stat / 2, e^{-y} and erfc(sqrt(y)) are normal floats
+# (e^{-708.4} is the smallest), so the p-value's terms grow from e^{-y}.
+_EXP_Y_MAX = 700.0
 
 
 def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
@@ -446,9 +451,55 @@ def _chi_square(emp: EmpiricalPmf, table: PmfTable) -> tuple[float, float, int] 
 
     stat = math.fsum((o - e) ** 2 / e for o, e in zip(observed, expected))
     dof = len(expected) - 1
-    # The upper tail of the chi-square law; scipy.stats.chi2.sf calls the
-    # same function, and scipy.stats costs several times more to import.
-    from scipy.special import chdtrc
+    return stat, _chi2_sf(dof, stat), dof
 
-    pvalue = float(chdtrc(dof, stat))
-    return stat, pvalue, dof
+
+def _chi2_sf(dof: int, stat: float) -> float:
+    """The chi-square upper tail Q(dof/2, y) at y = stat / 2, for a whole dof >= 1.
+
+    With a = dof / 2, n = floor(a) and h = a - n, term j is
+    t_j = e^{-y} y^(j+h) / Gamma(j+h+1), so that t_j = t_{j-1} y / (j+h), and
+    (Abramowitz & Stegun 26.4.4-26.4.5; DLMF 8.4)
+
+        Q = sum_{j<n} t_j + [h = 1/2] erfc(sqrt(y)),   1 - Q = sum_{j>=n} t_j.
+
+    For y >= a the terms below n rise and Q is their sum; below a the terms
+    from n on fall, and 1 minus their sum keeps Q accurate, and at most 1,
+    where it is near 1.  A falling run stops at a term below 2^-60 of its
+    sum.  Up to ``_EXP_Y_MAX`` the terms grow from t_0; past it e^{-y}
+    underflows, so the first term summed, t_{n-1} or t_n, is formed in log
+    space and the rest by the recurrence away from it.  Run below j = 0, that
+    recurrence is the asymptotic series of erfc(sqrt(y)) (DLMF 7.12), whose
+    terms are 0 for even dof.
+    """
+    y = 0.5 * stat
+    if y == math.inf:
+        return 0.0
+    a = 0.5 * dof
+    n = dof // 2
+    h = a - n
+    if y <= _EXP_Y_MAX:
+        term = math.exp(-y) * (2.0 * math.sqrt(y / math.pi) if h else 1.0)
+        total = 0.0
+        for j in range(1, n + 1):
+            total += term
+            term *= y / (j + h)
+        if y >= a:
+            return total + math.erfc(math.sqrt(y)) if h else total
+        j = n
+    else:
+        j = n if y < a else n - 1
+        term = math.exp((j + h) * math.log(y) - y - math.lgamma(j + h + 1.0))
+        if y >= a:
+            total = 0.0
+            while abs(term) > total * 2.0 ** -60:
+                total += term
+                term *= (j + h) / y
+                j -= 1
+            return total
+    total = 0.0
+    while term > total * 2.0 ** -60:
+        total += term
+        j += 1
+        term *= y / (j + h)
+    return 1.0 - total

@@ -29,6 +29,28 @@ print(json.dumps({"tracer_modules": tracer_modules, "codes": codes, "loaded": lo
 """
 
 
+# The README's simulate command and one chi_square_gof call, in a fresh
+# interpreter: the samplers load numpy, and nothing loads scipy.
+SIMULATE_PROBE = """
+import json, sys
+import fracpois, fracpois.cli
+code = fracpois.cli.main(json.loads(sys.argv[1]))
+emp = fracpois.empirical_pmf(fracpois.FractionalParams(1.0, alpha=0.6), 1.0, 2000, 10, 1)
+fracpois.chi_square_gof(emp)
+print(json.dumps({"code": code, "loaded": sorted(m for m in ("numpy", "scipy") if m in sys.modules)}))
+"""
+
+
+def probe_env() -> dict[str, str]:
+    """The environment of a probe child: this checkout's sources, no config file."""
+    env = dict(os.environ)
+    env.pop("FRACPOIS_CONFIG", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    return env
+
+
 def load_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
@@ -105,9 +127,9 @@ def test_every_traced_name_sees_a_call(monkeypatch):
 
 
 def test_series_commands_load_no_numpy_or_scipy():
-    # numpy and scipy belong to the samplers, the chi-square p-value and the
-    # quadrature oracle only; the tracer still finds every module it wraps
-    # after `import fracpois.cli` alone
+    # numpy belongs to the samplers only, and scipy to the tests' oracles;
+    # the tracer still finds every module it wraps after `import fracpois.cli`
+    # alone
     tracer = load_tracer()
     modules = {module for module, _, _ in tracer.SPAN_TARGETS}
     modules |= {module for module, _, _ in tracer.METHOD_TARGETS}
@@ -121,17 +143,27 @@ def test_series_commands_load_no_numpy_or_scipy():
     ]
     assert sorted({argv[0] for argv in examples}) == ["pgf", "pmf", "survival", "verify"]
 
-    env = dict(os.environ)
-    env.pop("FRACPOIS_CONFIG", None)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
-    )
     proc = subprocess.run(
         [sys.executable, "-c", HYGIENE_PROBE, json.dumps(sorted(modules)), json.dumps(examples)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=probe_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["tracer_modules"] == sorted(modules)
     assert report["codes"] == [0] * len(examples)
     assert report["loaded"] == {"import": [], "run": []}
+
+
+def test_simulate_loads_numpy_and_no_scipy():
+    # the chi-square p-value is summed in closed form: scipy is a test
+    # dependency only
+    readme = (ROOT / "README.md").read_text().splitlines()
+    [argv] = [shlex.split(line)[1:] for line in readme if line.startswith("fracpois simulate ")]
+    proc = subprocess.run(
+        [sys.executable, "-c", SIMULATE_PROBE, json.dumps(argv)],
+        env=probe_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "# p_value=" in proc.stdout
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {"code": 0, "loaded": ["numpy"]}

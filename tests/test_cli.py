@@ -180,6 +180,20 @@ class TestPmfCommand:
         tails = {float(row.split(",")[3]) for row in out.strip().splitlines()[1:]}
         assert len(tails) == 1 and 0.0 < tails.pop() <= 1.0
 
+    def test_classical_pmf_of_underflowed_mean(self, capsys):
+        # lam t underflows to 0.0: the states read (1, 0, 0), as at t = 0
+        code, out, err = run(
+            capsys, "pmf", "--variant", "classical", "--lam", "1e-200", "-t", "1e-188",
+            "--n-max", "2",
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            "t,n,p,tail_mass\n"
+            "9.9999999999999995e-189,0,1,0\n"
+            "9.9999999999999995e-189,1,0,0\n"
+            "9.9999999999999995e-189,2,0,0\n"
+        )
+
     def test_unconvergeable_argument_exits_3(self, capsys):
         code, out, err = run(capsys, "pmf", "-t", "1e9")
         assert code == 3
@@ -232,6 +246,14 @@ class TestSurvivalAndPgf:
         )
         assert (code, err) == (0, "")
         assert out == "t,survival\n9.9999999999999997e+199,0\n"
+
+    def test_classical_survival_of_underflowed_mean(self, capsys):
+        # lam t underflows to 0.0: e^{-lam t} is 1, not a traceback from ln 0
+        code, out, err = run(
+            capsys, "survival", "--variant", "classical", "--lam", "1e-200", "-t", "1e-188"
+        )
+        assert (code, err) == (0, "")
+        assert out == "t,survival\n9.9999999999999995e-189,1\n"
 
     def test_pgf_golden(self, capsys):
         code, out, _ = run(capsys, "pgf", "-u", "0.4", "-t", "1")

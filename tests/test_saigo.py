@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fracpois.errors import ParameterError
+from fracpois.errors import ConvergenceError, ParameterError
+from fracpois.processes import FractionalParams, kolmogorov_residual
 from fracpois.saigo import (
     SaigoParams,
     ck_log_coefficients,
@@ -50,6 +51,17 @@ class TestIntegralPowerRule:
         term = saigo_integral_power(p, 1.0)
         assert term.exponent == pytest.approx(0.0, abs=1e-15)
         assert term.coeff == pytest.approx(math.gamma(1.3) / math.gamma(1.8), rel=1e-13)
+
+    def test_multiplier_past_huge_is_refused(self):
+        # G(rho) / G(rho + 1) = 1 / rho: 1e250 is returned, and 2e323 (ln 744.4,
+        # past LOG_HUGE) is refused, as the series kernel refuses its terms;
+        # kolmogorov_residual at alpha = 5e-324 raised OverflowError from exp
+        p = SaigoParams(1.0, 0.0, 0.0)
+        assert saigo_integral_power(p, 1e-250).coeff == pytest.approx(1e250, rel=1e-12)
+        with pytest.raises(ConvergenceError, match="Saigo multiplier overflow"):
+            saigo_integral_power(p, 5e-324)
+        with pytest.raises(ConvergenceError, match="Saigo multiplier overflow"):
+            kolmogorov_residual(FractionalParams(1.0, alpha=5e-324), 1.0, 1, 5)
 
     def test_domain_errors(self):
         with pytest.raises(ParameterError):

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import threading
 import tracemalloc
@@ -7,6 +8,7 @@ import warnings
 import numpy as np
 import oracles
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fracpois import simulate
 from fracpois.errors import ParameterError, UnsupportedVariantError
@@ -21,6 +23,7 @@ from fracpois.simulate import (
     _BLOCK,
     _LAM_CLAMP,
     EmpiricalPmf,
+    _chi2_sf,
     _chi_square,
     _poisson_counts,
     chi_square_gof,
@@ -35,6 +38,24 @@ TFPP = FractionalParams(1.0, alpha=0.6)
 SFPP = FractionalParams(1.0, nu=0.6, beta=-1.0)
 STFPP = FractionalParams(1.0, alpha=0.7, nu=0.6)
 SSTFPP = FractionalParams(1.0, alpha=0.8, nu=0.6, beta=-0.5, gamma_p=0.1)
+
+# The chi-square p-value's relative error bounds against 50-digit mpmath, as
+# (smallest p, bound); a p-value below the last band need only lie in
+# [0, 1e-299].
+P_VALUE_BOUNDS = ((1e-20, 1e-14), (1e-100, 5e-14), (1e-300, 1e-12))
+
+
+def assert_p_value_accurate(mpmath, dof: int, stat: float, pvalue: float) -> int:
+    """Assert pvalue's bound against Q(dof/2, stat/2) at 50 digits; return its band."""
+    with mpmath.workdps(50):
+        exact = mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(stat) / 2, mpmath.inf,
+                                regularized=True)
+        for band, (floor, bound) in enumerate(P_VALUE_BOUNDS):
+            if exact >= floor:
+                assert abs(pvalue - exact) <= bound * exact, (dof, stat, pvalue)
+                return band
+    assert 0.0 <= pvalue <= 1e-299, (dof, stat, pvalue)
+    return len(P_VALUE_BOUNDS)
 
 
 class TestStableSampler:
@@ -424,7 +445,7 @@ class TestChiSquare:
         cases = [
             (chi_square_gof(emp), ("0x1.6a360e054f1ccp-1", "0x1.be2eec547db7fp-1", 3)),
             (chi_square_gof(empirical_pmf(STFPP, 1.0, 200, 30, 3)),
-             ("0x1.12c957daa35e8p+3", "0x1.24b42f10eae77p-1", 10)),
+             ("0x1.12c957daa35e8p+3", "0x1.24b42f10eae76p-1", 10)),
             (chi_square_gof(empirical_pmf(CLASSICAL, 1.0, 40, 12, 5)),
              ("0x1.b052c66ed70b0p+0", "0x1.b8238cb78b3c2p-2", 2)),
             (_chi_square(hand, table), ("0x1.da7acae29a173p-2", "0x1.da8df4dfca715p-1", 3)),
@@ -461,7 +482,9 @@ class TestChiSquare:
             chi_square_gof(emp)
 
     def test_p_value_matches_scipy_stats(self):
-        # the p-value is scipy.special.chdtrc; scipy.stats is the oracle
+        # the p-value against 50-digit mpmath, within P_VALUE_BOUNDS, and
+        # against scipy.stats within its own measured error, 1e-13
+        mpmath = pytest.importorskip("mpmath")
         from scipy import stats
 
         seen_dof = set()
@@ -478,8 +501,49 @@ class TestChiSquare:
                 emp = EmpiricalPmf(params, 1.0, 30, 100_000, tuple(counts), 0)
                 stat, pvalue, dof = chi_square_gof(emp)
                 seen_dof.add(dof)
-                assert pvalue == float(stats.chi2.sf(stat, dof)), (lam, shift)
+                assert_p_value_accurate(mpmath, dof, stat, pvalue)
+                assert pvalue == pytest.approx(float(stats.chi2.sf(stat, dof)), rel=1e-13)
         assert len(seen_dof) == 3
+
+    def test_p_value_sweep_against_mpmath(self):
+        # a seeded sweep over dof 1..200 whose p-values reach every band of
+        # P_VALUE_BOUNDS and below it, both sides of y = dof / 2, where the sum
+        # turns from 1 - P to Q, and of y = _EXP_Y_MAX, where e^{-y} underflows
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(32)
+        points = []
+        for _ in range(400):
+            dof = rng.randint(1, 200)
+            if rng.random() < 0.7:
+                points.append((dof, dof * math.exp(rng.uniform(-6.0, 3.0))))
+            else:
+                points.append((dof, rng.uniform(0.0, 4000.0)))
+        # just past _EXP_Y_MAX at a low dof, where the asymptotic erfc series
+        # below j = 0 still moves p above 1e-300
+        points += [(dof, stat) for dof in range(1, 12) for stat in (1400.5, 1410.0)]
+        bands = [assert_p_value_accurate(mpmath, dof, stat, _chi2_sf(dof, stat))
+                 for dof, stat in points]
+        assert min(bands.count(band) for band in range(len(P_VALUE_BOUNDS) + 1)) >= 30
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 500),
+        st.floats(0.0, 1.7e308) | st.just(math.inf),
+        st.floats(2.0 ** -40, 4.0),
+    )
+    @example(1, 1.0, 2.0 ** -40)  # y = dof / 2
+    @example(200, 200.0, 2.0 ** -40)
+    @example(2, 1400.0, 2.0 ** -40)  # y = _EXP_Y_MAX
+    @example(499, 1400.0, 2.0 ** -40)
+    @example(500, 1.7e308, 1.0)
+    def test_p_value_is_a_falling_probability(self, dof, stat, gap):
+        # never raises, lies in [0, 1], is 1 at stat 0 and does not rise with
+        # stat: stats closer than 2^-40 relative are not compared, where the
+        # sum's rounding of a few ulps may order two p-values either way
+        p = _chi2_sf(dof, stat)
+        assert 0.0 <= p <= 1.0
+        assert _chi2_sf(dof, 0.0) == 1.0
+        assert _chi2_sf(dof, stat * (1.0 + gap)) <= p
 
     def test_tail_bin_uses_exact_mass(self):
         # with n_max = 0 everything beyond 0 is the overflow bin, whose
