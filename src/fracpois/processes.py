@@ -95,7 +95,9 @@ class FractionalParams:
     ``beta`` defaults to -alpha, which selects the space-time-fractional
     sub-family; ``gamma_p`` only matters when beta != -alpha, and there it
     must keep 1 + gamma - beta and 1 + gamma + alpha, the smallest gamma
-    arguments of C_k, positive.
+    arguments of C_k, positive.  |beta| * TERM_CAP + |gamma| must be at most
+    ``HUGE``, so that every gamma argument of a term up to ``TERM_CAP`` stays
+    within ``math.lgamma``'s range.
 
     Each instance owns one term cache (``_terms``, a :class:`_SeriesTerms`)
     that the series entry points and checks evaluated on it share.  It is
@@ -128,6 +130,11 @@ class FractionalParams:
             raise ParameterError(f"FractionalParams: nu must be in (0, 1], got {self.nu}")
         if self.beta >= 0.0:
             raise ParameterError(f"FractionalParams: beta must be < 0, got {self.beta}")
+        if -self.beta * TERM_CAP + abs(self.gamma_p) > HUGE:
+            raise ParameterError(
+                f"FractionalParams: |beta| * {TERM_CAP} + |gamma_p| must be <= {HUGE:g}, "
+                f"got beta = {self.beta}, gamma_p = {self.gamma_p}"
+            )
         if self.variant == "sstfpp":
             # the j = 1 factor of C_k holds its smallest gamma arguments
             num = 1.0 + self.gamma_p - self.beta

@@ -422,8 +422,9 @@ def chi_square_gof(emp: EmpiricalPmf) -> tuple[float, float, int]:
     """Chi-square goodness of fit of the histogram against the closed form.
 
     Expected counts come from the variant's pmf, with the overflow bin given
-    the exact tail mass above n_max.  Bins are pooled from the right until
-    every bin's expected count reaches ``_MIN_EXPECTED``.  Returns
+    the exact tail mass above n_max.  Bins are pooled from the right, and
+    an undersized bin 0 into its right neighbour, until every bin's expected
+    count reaches ``_MIN_EXPECTED``.  Returns
     (statistic, p_value, degrees_of_freedom); raises ``ParameterError`` when
     pooling leaves fewer than two bins.
     """
@@ -446,6 +447,11 @@ def _chi_square(emp: EmpiricalPmf, table: PmfTable) -> tuple[float, float, int] 
             expected[i - 1] += expected[i]
             observed[i - 1] += observed[i]
             del expected[i], observed[i]
+    # the pass stops at bin 1: an undersized bin 0 merges into its right neighbour
+    if len(expected) > 1 and expected[0] < _MIN_EXPECTED:
+        expected[1] += expected[0]
+        observed[1] += observed[0]
+        del expected[0], observed[0]
     if len(expected) < 2:
         return None
 

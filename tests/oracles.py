@@ -12,6 +12,13 @@ erfc(x), the tfpp survival at alpha = 1/2, from ``math.erfc``.  So is
 ``panjer_sfpp``, the space-fractional pmf by a recursion over nonnegative
 terms.
 
+``series_mp`` is the tests' one high-precision reference: p_0 .. p_N and the
+tail of every fractional family (tfpp, sfpp, stfpp and sstfpp, C_k included)
+from the k-series summed in mpmath, at a working precision that rises with
+the series' largest term so that at least ``REF_DIGITS`` digits survive its
+cancellation.  It shares the package's parameter classification and nothing
+of its arithmetic.
+
 The Riemann-Liouville integral of a power is kept here too, as the oracle
 for the Saigo integral at beta = -alpha, from its own gamma ratio; so is the
 quadrature evaluation of the Saigo integral's defining integral (scipy), the
@@ -218,38 +225,74 @@ def stfpp_pmf(params: FractionalParams, t: float, n: int) -> float:
     return _sum_k_series(term, int(n / nu) + 2, "stfpp_pmf")
 
 
-def stfpp_pmf_mp(params: FractionalParams, t: float, n_max: int) -> list[float]:
-    """p_0 .. p_{n_max} and the tail 1 - sum p_n at t > 0 on beta = -alpha,
-    from the k-series summed at 50 digits (mpmath).
+# The digits ``series_mp`` keeps: it works at this many plus the digits of
+# its largest term plus 10 guard digits.
+REF_DIGITS = 50
 
-    One k loop serves every state: term k of state n is (-x)^k / Gamma(k a + 1)
-    times w_n = (-1)^n (k nu)_n / n!, built by w_{n+1} = -w_n (k nu - n) / (n + 1),
-    with x = lam^nu t^a.  The loop stops past k = n_max/nu + 2 on two
-    consecutive k whose terms are all below 1e-40.  The sum cancels as the
-    double-precision one does, so it keeps 50 - log10(largest term) digits:
-    more than 40 wherever the package's rounding bound lets a value through.
+
+def series_mp(params: FractionalParams, t: float, n_max: int) -> list[float]:
+    """p_0 .. p_{n_max} and the tail 1 - sum p_n at t >= 0, each summed in
+    mpmath to within about 10^-REF_DIGITS, for every fractional family: tfpp,
+    sfpp, stfpp and sstfpp.
+
+    State n's series is sum_k C_k (-x)^k / Gamma(1 - k beta) * w_n with
+    x = lam^nu t^(-beta).  C_k = prod_{j<=k} Gamma(1 + g - j b) /
+    Gamma(1 + g + a - (j - 1) b) is an mpmath product on sstfpp and 1 on
+    beta = -alpha, as the package classifies the point.  One k loop serves
+    every state: w_0 = 1 and w_{n+1} = -w_n (k nu - n) / (n + 1), so
+    w_n = (-1)^n Gamma(k nu + 1) / Gamma(k nu + 1 - n) / n!.  The loop stops
+    past k = n_max/nu + 2 on two consecutive k whose terms are all below
+    10^-(REF_DIGITS + 5).  The sum cancels as the double-precision one does,
+    losing the digits of its largest term, so it is summed at REF_DIGITS +
+    those digits + 10, the rule of the benchmark's reference.  The first
+    pass allows 10 digits for the largest term; a pass whose largest term
+    needs more is run again with them.
     """
     import mpmath
 
-    if abs(params.beta + params.alpha) > VARIANT_TOL:
-        raise ParameterError("stfpp_pmf_mp: requires the beta = -alpha variant")
-    with mpmath.workdps(50):
-        a, nu = mpmath.mpf(params.alpha), mpmath.mpf(params.nu)
-        x = mpmath.mpf(params.lam) ** nu * mpmath.mpf(t) ** a
-        tiny = mpmath.mpf(10) ** -40
-        sums = [mpmath.mpf(0)] * (n_max + 1)
-        small = 0
-        for k in range(TERM_CAP):
-            w = (-x) ** k * mpmath.rgamma(k * a + 1)
-            big = mpmath.mpf(0)
-            for n in range(n_max + 1):
-                sums[n] += w
-                big = max(big, abs(w))
-                w *= -(k * nu - n) / (n + 1)
-            small = small + 1 if big < tiny else 0
-            if small >= 2 and k > n_max / params.nu + 2:
+    digits = 10
+    while True:
+        with mpmath.workdps(REF_DIGITS + digits + 10):
+            sums, peak = _series_mp_pass(mpmath, params, t, n_max)
+            need = math.ceil(peak * math.log10(2.0))
+            if need <= digits:
                 return [float(s) for s in sums] + [float(1 - mpmath.fsum(sums))]
-    raise ConvergenceError(f"stfpp_pmf_mp: no convergence within {TERM_CAP} terms")
+        digits = need
+
+
+def _series_mp_pass(mpmath, params: FractionalParams, t: float, n_max: int):
+    """(p_0 .. p_{n_max} as mpf, m with every |term| <= 2^m) at the current precision."""
+    mpf, mag, fadd, fsub = mpmath.mpf, mpmath.mag, mpmath.fadd, mpmath.fsub
+    a, b, g, nu = (mpf(v) for v in (params.alpha, params.beta, params.gamma_p, params.nu))
+    x = mpf(params.lam) ** nu * mpf(t) ** -b
+    with_ck = params.variant == "sstfpp"
+    # The gamma arguments are formed exactly: rounded to the working
+    # precision, 1 + g - k b would lose g at |beta| past 10^REF_DIGITS.
+    g1 = fadd(1, g, exact=True)
+    g2 = fadd(g1, fadd(a, b, exact=True), exact=True)
+    tiny = -(REF_DIGITS + 5) / math.log10(2.0)  # 10^-(REF_DIGITS + 5) as a power of 2
+    sums = [mpf(0)] * (n_max + 1)
+    ck_xk = mpf(1)  # C_k (-x)^k
+    peak = -math.inf
+    small = 0
+    for k in range(TERM_CAP):
+        kb = mpmath.fmul(k, b, exact=True)
+        if k:
+            ck_xk *= -x
+            if with_ck:  # Gamma(1 + g - k b) / Gamma(1 + g + a - (k - 1) b)
+                ck_xk *= mpmath.gamma(fsub(g1, kb, exact=True)) / mpmath.gamma(fsub(g2, kb, exact=True))
+        w = ck_xk * mpmath.rgamma(fsub(1, kb, exact=True))
+        kv = k * nu
+        big = -math.inf
+        for n in range(n_max + 1):
+            sums[n] += w
+            big = max(big, mag(w))
+            w *= (n - kv) / (n + 1)
+        peak = max(peak, big)
+        small = small + 1 if big < tiny else 0
+        if small >= 2 and k > n_max / params.nu + 2:
+            return sums, peak
+    raise ConvergenceError(f"series_mp: no convergence within {TERM_CAP} terms")
 
 
 class _CkLogTable:

@@ -142,6 +142,11 @@ class TestPmfCommand:
             (("--beta", "-0.5", "-t", "1"), "classify"),
             (("-t", "1", "--n-max", "-1"), "--n-max"),
             (("--t-start", "1", "--t-count", "0"), "--t-count"),
+            # a gamma argument past math.lgamma's range, at t > 0 and t = 0
+            (("--variant", "sstfpp", "--alpha", "0.5", "--nu", "0.6", "--beta=-4e304",
+              "--gamma", "0.1", "-t", "1", "--n-max", "2"), "must be <= 1e+300"),
+            (("--variant", "sstfpp", "--alpha", "0.5", "--nu", "0.6", "--beta=-4e304",
+              "--gamma", "0.1", "-t", "0", "--n-max", "2"), "must be <= 1e+300"),
         ],
     )
     def test_bad_input_exits_2(self, capsys, argv, named):
@@ -328,7 +333,9 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "argv",
         [("--variant", "sstfpp", "--beta", "-0.5", "--gamma", "-5"), ("--n-max", "-1"),
-         ("-t", "inf")],
+         ("-t", "inf"),
+         ("--variant", "sstfpp", "--alpha", "0.5", "--nu", "0.6", "--beta=-0.5",
+          "--gamma", "1e308", "-t", "1")],
     )
     def test_bad_input_exits_2(self, capsys, argv):
         rejected(capsys, "verify", *argv)
@@ -498,8 +505,11 @@ class TestSimulateCommand:
         [
             ("--variant", "classical", "-t", "1", "--samples", "1"),
             ("--variant", "tfpp", "--alpha", "0.5", "-t", "1e-300", "--samples", "100"),
+            # lam t = 680: states 0..10 pool into bin 0, which expects 3e-271
+            # draws and merges into the overflow bin
+            ("--variant", "classical", "--lam", "680", "-t", "1", "--samples", "1000"),
         ],
-        ids=["one-sample", "tiny-t"],
+        ids=["one-sample", "tiny-t", "left-tail"],
     )
     def test_chi_square_not_computable_still_prints(self, capsys, argv):
         # legal input whose draws pool into one bin: histogram, exit 0

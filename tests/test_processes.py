@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import itertools
 import math
 import pickle
@@ -35,9 +36,9 @@ from oracles import (
     panjer_sfpp,
     pgf_cauchy_residual,
     sfpp_pmf,
+    series_mp,
     sstfpp_pmf,
     stfpp_pmf,
-    stfpp_pmf_mp,
     tfpp_pmf,
 )
 
@@ -97,6 +98,12 @@ class TestFractionalParams:
             FractionalParams(1.0, nu=1.2)
         with pytest.raises(ParameterError):
             FractionalParams(1.0, beta=0.5)
+        # |beta| TERM_CAP + |gamma| <= HUGE: past it ln Gamma(1 - k beta) or a
+        # C_k factor's ln Gamma overflows math.lgamma, at t = 0 too
+        for beta, gamma_p in ((-4e304, 0.1), (-0.5, 1e308), (-0.5, -1e301), (-1.1e296, 0.0)):
+            with pytest.raises(ParameterError, match=r"\|beta\| \* 10000 \+ \|gamma_p\| must be <= 1e\+300"):
+                FractionalParams(1.0, alpha=0.5, nu=0.6, beta=beta, gamma_p=gamma_p)
+        assert pmf(FractionalParams(1.0, alpha=0.5, nu=0.6, beta=-1e296, gamma_p=0.1), 0.0, 0) == 1.0
 
     @pytest.mark.parametrize("field", ["lam", "alpha", "nu", "beta", "gamma_p"])
     def test_rejects_bool_fields(self, field):
@@ -838,34 +845,21 @@ class TestRefusalRule:
             assert all(-1e-9 <= v <= 1.0 + 1e-9 for v in values), (alpha, nu, x)
             assert abs(math.fsum(values) - 1.0) <= 1e-9, (alpha, nu, x)
             # errors in the states can cancel in the sum, so each value meets
-            # a reference: the Panjer recursion on sfpp (classical at nu = 1),
-            # the 50-digit k-series elsewhere
-            if alpha == 1.0:
-                ref = panjer_sfpp(x, nu, 25)
-                ref.append(1.0 - math.fsum(ref))
-            else:
-                ref = stfpp_pmf_mp(params, t, 25)
+            # the high-precision k-series
+            ref = series_mp(params, t, 25)
             for n, (v, r) in enumerate(zip(values, ref)):
                 assert abs(v - r) <= 1e-9, (alpha, nu, x, n)
 
     def test_panjer_sfpp_against_mpmath(self):
-        # the sfpp k-series at 50 digits, where its cancellation is harmless
-        mpmath = pytest.importorskip("mpmath")
+        # the Panjer recursion against the high-precision sfpp k-series
+        # (classical at nu = 1), p_0 .. p_25 each to a relative 1e-12
+        pytest.importorskip("mpmath")
         n_max = 25
-        with mpmath.workdps(50):
-            for nu, x in itertools.product((0.4, 0.7, 1.0), (0.5, 2.0, 5.0)):
-                sums = [mpmath.mpf(0)] * (n_max + 1)
-                c = mpmath.mpf(1)  # (-x)^k / k!
-                for k in range(120):
-                    ff = mpmath.mpf(1)  # Gamma(k nu + 1) / Gamma(k nu + 1 - n)
-                    for n in range(n_max + 1):
-                        sums[n] += c * ff
-                        ff *= k * mpmath.mpf(nu) - n
-                    c *= -mpmath.mpf(x) / (k + 1)
-                got = panjer_sfpp(x, nu, n_max)
-                for n, s in enumerate(sums):
-                    ref = float((-1) ** n * s / mpmath.factorial(n))
-                    assert got[n] == pytest.approx(ref, rel=1e-12), (nu, x, n)
+        for nu, x in itertools.product((0.4, 0.7, 1.0), (0.5, 2.0, 5.0)):
+            ref = series_mp(FractionalParams(1.0, nu=nu, beta=-1.0), x, n_max)
+            got = panjer_sfpp(x, nu, n_max)
+            for n in range(n_max + 1):
+                assert got[n] == pytest.approx(ref[n], rel=1e-12), (nu, x, n)
 
     def test_half_order_survival_matches_or_refuses(self):
         # tfpp at alpha = 1/2, lam = 1: p_0(t) = E_{1/2}(-x), x = t^(1/2)
@@ -930,6 +924,77 @@ class TestRefusalRule:
             pmf(FractionalParams(1.0, alpha=0.001), 1.0, 1)
         assert str(exc.value) == "pmf: rounding error bound 1.002e-09 exceeds 1e-09"
         assert float(str(exc.value).split()[4]) > 1e-9
+
+
+# ROADMAP item 15's three silent values: (lam, alpha, nu, beta, gamma), t,
+# the state n and the benchmark's mpmath reference p_n (``bench/oracle.py``,
+# ``pmf_ref``), pinned here so that the tests need not import it.  ``pmf``
+# answers each within its rounding bound yet errs by 1.22e-9, 1.06e-9 and
+# 1.06e-9.
+SILENT_POINTS = [
+    ((1.1880804946824857, 0.7973406888297649, 0.2572504347914124,
+      -0.25270822206968296, 0.9485111043576169), 1551.3502762494627, 20, 0.0028720863809325327),
+    ((0.1583157416882073, 0.1710073949165773, 0.92764130611159, None, 0.0),
+     160077.04276411812, 1, 0.22360626093172228),
+    ((1.9444117330676849, 0.26435791695985666, 0.6946484736568401,
+      -0.8879577770268401, 0.002610114382050055), 1.0645345601386242, 10, 0.013068269727607166),
+]
+
+
+@functools.cache
+def silent_point(i: int) -> tuple[FractionalParams, float, int, float]:
+    """SILENT_POINTS[i] as (params, t, n, series_mp's p_n)."""
+    (lam, alpha, nu, beta, gamma_p), t, n, _ = SILENT_POINTS[i]
+    params = FractionalParams(lam, alpha=alpha, nu=nu, beta=beta, gamma_p=gamma_p)
+    return params, t, n, series_mp(params, t, n)[n]
+
+
+class TestSeriesMp:
+    """The tests' high-precision k-series against references it shares no code with."""
+
+    @pytest.fixture(autouse=True)
+    def _mpmath(self):
+        pytest.importorskip("mpmath")
+
+    def test_time_zero(self):
+        assert series_mp(SSTFPP, 0.0, 3) == [1.0, 0.0, 0.0, 0.0, 0.0]
+
+    def test_tfpp_half_order_is_ml_half(self):
+        # p_0 = E_{1/2}(-x) at lam = 1, t = x^2.  ml_half is within
+        # eps x^2 plus a few ulp.  pmf refuses x > 3; at x = 12 the series'
+        # largest term is 1e61, so the first pass, which allows 10 digits
+        # for it, is off by 1e-8 and the pass at 121 digits is needed
+        params = FractionalParams(1.0, alpha=0.5)
+        for x in (0.5, 1.0, 2.0, 3.0, 12.0):
+            ref = ml_half(x)
+            assert abs(series_mp(params, x * x, 0)[0] - ref) <= (4.0 + x * x) * sys.float_info.epsilon * ref, x
+
+    def test_gamma_arguments_are_exact_at_huge_beta(self):
+        # at beta = -1e60, 1 + gamma - k beta rounded to the working precision
+        # loses gamma and moves p_0 to -1119173.9549701277; the reference is
+        # the same series with every operation at 200 digits
+        params = FractionalParams(1.0, alpha=0.5, nu=0.6, beta=-1e60, gamma_p=0.1)
+        ref = -1119173.9540701231
+        assert abs(series_mp(params, 1.0, 0)[0] - ref) <= math.ulp(ref)
+
+    @pytest.mark.parametrize("i", range(len(SILENT_POINTS)))
+    def test_matches_the_benchmark_reference(self, i):
+        _, _, _, ref = SILENT_POINTS[i]
+        assert abs(silent_point(i)[3] - ref) <= math.ulp(ref)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 15")
+    @pytest.mark.parametrize("i", range(len(SILENT_POINTS)))
+    def test_silent_value_within_1e9(self, i):
+        params, t, n, ref = silent_point(i)
+        assert abs(pmf(params, t, n) - ref) <= 1e-9
+
+    def test_negative_sstfpp_probability_is_the_series_value(self):
+        # at -beta = 1.5 > 1 the sstfpp series is a signed measure: p_0 at
+        # t = 2.52 (x = 4) is negative at 50 digits too, and pmf prints it
+        params = FractionalParams(1.0, alpha=0.8, nu=0.6, beta=-1.5, gamma_p=0.1)
+        ref = series_mp(params, 2.52, 0)[0]
+        assert ref < 0.0
+        assert abs(pmf(params, 2.52, 0) - ref) <= 1e-9
 
 
 class TestClosedIterates:

@@ -436,12 +436,16 @@ class TestChiSquare:
         stat, pvalue, dof = chi_square_gof(emp)
         assert dof >= 1 and math.isfinite(stat)
         # The pooled (stat, p-value, dof), as float.hex, of inputs that pool
-        # a long run of tail bins; the last pools the tail bins and an
+        # a long run of tail bins; the fourth pools the tail bins and an
         # undersized interior bin (expected 60, 0.2, 80, 50, 8, 1, 0.6 and
-        # an overflow of 0.2 pool to 60.2, 80, 50, 9.8).
+        # an overflow of 0.2 pool to 60.2, 80, 50, 9.8), and the last an
+        # undersized bin 0 into its right neighbour (expected 2, 60, 80, 50,
+        # 7.8 and an overflow of 0.2 pool to 62, 80, 50, 8).
         table = PmfTable(CLASSICAL, (1.0,), 6,
                          ((0.3, 0.001, 0.4, 0.25, 0.04, 0.005, 0.003),), (0.001,))
         hand = EmpiricalPmf(CLASSICAL, 1.0, 6, 200, (57, 2, 83, 47, 6, 3, 1), 1)
+        left = PmfTable(CLASSICAL, (1.0,), 4, ((0.01, 0.3, 0.4, 0.25, 0.039),), (0.001,))
+        hand_left = EmpiricalPmf(CLASSICAL, 1.0, 4, 200, (3, 58, 83, 47, 8), 1)
         cases = [
             (chi_square_gof(emp), ("0x1.6a360e054f1ccp-1", "0x1.be2eec547db7fp-1", 3)),
             (chi_square_gof(empirical_pmf(STFPP, 1.0, 200, 30, 3)),
@@ -449,6 +453,7 @@ class TestChiSquare:
             (chi_square_gof(empirical_pmf(CLASSICAL, 1.0, 40, 12, 5)),
              ("0x1.b052c66ed70b0p+0", "0x1.b8238cb78b3c2p-2", 2)),
             (_chi_square(hand, table), ("0x1.da7acae29a173p-2", "0x1.da8df4dfca715p-1", 3)),
+            (_chi_square(hand_left, left), ("0x1.bc093fc093fc0p-2", "0x1.ddcddaec567f4p-1", 3)),
         ]
         for (stat, pvalue, dof), (stat_hex, pvalue_hex, want_dof) in cases:
             assert (stat.hex(), pvalue.hex(), dof) == (stat_hex, pvalue_hex, want_dof)
@@ -477,9 +482,12 @@ class TestChiSquare:
         assert left_to_right == 13.974589569276553
 
     def test_fewer_than_two_bins_rejected(self):
-        emp = empirical_pmf(CLASSICAL, 1.0, 1, 10, 2)
-        with pytest.raises(ParameterError, match="fewer than two usable bins"):
-            chi_square_gof(emp)
+        # one draw; and lam t = 680, where states 0..20 pool into bin 0,
+        # which expects 9e-255 draws and merges into the overflow bin
+        for emp in (empirical_pmf(CLASSICAL, 1.0, 1, 10, 2),
+                    empirical_pmf(FractionalParams(680.0), 1.0, 1000, 20, 42)):
+            with pytest.raises(ParameterError, match="fewer than two usable bins"):
+                chi_square_gof(emp)
 
     def test_p_value_matches_scipy_stats(self):
         # the p-value against 50-digit mpmath, within P_VALUE_BOUNDS, and
