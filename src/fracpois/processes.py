@@ -225,7 +225,9 @@ class _SeriesTerms:
 
     A term's log-magnitude is k-part[k] + ln|f_k| - s: the same floats added
     in the same order as forming the whole sum afresh, so a cached term is
-    bit-identical to a fresh one.
+    bit-identical to a fresh one.  Only x > 0 reaches the stores (x = 0 is
+    the initial condition), and a series reads its row from its first live
+    entry, past the leading gamma-pole zeros (see :func:`_saigo_series`).
 
     The stores grow only in :meth:`grow`, each by a batch fill of the
     entries [start, stop), start being the store's length, by one rule: a
@@ -260,7 +262,7 @@ class _SeriesTerms:
         self.saigo = params.saigo() if params.variant == "sstfpp" else None
         self.per_k: list[tuple[float, float, float]] = []
         self.rows: dict[object, tuple[list[float], float, int]] = {}
-        self.kpart: tuple[float, list[float]] = (0.0, [])  # x = 0 reads no k-part
+        self.kpart: tuple[float, list[float]] = (0.0, [])  # no series x > 0 matches it
 
     def record(self, key: object) -> tuple[list[float], float, int]:
         """key's (row, s, k_min), made on first use: s = ln n! and
@@ -270,10 +272,10 @@ class _SeriesTerms:
         return self.rows.setdefault(key, ([], math.lgamma(n + 1.0), int(n / self.nu) + 2))
 
     def grow(self, key: object, row: list[float], x: float, need: int) -> list[float]:
-        """Grow key's row to at least need entries, and per_k and x's k-part
-        with it (see the class); return the k-part of x, begun afresh at a new
-        x ([] at x = 0).  Chunk and block stop at TERM_CAP; only a need past it
-        (a check's) grows a row further."""
+        """Grow key's row to at least need entries, and per_k and x > 0's
+        k-part with it (see the class); return the k-part of x, begun afresh
+        at a new x.  Chunk and block stop at TERM_CAP; only a need past it (a
+        check's) grows a row further."""
         start = len(row) >> 1
         if start < need:
             stop = max(need, min(start + FILL_CHUNK, TERM_CAP))
@@ -294,8 +296,6 @@ class _SeriesTerms:
             else:
                 entries = self._tail_entries(key[1], start, stop)
             row[2 * start:2 * stop] = entries
-        if x == 0.0:
-            return []
         pair = self.kpart
         if pair[0] != x:
             pair = (x, [])
@@ -389,35 +389,42 @@ def _saigo_series(terms: _SeriesTerms, key: object, x: float, label: str) -> tup
 
     key names the series and so its f_k, s and k_min: state n or ("tail", N)
     (see :meth:`_SeriesTerms.record`); a vanished entry (0.0, -inf) adds 0.0
-    (gamma poles).
-    The loop reads key's row and the k-part of x from terms; where either
-    runs out, one :meth:`_SeriesTerms.grow` call extends them past k_min,
-    which the loop always reads, or past the next term, never past
-    TERM_CAP.  Terms are formed in log-magnitude/sign form, so huge gamma
-    ratios never overflow, and summed with compensation.  The stop requires
-    two consecutive terms at most SERIES_TOL * max(1, |partial sum|) past
-    k_min: single terms can vanish exactly at gamma poles, but (for nu < 1)
-    two consecutive pole zeros are impossible, so a pair of small terms
-    really does mean the superexponential decay regime has begun.  A sum is
-    refused at the term where its rounding bound eps * err first exceeds
-    ROUNDING_TOL, err being sum |term| (1 + ln|term|) over the terms above 1
-    (Higham 2002, ch. 4; TERM_CAP terms below 1 would add at most 2.2e-12);
-    the bound only grows, so a sum that stops has passed it.  x = 0 (t = 0,
-    or t^(-beta) underflowed) leaves the k = 0 term and stops at k = 0; its
-    row grows by one chunk, which may form ln C_k, as FractionalParams
-    refuses every gamma that would make a C_k factor inadmissible.
+    (gamma poles).  x = 0 (t = 0, or t^(-beta) underflowed) is the initial
+    condition p_n(0) = [n = 0]: state 0 gives 1.0 and every other series
+    0.0, stopped at k = 0, without touching terms.  At x > 0 one
+    :meth:`_SeriesTerms.grow` call first covers k = 0 .. k_min, which the
+    loop reads in any case, and the sum starts at the row's first live term
+    (k = n for state n and N + 1 for the tail at nu = 1; past k = 0 for
+    states n >= 1 and the tail at every nu): the leading vanished entries
+    lie below k_min and would add 0.0 to a total and compensation of 0.0.
+    Zeros inside a row (nu = 1/2) are summed, as an add of 0.0 folds comp
+    into total.  Later grow calls extend the row and the k-part past the
+    next term, never past TERM_CAP.  Terms are formed in log-magnitude/sign
+    form, so huge gamma ratios never overflow, and summed with compensation.
+    The stop requires two consecutive terms at most SERIES_TOL * max(1,
+    |partial sum|) past k_min: single terms can vanish exactly at gamma
+    poles, but (for nu < 1) two consecutive pole zeros are impossible, so a
+    pair of small terms really does mean the superexponential decay regime
+    has begun.  A sum is refused at the term where its rounding bound
+    eps * err first exceeds ROUNDING_TOL, err being sum |term| (1 + ln|term|)
+    over the terms above 1 (Higham 2002, ch. 4; TERM_CAP terms below 1 would
+    add at most 2.2e-12); the bound only grows, so a sum that stops has
+    passed it.
     """
-    row, s, k_min = terms.rows.get(key) or terms.record(key)  # record alone forms one per call
     if x == 0.0:
-        if not row:
-            terms.grow(key, row, 0.0, 1)
-        return row[0] * math.exp(row[1] - s), 0
+        return (1.0 if key == 0 else 0.0), 0
+    row, s, k_min = terms.rows.get(key) or terms.record(key)  # record alone forms one per call
     pair = terms.kpart
-    kpart = pair[1] if pair[0] == x else []  # another x's: grow below begins x's
+    if pair[0] == x and len(row) >> 1 > k_min:
+        kpart = pair[1]
+    else:  # the loop reads k = 0 .. k_min in any case, and no further than TERM_CAP
+        kpart = terms.grow(key, row, x, min(k_min + 1, TERM_CAP))
+    k = 0
+    while k < TERM_CAP and not row[2 * k]:  # a leading vanished entry: sign 0.0
+        k += 1
     exp, huge, tol, gate = math.exp, LOG_HUGE, SERIES_TOL, _ROUNDING_GATE
     total, comp, err = 0.0, 0.0, 0.0
     prev = math.inf
-    k = 0
     while k < TERM_CAP:
         end = min(len(row) >> 1, len(kpart), TERM_CAP)  # a check's row may run past it
         for k in range(k, end):
@@ -449,9 +456,7 @@ def _saigo_series(terms: _SeriesTerms, key: object, x: float, label: str) -> tup
                     return total, k
             prev = mag
         k = end
-        # the loop reads k = 0 .. max(k, k_min) in any case, and no further
-        # than TERM_CAP
-        kpart = terms.grow(key, row, x, min(max(k, k_min) + 1, TERM_CAP))
+        kpart = terms.grow(key, row, x, min(k + 1, TERM_CAP))
     raise ConvergenceError(f"{label}: no convergence within {TERM_CAP} terms")
 
 

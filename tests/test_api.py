@@ -1,5 +1,6 @@
 """The public names of the package and the names the benchmark tracer wraps."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -93,8 +94,41 @@ def test_traced_names_exist():
     assert missing == []
 
 
-# Public names that no runtime code calls: the tracer wraps them, but no
-# probe of the program's entry points reaches them.
+def uncalled_public_names() -> set[str]:
+    """The public functions (fracpois.__all__) and the public methods of the
+    public classes that no call inside src/fracpois names, found by AST."""
+    trees = [ast.parse(path.read_text()) for path in (ROOT / "src" / "fracpois").glob("*.py")]
+    called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+              for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    public = []
+    for node in (node for tree in trees for node in tree.body):
+        if isinstance(node, ast.FunctionDef) and node.name in fracpois.__all__:
+            public.append((node.name, node.name))
+        elif isinstance(node, ast.ClassDef) and node.name in fracpois.__all__:
+            public += [(f"{node.name}.{m.name}", m.name) for m in node.body
+                       if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                       and not m.decorator_list]
+    return {name for name, callee in public if callee not in called}
+
+
+def test_readme_lists_the_uncalled_public_names():
+    # a public name no code in the package calls is API on purpose, and the
+    # README says so
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("### Public names with no caller inside the package")
+    listed = []
+    for line in lines[start + 1:]:
+        if line.startswith("#"):
+            break
+        if line.startswith("- `"):
+            listed.append(line.split("`")[1])
+    assert sorted(listed) == sorted(uncalled_public_names())
+    assert {name.split(".", 1)[1] for name in UNCALLED_TRACED} <= set(listed)
+
+
+# The traced names among the README's public names with no caller inside the
+# package (test_readme_lists_the_uncalled_public_names): the tracer wraps
+# them, but no probe of the program's entry points reaches them.
 UNCALLED_TRACED = ["saigo.semigroup_counterexample", "adm.PowerSeries.evaluate"]
 
 

@@ -8,6 +8,7 @@ import random
 import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -744,6 +745,43 @@ class TestSharedTermCache:
         assert errors == []
         for got in results:
             assert got == expect
+
+    @pytest.mark.parametrize("point, t", [
+        ((1.3, 0.6, 1.0, -0.6, 0.0), 0.0),
+        ((1.0, 1.0, 0.5, -1.0, 0.0), 0.0),
+        ((1.0, 0.7, 0.6, -0.7, 0.0), 0.0),
+        ((1.0, 0.8, 0.6, -0.5, 0.1), 0.0),
+        # t^(-beta) underflows to 0, as at t = 0
+        ((1.0, 0.8, 0.6, -1.5, 0.1), 1e-300),
+    ])
+    def test_time_zero_forms_no_term(self, point, t):
+        # x = 0 is the initial condition p_n(0) = [n = 0]: no row, no per_k,
+        # no ln C_k and no k-part
+        params = FractionalParams(*point)
+        assert [pmf(params, t, n) for n in range(4)] == [1.0, 0.0, 0.0, 0.0]
+        assert pmf_tail_mass(params, t, 3) == 0.0
+        assert sstfpp_pgf(params, 0.4, t) == 1.0
+        assert waiting_survival(params, t) == 1.0
+        table = pmf_table(params, [t, t], 3)
+        assert table.probs == ((1.0, 0.0, 0.0, 0.0),) * 2 and table.tail_mass == (0.0, 0.0)
+        terms = params._terms
+        assert (terms.rows, terms.per_k, terms.kpart) == ({}, [], (0.0, []))
+
+    @pytest.mark.parametrize("params, key, first", [
+        (TFPP, 0, 0), (TFPP, 3, 3), (TFPP, 25, 25), (TFPP, ("tail", 3), 4),
+        (STFPP, 3, 1), (STFPP, ("tail", 3), 1),
+        # zeros inside the row (k = 2, 4) are summed
+        (NU_HALF, 3, 1),
+    ])
+    def test_sum_starts_at_the_first_live_term(self, monkeypatch, params, key, first):
+        # the kernel forms one exp per term it reads: none for the row's
+        # leading vanished entries
+        exps = []
+        counting = types.SimpleNamespace(**vars(math))
+        counting.exp = lambda v: exps.append(v) or math.exp(v)
+        monkeypatch.setattr(processes, "math", counting)
+        _, stop = processes._saigo_series(dataclasses.replace(params)._terms, key, 1.5, "pmf")
+        assert len(exps) == stop + 1 - first and exps[0] > -math.inf
 
 
 class TestPgf:
